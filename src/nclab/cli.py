@@ -16,7 +16,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import closedform, dyckmodel, ncpart, nonnest, polyalg, posetcore
 from .errors import (
@@ -29,16 +30,6 @@ from .params import Params
 
 DEFAULT_MAX_OBJECTS = ncpart.DEFAULT_MAX_OBJECTS
 ENV_MAX_OBJECTS = "NC_LAB_MAX_OBJECTS"
-
-_SUITES = ("identities", "conj-count", "conj-h", "bijection", "lemma54")
-
-_DEFAULT_RANGES = {
-    "identities": "m=1..3,n=1..6,t=1..n",
-    "conj-count": "m=2..3,n=1..5,t=1..n",
-    "conj-h": "m=1,n=1..7,t=1..n",
-    "bijection": "m=1,n=1..7,t=1..n",
-    "lemma54": "m=1..3,n=1..5,t=1..n",
-}
 
 
 def _resolve_cap(value: Optional[int]) -> int:
@@ -144,7 +135,8 @@ def _count_rows(p: Params, by: str, cap: int) -> List[dict]:
     elif by == "rank":
         census: Dict[int, int] = {}
         for part in partitions:
-            census[ncpart.rank_of(part, p)] = census.get(ncpart.rank_of(part, p), 0) + 1
+            rank = ncpart.rank_of(part, p)
+            census[rank] = census.get(rank, 0) + 1
         for s in range(p.max_rank + 1):
             formula = closedform.count_by_rank(p, s)
             brute = census.get(s, 0)
@@ -156,7 +148,7 @@ def _count_rows(p: Params, by: str, cap: int) -> List[dict]:
         for part in partitions:
             profile = ncpart.block_profile(part, p).counts
             census[profile] = census.get(profile, 0) + 1
-        for profile in _profiles(p.n):
+        for profile in closedform.profiles(p.n):
             formula = closedform.count_by_profile(p, profile)
             brute = census.get(profile, 0)
             rows.append(
@@ -168,24 +160,6 @@ def _count_rows(p: Params, by: str, cap: int) -> List[dict]:
                 }
             )
     return rows
-
-
-def _profiles(n: int) -> List[Tuple[int, ...]]:
-    """All (b_1, ..., b_n) with sum i*b_i = n, lexicographically."""
-    out: List[Tuple[int, ...]] = []
-
-    def rec(i: int, left: int, acc: List[int]):
-        if i == n:
-            if left % n == 0:
-                out.append(tuple(acc) + (left // n,))
-            return
-        for b in range(left // i + 1):
-            acc.append(b)
-            rec(i + 1, left - i * b, acc)
-            acc.pop()
-
-    rec(1, n, [])
-    return out
 
 
 def cmd_count(args) -> int:
@@ -259,89 +233,67 @@ def cmd_triangle(args) -> int:
     return 0
 
 
-def _verify_rows(suite: str, triples: Sequence[Params], variant: str, cap: int) -> List[dict]:
-    rows: List[dict] = []
-    if suite == "identities":
-        for p in triples:
-            try:
-                report = polyalg.verify_transformation_identities(p)
-                rows.append(report.as_dict())
-            except InvariantViolation as exc:
-                rows.append(
-                    {"m": p.m, "n": p.n, "t": p.t, "error": str(exc), "pass": False}
-                )
-    elif suite == "conj-count":
-        for row in nonnest.verify_conjectures(triples, variant=variant, max_objects=cap):
-            rows.append(
-                {
-                    "m": row["m"],
-                    "n": row["n"],
-                    "t": row["t"],
-                    "variant": row["variant"],
-                    "enumerated": str(row["count_enumerated"]),
-                    "formula": str(row["count_formula"]),
-                    "pass": row["count_ok"],
-                }
-            )
-    elif suite == "conj-h":
-        for row in nonnest.verify_conjectures(triples, variant=variant, max_objects=cap):
-            rows.append(
-                {
-                    "m": row["m"],
-                    "n": row["n"],
-                    "t": row["t"],
-                    "variant": row["variant"],
-                    "pass": row["h_ok"],
-                }
-            )
-    elif suite == "bijection":
-        for p in triples:
-            if p.m != 1:
-                raise ParameterError("the bijection suite runs at m=1 only")
-            rows.append(_bijection_row(p))
-    else:
-        for p in triples:
-            decorated = nonnest.nn_poset(p, variant=variant, max_objects=cap, strict=False)
-            rows.append(
-                {
-                    "m": p.m,
-                    "n": p.n,
-                    "t": p.t,
-                    "variant": variant,
-                    "covers": len(decorated.poset.covers()),
-                    "violations": len(decorated.violations),
-                    "pass": not decorated.violations,
-                }
-            )
-    return rows
+def _identities_row(p: Params, variant: str, cap: int) -> dict:
+    try:
+        return polyalg.verify_transformation_identities(p).as_dict()
+    except InvariantViolation as exc:
+        return {"m": p.m, "n": p.n, "t": p.t, "error": str(exc), "pass": False}
 
 
-def _bijection_row(p: Params) -> dict:
-    n, t = p.n, p.t
-    filters = nonnest.all_t_filters(n, t)
-    paths = dyckmodel.enumerate_tdyck(n, t)
-    ok = len(filters) == len(paths) == closedform.total_count(p)
-    images = []
-    for filt in filters:
-        path = dyckmodel.theta(filt)
-        ok = ok and dyckmodel.theta_inverse(path, t) == filt
-        images.append(path)
-    ok = ok and len(set(images)) == len(filters)
-    ok = ok and set(images) == set(paths)
-    for path in paths:
-        ok = ok and dyckmodel.theta(dyckmodel.theta_inverse(path, t)) == path
-    for a, fa in enumerate(filters):
-        for b, fb in enumerate(filters):
-            contained = fa.pairs <= fb.pairs
-            ok = ok and contained == dyckmodel.ddom_leq(images[a], images[b])
-    return {"m": 1, "n": n, "t": t, "objects": len(filters), "pass": ok}
+def _conj_count_row(p: Params, variant: str, cap: int) -> dict:
+    enumerated, formula = nonnest.chain_counts(p, variant=variant, max_objects=cap)
+    return {
+        "m": p.m,
+        "n": p.n,
+        "t": p.t,
+        "variant": variant,
+        "enumerated": str(enumerated),
+        "formula": str(formula),
+        "pass": enumerated == formula,
+    }
+
+
+def _conj_h_row(p: Params, variant: str, cap: int) -> dict:
+    ok = nonnest.floor_polynomial_matches(p, variant=variant, max_objects=cap)
+    return {"m": p.m, "n": p.n, "t": p.t, "variant": variant, "pass": ok}
+
+
+def _bijection_row(p: Params, variant: str, cap: int) -> dict:
+    if p.m != 1:
+        raise ParameterError("the bijection suite runs at m=1 only")
+    objects = len(nonnest.all_t_filters(p.n, p.t))
+    ok = dyckmodel.bijection_holds(p.n, p.t)
+    return {"m": 1, "n": p.n, "t": p.t, "objects": objects, "pass": ok}
+
+
+def _lemma54_row(p: Params, variant: str, cap: int) -> dict:
+    decorated = nonnest.nn_poset(p, variant=variant, max_objects=cap, strict=False)
+    return {
+        "m": p.m,
+        "n": p.n,
+        "t": p.t,
+        "variant": variant,
+        "covers": len(decorated.poset.covers()),
+        "violations": len(decorated.violations),
+        "pass": not decorated.violations,
+    }
+
+
+# suite -> (default range, row function (p, variant, max_objects) -> row)
+_SUITES: Dict[str, Tuple[str, Callable[[Params, str, int], dict]]] = {
+    "identities": ("m=1..3,n=1..6,t=1..n", _identities_row),
+    "conj-count": ("m=2..3,n=1..5,t=1..n", _conj_count_row),
+    "conj-h": ("m=1,n=1..7,t=1..n", _conj_h_row),
+    "bijection": ("m=1,n=1..7,t=1..n", _bijection_row),
+    "lemma54": ("m=1..3,n=1..5,t=1..n", _lemma54_row),
+}
 
 
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args.max_objects)
-    spec = args.range if args.range is not None else _DEFAULT_RANGES[args.suite]
-    triples = _parse_range(spec)
-    rows = _verify_rows(args.suite, triples, args.variant, cap)
+    default_range, make_row = _SUITES[args.suite]
+    triples = _parse_range(args.range if args.range is not None else default_range)
+    rows = [make_row(p, args.variant, cap) for p in triples]
     all_pass = all(row["pass"] for row in rows)
     _print_json(
         {
@@ -366,7 +318,7 @@ def _sweep_one(task) -> List[dict]:
     if do == "triangle":
         poly = _triangle_poly(which, p, cap)
         return [{"m": m, "n": n, "t": t, "which": which, "terms": poly.to_json()}]
-    return list(_verify_rows(suite, [p], variant, cap))
+    return [_SUITES[suite][1](p, variant, cap)]
 
 
 def cmd_sweep(args) -> int:
@@ -485,7 +437,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParameterError, DomainError, ResourceLimitError) as exc:
+    except (ParameterError, DomainError, ResourceLimitError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -8,7 +8,7 @@ downstream.  All functions are pure and safe to call concurrently.
 
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 from .errors import InvariantViolation, ParameterError
 from .params import Params
@@ -76,6 +76,27 @@ def multichain_count_formula(p: Params, l: int, s: Sequence[int]) -> int:
         value *= binomial(m * n, si)
     value *= binomial(m * n - t + 1, s[-1])
     return _as_count(value, "multichain count formula")
+
+
+def profiles(n: int) -> List[Tuple[int, ...]]:
+    """All profiles (b_1, ..., b_n) with sum i*b_i = n, lexicographically.
+
+    These are the arguments at which count_by_profile is defined.
+    """
+    out: List[Tuple[int, ...]] = []
+
+    def rec(i: int, left: int, acc: List[int]):
+        if i == n:
+            if left % n == 0:
+                out.append(tuple(acc) + (left // n,))
+            return
+        for b in range(left // i + 1):
+            acc.append(b)
+            rec(i + 1, left - i * b, acc)
+            acc.pop()
+
+    rec(1, n, [])
+    return out
 
 
 def count_by_profile(p: Params, b: Sequence[int]) -> int:

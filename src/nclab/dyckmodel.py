@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
+from . import closedform
 from .errors import DomainError, InvariantViolation, ParameterError
-from .nonnest import TFilter, _universe
+from .nonnest import TFilter, _universe, all_t_filters
+from .params import Params
 from .polyalg import BivariatePolynomial
 
 
@@ -207,6 +209,30 @@ def ddom_leq(first: DyckPath, second: DyckPath) -> bool:
             f"paths have different lengths: {first.length} vs {second.length}"
         )
     return all(b <= a for a, b in zip(first.heights(), second.heights()))
+
+
+def bijection_holds(n: int, t: int) -> bool:
+    """True iff theta is an order isomorphism from the t-filters onto the paths.
+
+    Checks both family sizes against the closed total count, both round trips,
+    that the images are exactly the paths, and that filter inclusion is
+    reverse dominance of the images.
+    """
+    filters = all_t_filters(n, t)
+    paths = enumerate_tdyck(n, t)
+    images = [theta(filt) for filt in filters]
+    return (
+        len(filters) == len(paths) == closedform.total_count(Params(1, n, t))
+        and all(theta_inverse(path, t) == filt for filt, path in zip(filters, images))
+        and len(set(images)) == len(filters)
+        and set(images) == set(paths)
+        and all(theta(theta_inverse(path, t)) == path for path in paths)
+        and all(
+            (fa.pairs <= fb.pairs) == ddom_leq(pa, pb)
+            for fa, pa in zip(filters, images)
+            for fb, pb in zip(filters, images)
+        )
+    )
 
 
 def h_via_paths(n: int, t: int) -> BivariatePolynomial:

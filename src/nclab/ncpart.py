@@ -98,10 +98,6 @@ class BlockProfile:
 
     counts: Tuple[int, ...]
 
-    @property
-    def total_blocks(self) -> int:
-        return sum(self.counts)
-
     def weight_signature(self) -> Dict[int, int]:
         """Exponent map i -> multiplicity of the size-class variable x_i (zeros omitted)."""
         return {i: c for i, c in enumerate(self.counts, start=1) if c}

@@ -13,7 +13,7 @@ are cheap set algebra.
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import closedform
 from .errors import (
@@ -24,8 +24,8 @@ from .errors import (
 )
 from .ncpart import DEFAULT_MAX_OBJECTS
 from .params import Params
-from .polyalg import BivariatePolynomial
-from .posetcore import FinitePoset
+from .polyalg import BivariatePolynomial, h_triangle_closed
+from .posetcore import FinitePoset, _bits
 
 Pair = Tuple[int, int]
 
@@ -53,17 +53,6 @@ def formal_sum(a: Pair, b: Pair) -> Optional[Pair]:
     if a[1] == b[0]:
         return (a[0], b[1])
     return None
-
-
-def setwise_sum(first, second) -> FrozenSet[Pair]:
-    """All defined pairwise formal sums a + b with a in first, b in second."""
-    out = set()
-    for a in first:
-        for b in second:
-            s = formal_sum(a, b)
-            if s is not None:
-                out.add(s)
-    return frozenset(out)
 
 
 class _Universe:
@@ -113,13 +102,6 @@ class _Universe:
                 if target >= 0:
                     out |= 1 << target
         return out
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @lru_cache(maxsize=None)
@@ -489,9 +471,19 @@ def h_tilde(
     return BivariatePolynomial(coeffs)
 
 
-def staircase_pairs(n: int, t: int) -> Tuple[Pair, ...]:
-    """Minimal pairs (i, i+1), t <= i <= n-1, of the restricted pair poset."""
-    return tuple((i, i + 1) for i in range(t, n))
+def chain_counts(
+    p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
+) -> Tuple[int, int]:
+    """|enumerate_nn(p)| and the closed total count it is conjectured to equal."""
+    chains = enumerate_nn(p, variant=variant, max_objects=max_objects)
+    return len(chains), closedform.total_count(p)
+
+
+def floor_polynomial_matches(
+    p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
+) -> bool:
+    """True iff the floor polynomial h_tilde(p) equals the closed H-triangle."""
+    return h_tilde(p, variant=variant, max_objects=max_objects) == h_triangle_closed(p)
 
 
 def verify_conjectures(
@@ -499,31 +491,25 @@ def verify_conjectures(
     variant: str = "paper",
     max_objects: int = DEFAULT_MAX_OBJECTS,
 ) -> Tuple[dict, ...]:
-    """Per-triple comparison of chain counts and floor polynomials.
+    """Per-triple rows of chain_counts and floor_polynomial_matches.
 
-    Each row reports |enumerate_nn| against the closed total count and the
-    floor polynomial against the closed H-triangle.  Rows only report; no
-    assertion is made here.
+    Rows only report; no assertion is made here.
     """
-    from .polyalg import h_triangle_closed
-
     rows = []
     for p in params_list:
-        chains = enumerate_nn(p, variant=variant, max_objects=max_objects)
-        expected = closedform.total_count(p)
-        poly = h_tilde(p, variant=variant, max_objects=max_objects)
-        closed = h_triangle_closed(p)
+        enumerated, expected = chain_counts(p, variant=variant, max_objects=max_objects)
+        h_ok = floor_polynomial_matches(p, variant=variant, max_objects=max_objects)
         rows.append(
             {
                 "m": p.m,
                 "n": p.n,
                 "t": p.t,
                 "variant": variant,
-                "count_enumerated": len(chains),
+                "count_enumerated": enumerated,
                 "count_formula": expected,
-                "count_ok": len(chains) == expected,
-                "h_ok": poly == closed,
-                "pass": len(chains) == expected and poly == closed,
+                "count_ok": enumerated == expected,
+                "h_ok": h_ok,
+                "pass": enumerated == expected and h_ok,
             }
         )
     return tuple(rows)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Dict, Tuple
 
-from . import closedform
 from .closedform import binomial
 from .errors import InvariantViolation, ParameterError
 from .ncpart import DEFAULT_MAX_OBJECTS
@@ -401,8 +400,3 @@ def verify_transformation_identities(p: Params) -> IdentityReport:
         d,
     )
     return IdentityReport(p, results, alt_variant)
-
-
-def h_value_matches_total(p: Params) -> bool:
-    """The H-triangle at (1, 1) totals the census of the objects it grades."""
-    return h_triangle_closed(p).eval_exact(1, 1) == closedform.total_count(p)

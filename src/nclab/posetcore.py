@@ -8,7 +8,7 @@ readers are safe.
 """
 
 from functools import lru_cache
-from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError
 from .ncpart import DEFAULT_MAX_OBJECTS, enumerate_nc, rank_of, tilde_transform
@@ -57,31 +57,6 @@ class FinitePoset:
         self._covers = None
         self._mu_rows = {}
         self._topo = sorted(range(n), key=lambda i: self._down[i].bit_count())
-
-    @classmethod
-    def build(
-        cls,
-        elements: Sequence[Hashable],
-        leq: Callable[[Hashable, Hashable], bool],
-        ranks: Optional[Sequence[int]] = None,
-    ) -> "FinitePoset":
-        """Construct from a comparison callable.
-
-        When ranks are supplied they must be strictly monotone (a < b implies
-        rank(a) < rank(b)); the builder then skips all pairs they rule out.
-        """
-        elements = tuple(elements)
-        n = len(elements)
-        down = [1 << i for i in range(n)]
-        for j in range(n):
-            for i in range(n):
-                if i == j:
-                    continue
-                if ranks is not None and ranks[i] >= ranks[j]:
-                    continue
-                if leq(elements[i], elements[j]):
-                    down[j] |= 1 << i
-        return cls(elements, down, ranks)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -206,26 +181,15 @@ class FinitePoset:
         return sum(ways.values())
 
     def count_maximal_chains(self) -> int:
-        """Saturated chains from rank 0 to the top rank, by DP over levels.
+        """Saturated chains from rank 0 to the top rank.
 
         A poset whose elements all sit at rank 0 counts as having exactly one
         (empty) chain.
         """
-        if self.ranks is None:
-            raise ParameterError("maximal chain counting needs a rank function")
         top = self.max_rank
         if top == 0:
             return 1
-        ways = {i: 1 for i in _bits(self.level_mask(0))}
-        for r in range(1, top + 1):
-            prev_mask = 0
-            for i in ways:
-                prev_mask |= 1 << i
-            ways = {
-                i: sum(ways[j] for j in _bits(self._down[i] & prev_mask))
-                for i in _bits(self.level_mask(r))
-            }
-        return sum(ways.values())
+        return self.count_rank_multichains(range(top + 1))
 
     def zeta_brute(self, l: int) -> int:
         """Number of weakly increasing (l-1)-tuples; 1 for l = 1, |P| for l = 2."""
@@ -275,28 +239,6 @@ def build_refinement_poset(
     """
     enumerate_nc(p, max_objects=max_objects)  # runs the resource guard
     return _refinement_poset_cached(p.m, p.n, p.t)
-
-
-def cover_relations(poset: FinitePoset) -> Tuple[Tuple[int, int], ...]:
-    """All cover pairs (a, b) of the poset, as index pairs."""
-    return poset.covers()
-
-
-def moebius(poset: FinitePoset, a: int, b: int) -> int:
-    """Moebius value of the interval [a, b] of the poset."""
-    return poset.moebius(a, b)
-
-
-def count_rank_multichains(poset: FinitePoset, targets: Sequence[int]) -> int:
-    return poset.count_rank_multichains(targets)
-
-
-def count_maximal_chains(poset: FinitePoset) -> int:
-    return poset.count_maximal_chains()
-
-
-def zeta_brute(poset: FinitePoset, l: int) -> int:
-    return poset.zeta_brute(l)
 
 
 def verify_ideal_embedding(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> bool:

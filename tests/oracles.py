@@ -95,3 +95,8 @@ def brute_nc(m, n, t):
 def refines(fine, coarse):
     who = block_map(coarse)
     return all(len({who[x] for x in block}) == 1 for block in fine)
+
+
+def setwise_sum(first, second):
+    """Every defined formal sum a + b, a in first, b in second: (i, j) + (j, l) = (i, l)."""
+    return frozenset((a[0], b[1]) for a in first for b in second if a[1] == b[0])

@@ -13,12 +13,13 @@ from nclab.closedform import (
     count_by_rank,
     max_chains_formula,
     multichain_count_formula,
+    profiles,
     total_count,
     zeta_formula,
 )
-from nclab.dyckmodel import DyckPath, ddom_leq, enumerate_tdyck, h_via_paths, theta, theta_inverse
+from nclab.dyckmodel import DyckPath, bijection_holds, h_via_paths, theta
 from nclab.ncpart import SetPartition, block_profile, enumerate_nc, rank_of, weight_signature
-from nclab.nonnest import TFilter, all_t_filters, enumerate_nn, h_tilde, nn_poset, verify_conjectures
+from nclab.nonnest import TFilter, enumerate_nn, h_tilde, nn_poset, verify_conjectures
 from nclab.params import Params
 from nclab.polyalg import (
     f_triangle_closed,
@@ -68,23 +69,6 @@ def compositions(total, parts):
     ]
 
 
-def profiles(n):
-    out = []
-
-    def rec(i, left, acc):
-        if i == n:
-            if left % n == 0:
-                out.append(tuple(acc) + (left // n,))
-            return
-        for b in range(left // i + 1):
-            acc.append(b)
-            rec(i + 1, left - i * b, acc)
-            acc.pop()
-
-    rec(1, n, [])
-    return out
-
-
 @criterion(1, "cardinality formula vs enumeration, m<=3, mn<=10")
 def test_criterion_1_cardinality():
     start = time.time()
@@ -106,6 +90,7 @@ def test_criterion_2_censuses():
             profile_census[key] = profile_census.get(key, 0) + 1
         for s in range(p.max_rank + 1):
             assert count_by_rank(p, s) == rank_census.get(s, 0), (p, s)
+        assert set(profile_census) <= set(profiles(p.n)), p
         for b in profiles(p.n):
             assert count_by_profile(p, b) == profile_census.get(b, 0), (p, b)
 
@@ -264,20 +249,7 @@ def test_criterion_9_path_model():
             from_paths = h_via_paths(n, t)
             assert from_paths == h_tilde(p), (n, t)
             assert from_paths == h_triangle_closed(p), (n, t)
-            filters = all_t_filters(n, t)
-            paths = set(enumerate_tdyck(n, t))
-            images = []
-            for filt in filters:
-                path = theta(filt)
-                assert theta_inverse(path, t) == filt, (n, t, filt)
-                images.append(path)
-            assert len(set(images)) == len(filters)
-            assert set(images) == paths
-            for path in paths:
-                assert theta(theta_inverse(path, t)) == path, (n, t, path)
-            for a, fa in enumerate(filters):
-                for b, fb in enumerate(filters):
-                    assert (fa.pairs <= fb.pairs) == ddom_leq(images[a], images[b]), (n, t, a, b)
+            assert bijection_holds(n, t), (n, t)
 
     # Golden 9-node poset with its floor labels.
     decorated = nn_poset(Params(1, 4, 2))

@@ -1,10 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 
+from nclab import cli, nonnest
 from nclab.cli import main
 
 GOLDEN_H_232 = '{"terms":[{"x":0,"y":0,"c":"3"},{"x":1,"y":0,"c":"1"},{"x":1,"y":1,"c":"1"}]}'
+
+
+def exit_worker(task):
+    os._exit(1)
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +153,15 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["all_pass"]
 
+    def test_conj_count_builds_no_poset(self, capsys):
+        nonnest._nn_poset_cached.cache_clear()
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "conj-count", "--range", "m=2,n=3,t=1..n"
+        )
+        assert nonnest._nn_poset_cached.cache_info().currsize == 0
+        assert code == 0
+        assert all(row["pass"] for row in json.loads(out)["rows"])
+
 
 class TestSweep:
     def test_json_rows_ordered(self, capsys):
@@ -204,6 +219,15 @@ class TestErrors:
     def test_bad_params(self, capsys):
         code, _, err = run_cli(capsys, "count", "--m", "1", "--n", "3", "--t", "5")
         assert code == 2
+
+    def test_dead_sweep_worker(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_one", exit_worker)
+        code, out, err = run_cli(
+            capsys, "sweep", "--do", "count", "--range", "m=1,n=2..3,t=1", "--jobs", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestSubprocess:

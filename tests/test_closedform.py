@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -12,6 +13,7 @@ from nclab.closedform import (
     max_chains_formula,
     multichain_count_formula,
     multinomial,
+    profiles,
     total_count,
     zeta_formula,
 )
@@ -29,24 +31,6 @@ def compositions(total, parts):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             out.append((first,) + rest)
-    return out
-
-
-def profiles(n):
-    """All (b_1, ..., b_n) with sum i*b_i = n."""
-    out = []
-
-    def rec(i, left, acc):
-        if i == n:
-            if left % n == 0:
-                out.append(tuple(acc) + (left // n,))
-            return
-        for b in range(left // i + 1):
-            acc.append(b)
-            rec(i + 1, left - i * b, acc)
-            acc.pop()
-
-    rec(1, n, [])
     return out
 
 
@@ -128,6 +112,12 @@ class TestCountByProfile:
     def test_examples(self):
         assert count_by_profile(Params(1, 3, 1), (1, 1, 0)) == 3
         assert count_by_profile(Params(2, 3, 2), (3, 0, 0)) == 3
+
+    def test_profiles_are_every_solution_in_order(self):
+        for n in range(1, 7):
+            candidates = product(*(range(n // i + 1) for i in range(1, n + 1)))
+            expected = [b for b in candidates if sum(i * bi for i, bi in enumerate(b, 1)) == n]
+            assert profiles(n) == expected
 
     def test_single_block(self):
         for m, n in ((1, 4), (2, 3)):

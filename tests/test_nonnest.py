@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from nclab.closedform import total_count
 from nclab.errors import DomainError, ParameterError
 from nclab.params import Params
@@ -7,6 +10,9 @@ from nclab.polyalg import ONE, X, Y
 from nclab.nonnest import (
     FilterChain,
     TFilter,
+    _staircase_mask,
+    _tfilter_masks,
+    _universe,
     all_t_filters,
     enumerate_nn,
     formal_sum,
@@ -14,8 +20,6 @@ from nclab.nonnest import (
     is_geometric,
     nn_poset,
     pair_leq,
-    setwise_sum,
-    staircase_pairs,
     triangular_pairs,
     verify_conjectures,
 )
@@ -27,6 +31,12 @@ def tf(n, t, pairs):
 
 def chain(n, t, *filter_sets):
     return FilterChain(tuple(tf(n, t, pairs) for pairs in filter_sets))
+
+
+def sum_pairs(n, first, second):
+    """Setwise formal sum of two pair sets through the precomputed sum table."""
+    u = _universe(n)
+    return u.pairs_of(u.sum_masks(u.mask_of(first), u.mask_of(second)))
 
 
 class TestPairPoset:
@@ -41,8 +51,8 @@ class TestPairPoset:
         assert not pair_leq((1, 2), (2, 3))
 
     def test_staircase(self):
-        assert staircase_pairs(4, 2) == ((2, 3), (3, 4))
-        assert staircase_pairs(3, 3) == ()
+        assert _staircase_mask(4, 2) == _universe(4).mask_of({(2, 3), (3, 4)})
+        assert _staircase_mask(3, 3) == 0
 
 
 class TestFormalSum:
@@ -58,9 +68,27 @@ class TestFormalSum:
         assert formal_sum((2, 3), (1, 2)) is None
 
     def test_setwise(self):
-        assert setwise_sum({(1, 2)}, {(2, 3)}) == {(1, 3)}
-        assert setwise_sum({(1, 2), (2, 3)}, set()) == frozenset()
-        assert setwise_sum({(1, 2), (2, 3)}, {(1, 2), (2, 3)}) == {(1, 3)}
+        assert sum_pairs(3, {(1, 2)}, {(2, 3)}) == {(1, 3)}
+        assert sum_pairs(3, {(1, 2), (2, 3)}, set()) == frozenset()
+        assert sum_pairs(3, {(1, 2), (2, 3)}, {(1, 2), (2, 3)}) == {(1, 3)}
+
+    def test_sum_table_matches_oracle_on_filters(self):
+        for n in range(1, 6):
+            u = _universe(n)
+            for t in range(1, n + 1):
+                masks = _tfilter_masks(n, t)
+                for first in masks:
+                    for second in masks:
+                        expected = oracles.setwise_sum(u.pairs_of(first), u.pairs_of(second))
+                        assert u.pairs_of(u.sum_masks(first, second)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8), st.data())
+    def test_sum_table_matches_oracle_random(self, n, data):
+        u = _universe(n)
+        first = u.pairs_of(data.draw(st.integers(0, u.full_mask)))
+        second = u.pairs_of(data.draw(st.integers(0, u.full_mask)))
+        assert sum_pairs(n, first, second) == oracles.setwise_sum(first, second)
 
 
 class TestTFilter:

@@ -3,27 +3,18 @@ import pytest
 from nclab.errors import DomainError, ParameterError
 from nclab.ncpart import SetPartition, enumerate_nc, tilde_transform
 from nclab.params import Params
-from nclab.posetcore import (
-    FinitePoset,
-    build_refinement_poset,
-    cover_relations,
-    count_maximal_chains,
-    count_rank_multichains,
-    moebius,
-    verify_ideal_embedding,
-    zeta_brute,
-)
+from nclab.posetcore import FinitePoset, build_refinement_poset, verify_ideal_embedding
 
 NC3 = Params(1, 3, 1)
 
 
 def chain_poset(k):
-    """Total order 0 < 1 < ... < k-1."""
-    return FinitePoset.build(tuple(range(k)), lambda a, b: a <= b, ranks=tuple(range(k)))
+    """Total order 0 < 1 < ... < k-1: the down-set of i is {0, ..., i}."""
+    return FinitePoset(tuple(range(k)), [(2 << i) - 1 for i in range(k)], ranks=tuple(range(k)))
 
 
 def antichain_poset(k):
-    return FinitePoset.build(tuple(range(k)), lambda a, b: a == b, ranks=(0,) * k)
+    return FinitePoset(tuple(range(k)), [1 << i for i in range(k)], ranks=(0,) * k)
 
 
 class TestConstruction:
@@ -65,33 +56,33 @@ class TestConstruction:
 
 class TestCovers:
     def test_two_chain(self):
-        assert cover_relations(chain_poset(2)) == ((0, 1),)
+        assert chain_poset(2).covers() == ((0, 1),)
 
     def test_antichain_empty(self):
-        assert cover_relations(antichain_poset(3)) == ()
+        assert antichain_poset(3).covers() == ()
 
     def test_nc3_covers(self):
-        assert len(cover_relations(build_refinement_poset(NC3))) == 6
+        assert len(build_refinement_poset(NC3).covers()) == 6
 
 
 class TestMoebius:
     def test_reflexive(self):
         poset = build_refinement_poset(NC3)
-        assert all(moebius(poset, i, i) == 1 for i in range(len(poset)))
+        assert all(poset.moebius(i, i) == 1 for i in range(len(poset)))
 
     def test_two_chain(self):
-        assert moebius(chain_poset(2), 0, 1) == -1
+        assert chain_poset(2).moebius(0, 1) == -1
 
     def test_nc3_top(self):
         poset = build_refinement_poset(NC3)
         bottom = poset.index_of(SetPartition.from_blocks([[1], [2], [3]]))
         top = poset.index_of(SetPartition.from_blocks([[1, 2, 3]]))
-        assert moebius(poset, bottom, top) == 2
+        assert poset.moebius(bottom, top) == 2
 
     def test_incomparable_rejected(self):
         poset = antichain_poset(2)
         with pytest.raises(DomainError):
-            moebius(poset, 0, 1)
+            poset.moebius(0, 1)
 
     def test_delta_sum_exhaustive(self):
         # sum of mu over every interval [a, b] vanishes unless a = b,
@@ -113,42 +104,42 @@ class TestMoebius:
 
 class TestChainCounts:
     def test_empty_targets(self):
-        assert count_rank_multichains(build_refinement_poset(NC3), ()) == 1
+        assert build_refinement_poset(NC3).count_rank_multichains(()) == 1
 
     def test_nc3_pairs(self):
         poset = build_refinement_poset(NC3)
-        assert count_rank_multichains(poset, (1, 2)) == 3
-        assert count_rank_multichains(poset, (0, 1, 2)) == 3
+        assert poset.count_rank_multichains((1, 2)) == 3
+        assert poset.count_rank_multichains((0, 1, 2)) == 3
 
     def test_decreasing_targets_rejected(self):
         with pytest.raises(ParameterError):
-            count_rank_multichains(build_refinement_poset(NC3), (2, 1))
+            build_refinement_poset(NC3).count_rank_multichains((2, 1))
 
     def test_maximal_chains(self):
-        assert count_maximal_chains(build_refinement_poset(NC3)) == 3
-        assert count_maximal_chains(build_refinement_poset(Params(1, 3, 2))) == 2
-        assert count_maximal_chains(build_refinement_poset(Params(1, 3, 3))) == 1
+        assert build_refinement_poset(NC3).count_maximal_chains() == 3
+        assert build_refinement_poset(Params(1, 3, 2)).count_maximal_chains() == 2
+        assert build_refinement_poset(Params(1, 3, 3)).count_maximal_chains() == 1
 
     def test_maximal_chains_equal_full_rank_multichains(self):
         for p in (Params(1, 4, 1), Params(1, 5, 2), Params(2, 3, 1), Params(2, 3, 2)):
             poset = build_refinement_poset(p)
             targets = tuple(range(p.max_rank + 1))
-            assert count_maximal_chains(poset) == count_rank_multichains(poset, targets)
+            assert poset.count_maximal_chains() == poset.count_rank_multichains(targets)
 
 
 class TestZeta:
     def test_l1_is_one(self):
-        assert zeta_brute(build_refinement_poset(NC3), 1) == 1
+        assert build_refinement_poset(NC3).zeta_brute(1) == 1
 
     def test_l2_is_size(self):
-        assert zeta_brute(build_refinement_poset(NC3), 2) == 5
+        assert build_refinement_poset(NC3).zeta_brute(2) == 5
 
     def test_nc3_l3(self):
-        assert zeta_brute(build_refinement_poset(NC3), 3) == 12
+        assert build_refinement_poset(NC3).zeta_brute(3) == 12
 
     def test_l0_rejected(self):
         with pytest.raises(ParameterError):
-            zeta_brute(build_refinement_poset(NC3), 0)
+            build_refinement_poset(NC3).zeta_brute(0)
 
     def test_zeta_decomposes_over_rank_vectors(self):
         from itertools import combinations_with_replacement
@@ -157,12 +148,12 @@ class TestZeta:
             poset = build_refinement_poset(p)
             for l in (2, 3, 4):
                 total = sum(
-                    count_rank_multichains(poset, targets)
+                    poset.count_rank_multichains(targets)
                     for targets in combinations_with_replacement(
                         range(p.max_rank + 1), l - 1
                     )
                 )
-                assert total == zeta_brute(poset, l)
+                assert total == poset.zeta_brute(l)
 
 
 class TestIdealEmbedding:
