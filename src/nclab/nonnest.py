@@ -356,16 +356,21 @@ def _enumerate_nn_cached(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[in
     return tuple(chains)
 
 
-def enumerate_nn(
-    p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
-) -> Tuple[FilterChain, ...]:
-    """All geometric chains of t-filters of length m, canonically ordered."""
-    _check_variant(variant)
+def _check_nn_size(p: Params, max_objects: Optional[int]) -> None:
+    # Resource guard shared by every entry point that enumerates chains.
     predicted = closedform.total_count(p)
     if max_objects is not None and predicted > max_objects:
         raise ResourceLimitError(
             f"predicted about {predicted} chains for {p}, more than the cap {max_objects}"
         )
+
+
+def enumerate_nn(
+    p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
+) -> Tuple[FilterChain, ...]:
+    """All geometric chains of t-filters of length m, canonically ordered."""
+    _check_variant(variant)
+    _check_nn_size(p, max_objects)
     raw = _enumerate_nn_cached(p.m, p.n, p.t, variant)
     chains = [
         FilterChain(tuple(_filter_from_mask(p.n, p.t, mask) for mask in masks))
@@ -443,7 +448,7 @@ def nn_poset(
     InvariantViolation instead of being silently recorded.
     """
     _check_variant(variant)
-    enumerate_nn(p, variant=variant, max_objects=max_objects)
+    _check_nn_size(p, max_objects)
     result = _nn_poset_cached(p.m, p.n, p.t, variant)
     if strict and result.violations:
         raise InvariantViolation(
@@ -459,14 +464,32 @@ def h_tilde(
 
     Each chain contributes x^{|FL|} y^{|FL intersected with the staircase|},
     the staircase being the minimal pairs (t, t+1), ..., (n-1, n).
+
+    FL(b) is read off without building the inclusion poset: it is the set of
+    pairs k of the top component V_m whose removal from V_m gives a chain in
+    the family.  Each such chain differs from b by one element, so it is a
+    lower cover.  That these are all the labelled covers is Lemma 5.4 (every
+    cover changes one component by one element), which this function does
+    not check.  The all-pairs nn_poset records its violations and the
+    `lemma54` suite reports them.  tests/test_nonnest.py requires zero
+    violations and equal polynomials on both paths, both variants, for
+    every triple with mn <= 8, and acceptance criterion 10 requires zero
+    violations for m <= 3, n <= 5.  Beyond those ranges the result is
+    conditional on the lemma.
     """
-    decorated = nn_poset(p, variant=variant, max_objects=max_objects, strict=False)
-    u = _universe(p.n)
+    _check_variant(variant)
+    _check_nn_size(p, max_objects)
+    raw = _enumerate_nn_cached(p.m, p.n, p.t, variant)
+    family = set(raw)
     stair = _staircase_mask(p.n, p.t)
     coeffs: Dict[Tuple[int, int], int] = {}
-    for floor_set in decorated.floors:
-        mask = u.mask_of(floor_set)
-        key = (mask.bit_count(), (mask & stair).bit_count())
+    for masks in raw:
+        top, rest = masks[0], masks[1:]
+        floor = 0
+        for k in _bits(top):
+            if (top & ~(1 << k),) + rest in family:
+                floor |= 1 << k
+        key = (floor.bit_count(), (floor & stair).bit_count())
         coeffs[key] = coeffs.get(key, 0) + 1
     return BivariatePolynomial(coeffs)
 

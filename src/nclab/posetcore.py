@@ -30,7 +30,7 @@ class FinitePoset:
     graded queries; construction can assert the grading.
     """
 
-    __slots__ = ("elements", "ranks", "_index", "_down", "_up", "_covers", "_mu_rows", "_topo")
+    __slots__ = ("elements", "ranks", "_index", "_down", "_up", "_covers", "_mu_rows")
 
     def __init__(
         self,
@@ -56,7 +56,41 @@ class FinitePoset:
             raise ParameterError("elements must be pairwise distinct")
         self._covers = None
         self._mu_rows = {}
-        self._topo = sorted(range(n), key=lambda i: self._down[i].bit_count())
+
+    @classmethod
+    def from_covers(
+        cls,
+        elements: Sequence[Hashable],
+        covers: Sequence[Tuple[int, int]],
+        ranks: Sequence[int],
+    ) -> "FinitePoset":
+        """Poset generated by its cover relations.
+
+        Each cover (a, b) needs a < b, so index order is a linear extension
+        and down-masks are OR-ed along the covers in one pass.  Each cover
+        must also step rank by exactly one, which makes it irredundant: the
+        given covers are stored as the Hasse diagram and `covers()` does not
+        recompute them.
+        """
+        n = len(elements)
+        if len(ranks) != n:
+            raise ParameterError("one rank per element is required")
+        lower = [[] for _ in range(n)]
+        for a, b in covers:
+            if not 0 <= a < b < n:
+                raise ParameterError(f"cover ({a}, {b}) needs 0 <= a < b < {n}")
+            if ranks[b] != ranks[a] + 1:
+                raise ParameterError(
+                    f"cover ({a}, {b}) steps rank {ranks[a]} -> {ranks[b]}, not by one"
+                )
+            lower[b].append(a)
+        down = [1 << i for i in range(n)]
+        for b in range(n):
+            for a in lower[b]:
+                down[b] |= down[a]
+        poset = cls(elements, down, ranks)
+        poset._covers = tuple(sorted(covers))
+        return poset
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -145,7 +179,8 @@ class FinitePoset:
         if row is not None:
             return row
         row = {a: 1}
-        above = [b for b in self._topo if (self._up[a] >> b) & 1 and b != a]
+        # Down-set size orders the up-set by a linear extension.
+        above = sorted(_bits(self._up[a] & ~(1 << a)), key=lambda b: self._down[b].bit_count())
         for b in above:
             interval = self._up[a] & self._down[b] & ~(1 << b)
             row[b] = -sum(row[c] for c in _bits(interval))
@@ -208,23 +243,19 @@ class FinitePoset:
 def _refinement_poset_cached(m: int, n: int, t: int) -> FinitePoset:
     p = Params(m, n, t)
     parts = sorted(enumerate_nc(p, max_objects=None), key=lambda sp: (rank_of(sp, p), sp.blocks))
-    ranks = tuple(rank_of(sp, p) for sp in parts)
-    ids = [sp.block_ids() for sp in parts]
-    size = len(parts)
-    down = [1 << i for i in range(size)]
-    for j in range(size):
-        coarse = ids[j]
-        for i in range(size):
-            if ranks[i] >= ranks[j]:
-                continue
-            fine = parts[i].blocks
-            for block in fine:
-                target = coarse[block[0]]
-                if any(coarse[x] != target for x in block):
-                    break
-            else:
-                down[j] |= 1 << i
-    poset = FinitePoset(parts, down, ranks)
+    index = {sp.blocks: i for i, sp in enumerate(parts)}
+    covers = []
+    for i, sp in enumerate(parts):
+        blocks = sp.blocks
+        # Merging blocks a < b keeps the canonical order: the merged block
+        # starts at blocks[a][0] and stays in place.
+        for a in range(len(blocks)):
+            for b in range(a + 1, len(blocks)):
+                merged = tuple(sorted(blocks[a] + blocks[b]))
+                j = index.get(blocks[:a] + (merged,) + blocks[a + 1 : b] + blocks[b + 1 :])
+                if j is not None:
+                    covers.append((i, j))
+    poset = FinitePoset.from_covers(parts, covers, tuple(rank_of(sp, p) for sp in parts))
     poset.assert_graded(expected_max_rank=n - t)
     return poset
 
@@ -234,8 +265,15 @@ def build_refinement_poset(
 ) -> FinitePoset:
     """Refinement poset on enumerate_nc(p), graded by rank_of.
 
-    The grading (covers step rank by exactly one, minima at rank 0, maxima at
-    rank n - t) is asserted at construction.
+    Built cover-first: the covers are the single block merges that stay in
+    the family, and the order is their transitive closure.  This rests on
+    the family being graded by rank n - #blocks, so that every cover is one
+    merge (Armstrong, arXiv:math/0611106, for the classical case).  The
+    construction asserts what it can see of the grading (minima at rank 0,
+    maxima at rank n - t); a relation reachable only through a rank jump
+    would be missed, so tests/test_posetcore.py compares elements, ranks,
+    down-masks and covers with the all-pairs oracle in tests/oracles.py for
+    every (m, n, t) with mn <= 8.
     """
     enumerate_nc(p, max_objects=max_objects)  # runs the resource guard
     return _refinement_poset_cached(p.m, p.n, p.t)

@@ -100,3 +100,41 @@ def refines(fine, coarse):
 def setwise_sum(first, second):
     """Every defined formal sum a + b, a in first, b in second: (i, j) + (j, l) = (i, l)."""
     return frozenset((a[0], b[1]) for a in first for b in second if a[1] == b[0])
+
+
+def refinement_down_masks(parts):
+    """Down-set bitmask of each partition under refinement, comparing every pair.
+
+    `parts` is a list of partitions as tuples of blocks; bit i of entry j is
+    set iff parts[i] refines parts[j], i.e. iff every block of parts[i] meets
+    exactly one block of parts[j].
+    """
+    ids = []
+    for blocks in parts:
+        who = block_map(blocks)
+        ids.append(tuple(who[x] for x in sorted(who)))
+    sizes = [len(blocks) for blocks in parts]
+    down = []
+    for coarse, coarse_size in zip(ids, sizes):
+        mask = 0
+        for i, fine in enumerate(ids):
+            # A refinement has at least as many blocks; skip the rest cheaply.
+            if sizes[i] >= coarse_size and len(set(zip(fine, coarse))) == sizes[i]:
+                mask |= 1 << i
+        down.append(mask)
+    return down
+
+
+def covers_of(down):
+    """Sorted pairs (a, b): a strictly below b and strictly below no c < b."""
+    out = []
+    for b, mask in enumerate(down):
+        strictly_below = mask & ~(1 << b)
+        below_some_c = 0
+        for c in range(len(down)):
+            if (strictly_below >> c) & 1:
+                below_some_c |= down[c] & ~(1 << c)
+        for a in range(len(down)):
+            if (strictly_below >> a) & 1 and not (below_some_c >> a) & 1:
+                out.append((a, b))
+    return sorted(out)

@@ -162,6 +162,15 @@ class TestVerify:
         assert code == 0
         assert all(row["pass"] for row in json.loads(out)["rows"])
 
+    def test_conj_h_builds_no_poset(self, capsys):
+        nonnest._nn_poset_cached.cache_clear()
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "conj-h", "--range", "m=2,n=3,t=1..n"
+        )
+        assert nonnest._nn_poset_cached.cache_info().currsize == 0
+        assert code == 0
+        assert all(row["pass"] for row in json.loads(out)["rows"])
+
 
 class TestSweep:
     def test_json_rows_ordered(self, capsys):

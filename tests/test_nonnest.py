@@ -4,10 +4,11 @@ from hypothesis import strategies as st
 
 import oracles
 from nclab.closedform import total_count
-from nclab.errors import DomainError, ParameterError
+from nclab.errors import DomainError, ParameterError, ResourceLimitError
 from nclab.params import Params
-from nclab.polyalg import ONE, X, Y
+from nclab.polyalg import ONE, BivariatePolynomial, X, Y
 from nclab.nonnest import (
+    VARIANTS,
     FilterChain,
     TFilter,
     _staircase_mask,
@@ -250,6 +251,32 @@ class TestHTilde:
     def test_value_at_one_one_is_count(self):
         for p in (Params(1, 5, 2), Params(2, 3, 1), Params(2, 4, 4), Params(3, 3, 2)):
             assert h_tilde(p).eval_exact(1, 1) == len(enumerate_nn(p))
+
+    def test_matches_floors_of_all_pairs_poset(self):
+        # h_tilde reads floors off single-element removals (Lemma 5.4); the
+        # all-pairs poset takes them from its covers and records violations.
+        for variant in VARIANTS:
+            for m in range(1, 9):
+                for n in range(1, 8 // m + 1):
+                    for t in range(1, n + 1):
+                        p = Params(m, n, t)
+                        decorated = nn_poset(p, variant=variant, strict=False)
+                        assert decorated.violations == (), (variant, p)
+                        stair = {(i, i + 1) for i in range(t, n)}
+                        expected = {}
+                        for floor in decorated.floors:
+                            key = (len(floor), len(floor & stair))
+                            expected[key] = expected.get(key, 0) + 1
+                        assert h_tilde(p, variant=variant) == BivariatePolynomial(expected), (
+                            variant,
+                            p,
+                        )
+
+    def test_size_guard_on_every_entry(self):
+        p = Params(2, 4, 1)
+        for entry in (enumerate_nn, nn_poset, h_tilde):
+            with pytest.raises(ResourceLimitError, match="predicted about 55 chains"):
+                entry(p, max_objects=54)
 
 
 class TestConjectureReport:

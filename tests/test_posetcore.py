@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from nclab.errors import DomainError, ParameterError
 from nclab.ncpart import SetPartition, enumerate_nc, tilde_transform
 from nclab.params import Params
@@ -52,6 +53,36 @@ class TestConstruction:
             for n in range(1, 8 // m + 1):
                 for t in range(1, n + 1):
                     build_refinement_poset(Params(m, n, t)).validate_partial_order()
+
+
+class TestCoverFirst:
+    def test_refinement_poset_matches_all_pairs_oracle(self):
+        # The cover-first build relies on gradedness; the oracle compares all
+        # pairs and relies on nothing, for every family with mn <= 8.
+        for m in range(1, 9):
+            for n in range(1, 8 // m + 1):
+                for t in range(1, n + 1):
+                    parts = sorted(oracles.brute_nc(m, n, t), key=lambda b: (n - len(b), b))
+                    down = oracles.refinement_down_masks(parts)
+                    poset = build_refinement_poset(Params(m, n, t))
+                    assert [sp.blocks for sp in poset.elements] == parts, (m, n, t)
+                    assert poset.ranks == tuple(n - len(b) for b in parts), (m, n, t)
+                    assert [poset.down_mask(i) for i in range(len(poset))] == down, (m, n, t)
+                    assert list(poset.covers()) == oracles.covers_of(down), (m, n, t)
+
+    def test_from_covers_closes_transitively(self):
+        poset = FinitePoset.from_covers("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
+        assert [poset.down_mask(i) for i in range(4)] == [0b0001, 0b0011, 0b0101, 0b1111]
+        assert poset.covers() == ((0, 1), (0, 2), (1, 3), (2, 3))
+        poset.validate_partial_order()
+
+    def test_from_covers_rejects_bad_covers(self):
+        ranks = (0, 1, 2)
+        for cover in ((1, 0), (1, 1), (0, 3), (-1, 1), (0, 2)):
+            with pytest.raises(ParameterError):
+                FinitePoset.from_covers("abc", [cover], ranks)
+        with pytest.raises(ParameterError):
+            FinitePoset.from_covers("abc", [(0, 1)], (0, 1))
 
 
 class TestCovers:
