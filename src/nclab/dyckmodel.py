@@ -31,13 +31,14 @@ class DyckPath:
             raise DomainError(f"steps must use only 'U' and 'D', got {self.steps!r}")
         if len(self.steps) % 2:
             raise DomainError("a path needs an even number of steps")
-        height = 0
+        heights = [0]
         for step in self.steps:
-            height += 1 if step == "U" else -1
-            if height < 0:
+            heights.append(heights[-1] + (1 if step == "U" else -1))
+            if heights[-1] < 0:
                 raise DomainError(f"path {self.steps!r} dips below the axis")
-        if height != 0:
+        if heights[-1] != 0:
             raise DomainError(f"path {self.steps!r} does not end on the axis")
+        object.__setattr__(self, "_heights", tuple(heights))
 
     @property
     def n(self) -> int:
@@ -48,13 +49,8 @@ class DyckPath:
         return len(self.steps)
 
     def heights(self) -> Tuple[int, ...]:
-        """Heights after 0, 1, ..., 2n steps."""
-        out = [0]
-        h = 0
-        for step in self.steps:
-            h += 1 if step == "U" else -1
-            out.append(h)
-        return tuple(out)
+        """Heights after 0, 1, ..., 2n steps (stored by the validation walk)."""
+        return self._heights
 
     def starts_with_rises(self, t: int) -> bool:
         return len(self.steps) >= t and set(self.steps[:t]) <= {"U"}
@@ -75,10 +71,9 @@ class DyckPath:
 
 @dataclass(frozen=True)
 class PathStats:
-    """Turning-point counts: valleys, peaks, valleys at height zero, length."""
+    """Valley counts (all, and at height zero) and path length."""
 
     valleys: int
-    peaks: int
     zero_valleys: int
     length: int
 
@@ -94,23 +89,10 @@ def valley_coords(path: DyckPath) -> Tuple[Tuple[int, int], ...]:
     )
 
 
-def peak_coords(path: DyckPath) -> Tuple[Tuple[int, int], ...]:
-    """Coordinates preceded by an up-step and followed by a down-step."""
-    heights = path.heights()
-    steps = path.steps
-    return tuple(
-        (x, heights[x])
-        for x in range(1, len(steps))
-        if steps[x - 1] == "U" and steps[x] == "D"
-    )
-
-
 def path_stats(path: DyckPath) -> PathStats:
     valleys = valley_coords(path)
-    peaks = peak_coords(path)
     return PathStats(
         valleys=len(valleys),
-        peaks=len(peaks),
         zero_valleys=sum(1 for _, y in valleys if y == 0),
         length=path.length,
     )

@@ -276,19 +276,24 @@ def _check_variant(variant: str) -> None:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _closure_ok(u: _Universe, comp: Dict[int, int], m: int, i: int, j: int) -> bool:
-    # Sum-closure (ordered) for one index pair, with indices above m clamped.
-    target = comp[m if i + j > m else i + j]
-    return not (u.sum_masks(comp[i], comp[j]) & ~target)
+def _conditions_ok(u: _Universe, comp: List[int], ambient: int, m: int, k: int) -> bool:
+    """Every closure condition whose smallest index is k, in both orders.
 
-
-def _complement_ok(
-    u: _Universe, comp: Dict[int, int], ambient: int, i: int, j: int, total: int
-) -> bool:
-    first = ambient & ~comp[i]
-    second = ambient & ~comp[j]
-    target = ambient & ~comp[total]
-    return not (u.sum_masks(first, second) & ~target)
+    `comp[i]` is the mask of V_i for k <= i <= m.  Sum closure
+    V_i + V_j <= V_{i+j} is checked with indices above m clamped to m;
+    complement closure, with complements taken in `ambient`, for i + j <= m.
+    The conditions with smallest index k need only V_k, ..., V_m, so a
+    generator adding V_m first can prune after each component.
+    """
+    for j in range(k, m + 1):
+        target = comp[min(k + j, m)]
+        outside = ambient & ~target
+        for a, b in ((k, j),) if j == k else ((k, j), (j, k)):
+            if u.sum_masks(comp[a], comp[b]) & ~target:
+                return False
+            if k + j <= m and u.sum_masks(ambient & ~comp[a], ambient & ~comp[b]) & ~outside:
+                return False
+    return True
 
 
 def is_geometric(chain: FilterChain, variant: str = "paper") -> bool:
@@ -304,17 +309,9 @@ def is_geometric(chain: FilterChain, variant: str = "paper") -> bool:
     _check_variant(variant)
     u = _universe(chain.n)
     m = chain.m
-    comp = {i: chain.component(i).mask for i in range(1, m + 1)}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if not _closure_ok(u, comp, m, i, j):
-                return False
+    comp = [0] + [chain.component(i).mask for i in range(1, m + 1)]
     ambient = u.full_mask if variant == "paper" else _restricted_mask(chain.n, chain.t)
-    for i in range(1, m):
-        for j in range(1, m - i + 1):
-            if not _complement_ok(u, comp, ambient, i, j, i + j):
-                return False
-    return True
+    return all(_conditions_ok(u, comp, ambient, m, k) for k in range(1, m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -323,34 +320,18 @@ def _enumerate_nn_cached(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[in
     filters = _tfilter_masks(n, t)
     ambient = u.full_mask if variant == "paper" else _restricted_mask(n, t)
     chains: List[Tuple[int, ...]] = []
-    comp: Dict[int, int] = {}
-
-    def ok_after_adding(k: int) -> bool:
-        # All closure conditions whose smallest index is k are decidable once
-        # V_k joins the prefix (V_m, ..., V_k); higher pairs were checked before.
-        for j in range(k, m + 1):
-            if not _closure_ok(u, comp, m, k, j):
-                return False
-            if j != k and not _closure_ok(u, comp, m, j, k):
-                return False
-            if k + j <= m:
-                if not _complement_ok(u, comp, ambient, k, j, k + j):
-                    return False
-                if j != k and not _complement_ok(u, comp, ambient, j, k, k + j):
-                    return False
-        return True
+    comp = [0] * (m + 1)
 
     def descend(k: int):
         if k == 0:
-            chains.append(tuple(comp[i] for i in range(m, 0, -1)))
+            chains.append(tuple(comp[:0:-1]))
             return
         for mask in filters:
             if k < m and (comp[k + 1] & ~mask):
                 continue
             comp[k] = mask
-            if ok_after_adding(k):
+            if _conditions_ok(u, comp, ambient, m, k):
                 descend(k - 1)
-            del comp[k]
 
     descend(m)
     return tuple(chains)
@@ -404,33 +385,27 @@ class FlooredPoset:
 def _nn_poset_cached(m: int, n: int, t: int, variant: str) -> FlooredPoset:
     p = Params(m, n, t)
     chains = enumerate_nn(p, variant=variant, max_objects=None)
-    masks = [chain.masks() for chain in chains]
-    size = len(chains)
-    sizes = [sum(mask.bit_count() for mask in chain_masks) for chain_masks in masks]
-    down = [1 << i for i in range(size)]
-    for b in range(size):
-        mb = masks[b]
-        for a in range(size):
-            if sizes[a] >= sizes[b]:
-                continue
-            ma = masks[a]
-            if all(x & ~y == 0 for x, y in zip(ma, mb)):
-                down[b] |= 1 << a
-    poset = FinitePoset(chains, down, ranks=None)
     u = _universe(n)
+    width = len(u.pairs)
+    # Component i of a chain sits at bits i*width, so inclusion of chains is
+    # inclusion of their packed masks.
+    packed = [
+        sum(mask << (i * width) for i, mask in enumerate(chain.masks())) for chain in chains
+    ]
+    down = [sum(1 << a for a, pa in enumerate(packed) if not pa & ~pb) for pb in packed]
+    poset = FinitePoset(chains, down, ranks=None)
     cover_floor = []
-    floors = [frozenset() for _ in range(size)]
+    floors = [frozenset()] * len(chains)
     violations = []
     for a, b in poset.covers():
-        ma, mb = masks[a], masks[b]
-        changed = [i for i in range(m) if ma[i] != mb[i]]
-        extra = [mb[i] & ~ma[i] for i in range(m)]
-        if len(changed) != 1 or sum(e.bit_count() for e in extra) != 1:
+        extra = packed[b] & ~packed[a]
+        changed = sum(1 for i in range(m) if (extra >> (i * width)) & u.full_mask)
+        if changed != 1 or extra.bit_count() != 1:
             violations.append(
                 f"cover {chains[a].to_json()} -> {chains[b].to_json()} "
-                f"changes {len(changed)} components by {sum(e.bit_count() for e in extra)} elements"
+                f"changes {changed} components by {extra.bit_count()} elements"
             )
-        label = u.pairs_of(mb[0] & ~ma[0])
+        label = u.pairs_of(extra & u.full_mask)
         cover_floor.append(((a, b), label))
         floors[b] = floors[b] | label
     return FlooredPoset(poset, tuple(cover_floor), tuple(floors), tuple(violations))
@@ -498,8 +473,9 @@ def chain_counts(
     p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Tuple[int, int]:
     """|enumerate_nn(p)| and the closed total count it is conjectured to equal."""
-    chains = enumerate_nn(p, variant=variant, max_objects=max_objects)
-    return len(chains), closedform.total_count(p)
+    _check_variant(variant)
+    _check_nn_size(p, max_objects)
+    return len(_enumerate_nn_cached(p.m, p.n, p.t, variant)), closedform.total_count(p)
 
 
 def floor_polynomial_matches(

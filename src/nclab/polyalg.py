@@ -262,14 +262,14 @@ def _assert_integral(poly: BivariatePolynomial, context: str, nonnegative: bool 
 def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> BivariatePolynomial:
     """Moebius-weighted rank generating polynomial, straight off the poset."""
     poset = build_refinement_poset(p, max_objects=max_objects)
-    coeffs: Dict[Tuple[int, int], Fraction] = {}
+    coeffs: Dict[Tuple[int, int], int] = {}
     for a in range(len(poset)):
         ra = poset.rank(a)
         row = poset._moebius_row(a)
         for b, mu in row.items():
             if mu:
                 key = (ra, poset.rank(b))
-                coeffs[key] = coeffs.get(key, Fraction(0)) + mu
+                coeffs[key] = coeffs.get(key, 0) + mu
     return BivariatePolynomial(coeffs)
 
 

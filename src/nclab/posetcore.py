@@ -193,6 +193,15 @@ class FinitePoset:
             raise DomainError(f"element {a} is not below element {b}")
         return self._moebius_row(a)[b]
 
+    def _count_multichains(self, levels: Sequence[int]) -> int:
+        """Weakly increasing tuples (x_1 <= ... <= x_l) with x_i in the mask levels[i]."""
+        if not levels:
+            return 1
+        ways = dict.fromkeys(_bits(levels[0]), 1)
+        for prev, level in zip(levels, levels[1:]):
+            ways = {i: sum(ways[j] for j in _bits(self._down[i] & prev)) for i in _bits(level)}
+        return sum(ways.values())
+
     def count_rank_multichains(self, targets: Sequence[int]) -> int:
         """Weakly increasing tuples (x_1 <= ... <= x_l) with rank(x_i) = targets[i]."""
         if self.ranks is None:
@@ -202,18 +211,7 @@ class FinitePoset:
             raise ParameterError(f"targets must be weakly increasing, got {targets}")
         if any(not 0 <= r <= self.max_rank for r in targets):
             raise ParameterError(f"targets must lie in [0, {self.max_rank}]")
-        if not targets:
-            return 1
-        ways = {i: 1 for i in _bits(self.level_mask(targets[0]))}
-        for r in targets[1:]:
-            prev_mask = 0
-            for i in ways:
-                prev_mask |= 1 << i
-            ways = {
-                i: sum(ways[j] for j in _bits(self._down[i] & prev_mask))
-                for i in _bits(self.level_mask(r))
-            }
-        return sum(ways.values())
+        return self._count_multichains([self.level_mask(r) for r in targets])
 
     def count_maximal_chains(self) -> int:
         """Saturated chains from rank 0 to the top rank.
@@ -230,13 +228,7 @@ class FinitePoset:
         """Number of weakly increasing (l-1)-tuples; 1 for l = 1, |P| for l = 2."""
         if l < 1:
             raise ParameterError(f"zeta argument l must be at least 1, got {l}")
-        if l == 1:
-            return 1
-        n = len(self.elements)
-        counts = [1] * n
-        for _ in range(l - 2):
-            counts = [sum(counts[j] for j in _bits(self._down[i])) for i in range(n)]
-        return sum(counts)
+        return self._count_multichains([(1 << len(self.elements)) - 1] * (l - 1))
 
 
 @lru_cache(maxsize=None)

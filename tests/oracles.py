@@ -138,3 +138,25 @@ def covers_of(down):
             if (strictly_below >> a) & 1 and not (below_some_c >> a) & 1:
                 out.append((a, b))
     return sorted(out)
+
+
+def is_geometric_chain(components, n, t, variant):
+    """Closure conditions on a nested chain (V_m, ..., V_1) of pair sets, set by set.
+
+    Sum closure: V_i + V_j is inside V_{i+j} for 1 <= i, j <= m, with V_k = V_m
+    for k > m (indices above m give no new condition, since V_i = V_m there).
+    Complement closure: (A - V_i) + (A - V_j) is inside A - V_{i+j} for
+    i + j <= m, where A holds every pair (i, j) with 1 <= i < j <= n
+    ("paper") or only those with j > t ("adapted").
+    """
+    m = len(components)
+    V = {i: frozenset(components[m - i]) for i in range(1, m + 1)}
+    pairs = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    ambient = pairs if variant == "paper" else {(i, j) for i, j in pairs if j > t}
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            if not setwise_sum(V[i], V[j]) <= V[min(i + j, m)]:
+                return False
+            if i + j <= m and not setwise_sum(ambient - V[i], ambient - V[j]) <= ambient - V[i + j]:
+                return False
+    return True

@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nclab import nonnest
 from nclab.closedform import total_count
 from nclab.errors import DomainError, ParameterError, ResourceLimitError
 from nclab.params import Params
@@ -15,6 +18,7 @@ from nclab.nonnest import (
     _tfilter_masks,
     _universe,
     all_t_filters,
+    chain_counts,
     enumerate_nn,
     formal_sum,
     h_tilde,
@@ -187,6 +191,27 @@ class TestEnumerate:
         assert a == b
         assert list(a) == sorted(a, key=FilterChain.sort_key)
 
+    def test_matches_set_oracle(self):
+        # The nested m-tuples of t-filters that the set-based oracle accepts.
+        sizes = {(m, n) for m in range(1, 9) for n in range(1, 8 // m + 1)}
+        sizes |= {(m, n) for m in range(1, 4) for n in range(1, 6)}
+        for variant in VARIANTS:
+            for m, n in sorted(sizes):
+                for t in range(1, n + 1):
+                    filters = [f.pairs for f in all_t_filters(n, t)]
+                    expected = {
+                        combo
+                        for combo in product(filters, repeat=m)
+                        if all(a <= b for a, b in zip(combo, combo[1:]))
+                        and oracles.is_geometric_chain(combo, n, t, variant)
+                    }
+                    got = [
+                        tuple(f.pairs for f in c.filters)
+                        for c in enumerate_nn(Params(m, n, t), variant=variant)
+                    ]
+                    assert len(got) == len(expected), (variant, m, n, t)
+                    assert set(got) == expected, (variant, m, n, t)
+
 
 class TestFlooredPoset:
     def test_232_is_a_path(self):
@@ -280,6 +305,13 @@ class TestHTilde:
 
 
 class TestConjectureReport:
+    def test_chain_counts_builds_no_filters(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chain_counts built a TFilter")
+
+        monkeypatch.setattr(nonnest, "_filter_from_mask", refuse)
+        assert chain_counts(Params(2, 3, 2)) == (5, 5)
+
     def test_332_row(self):
         rows = verify_conjectures([Params(3, 3, 2)])
         assert len(rows) == 1
