@@ -39,6 +39,12 @@ class DyckPath:
         if heights[-1] != 0:
             raise DomainError(f"path {self.steps!r} does not end on the axis")
         object.__setattr__(self, "_heights", tuple(heights))
+        # Area mask: column x holds bits x*(n+1) .. x*(n+1) + heights[x] - 1.
+        width = len(self.steps) // 2 + 1
+        area = 0
+        for x, h in enumerate(heights):
+            area |= ((1 << h) - 1) << (x * width)
+        object.__setattr__(self, "_area", area)
 
     @property
     def n(self) -> int:
@@ -184,13 +190,14 @@ def ddom_leq(first: DyckPath, second: DyckPath) -> bool:
     """Reverse-dominance comparison: true iff `second` lies weakly below `first`.
 
     The pointwise-lower path is the larger poset element, so the single
-    mountain is the minimum of the order.
+    mountain is the minimum of the order.  Pointwise heights compare as
+    inclusion of the stored area masks.
     """
-    if first.length != second.length:
+    if len(first.steps) != len(second.steps):
         raise DomainError(
             f"paths have different lengths: {first.length} vs {second.length}"
         )
-    return all(b <= a for a, b in zip(first.heights(), second.heights()))
+    return not (second._area & ~first._area)
 
 
 def bijection_holds(n: int, t: int) -> bool:

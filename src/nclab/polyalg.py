@@ -1,12 +1,14 @@
 """Exact bivariate (Laurent-capable) polynomial algebra and the triangles.
 
-Coefficients are exact rationals; exponents may go negative inside
-intermediate computations, but every public triangle constructor returns an
-honest polynomial with exponents in [0, n - t] and asserts integrality (and,
-where promised, non-negativity) of all coefficients.  The substitution
-identities are verified by clearing denominators symbolically: each identity
-has a small fixed factor set, so equality of the cleared numerators is an
-exact, proof-grade check rather than a sampling argument.
+Coefficients are exact rationals: an integral coefficient is held as a plain
+`int` and any other as a `Fraction`, so integer triangles never pay for
+rational arithmetic and nothing is ever rounded.  Exponents may go negative
+inside intermediate computations, but every public triangle constructor
+returns an honest polynomial with exponents in [0, n - t] and asserts
+integrality (and, where promised, non-negativity) of all coefficients.  The
+substitution identities are verified by clearing denominators symbolically:
+each identity has a small fixed factor set, so equality of the cleared
+numerators is an exact, proof-grade check rather than a sampling argument.
 """
 
 import json
@@ -22,16 +24,34 @@ from .params import Params
 from .posetcore import build_refinement_poset
 
 
+def _exact(coeff):
+    """The exact value of `coeff`: an int when integral, else a Fraction."""
+    if type(coeff) is int:
+        return coeff
+    coeff = Fraction(coeff)
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
+def _wrap(data: dict) -> "BivariatePolynomial":
+    """Polynomial over freshly computed terms, zeros dropped."""
+    result = BivariatePolynomial.zero()
+    result._terms = {key: _exact(coeff) for key, coeff in data.items() if coeff}
+    return result
+
+
 class BivariatePolynomial:
-    """Sparse exact polynomial in two variables with Fraction coefficients."""
+    """Sparse exact polynomial in two variables.
+
+    An integral coefficient is stored as an `int`, any other as a `Fraction`.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data: Dict[Tuple[int, int], Fraction] = {}
+        data: Dict[Tuple[int, int], Rational] = {}
         if terms:
             for (ex, ey), coeff in dict(terms).items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     data[(int(ex), int(ey))] = coeff
         self._terms = data
@@ -42,17 +62,17 @@ class BivariatePolynomial:
 
     @classmethod
     def constant(cls, value) -> "BivariatePolynomial":
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def monomial(cls, ex: int, ey: int, coeff=1) -> "BivariatePolynomial":
-        return cls({(ex, ey): Fraction(coeff)})
+        return cls({(ex, ey): coeff})
 
-    def terms(self) -> Dict[Tuple[int, int], Fraction]:
+    def terms(self) -> Dict[Tuple[int, int], Rational]:
         return dict(self._terms)
 
-    def coefficient(self, ex: int, ey: int) -> Fraction:
-        return self._terms.get((ex, ey), Fraction(0))
+    def coefficient(self, ex: int, ey: int) -> Rational:
+        return self._terms.get((ex, ey), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -76,15 +96,10 @@ class BivariatePolynomial:
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         data = dict(self._terms)
+        get = data.get
         for key, coeff in other._terms.items():
-            new = data.get(key, Fraction(0)) + coeff
-            if new:
-                data[key] = new
-            else:
-                data.pop(key, None)
-        result = BivariatePolynomial.zero()
-        result._terms = data
-        return result
+            data[key] = get(key, 0) + coeff
+        return _wrap(data)
 
     __radd__ = __add__
 
@@ -101,25 +116,17 @@ class BivariatePolynomial:
 
     def __mul__(self, other) -> "BivariatePolynomial":
         if isinstance(other, Rational):
-            other = Fraction(other)
-            result = BivariatePolynomial.zero()
-            if other:
-                result._terms = {k: c * other for k, c in self._terms.items()}
-            return result
+            other = _exact(other)
+            return _wrap({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        data: Dict[Tuple[int, int], Fraction] = {}
+        data: Dict[Tuple[int, int], Rational] = {}
+        get = data.get
         for (ax, ay), ac in self._terms.items():
             for (bx, by), bc in other._terms.items():
                 key = (ax + bx, ay + by)
-                new = data.get(key, Fraction(0)) + ac * bc
-                if new:
-                    data[key] = new
-                else:
-                    data.pop(key, None)
-        result = BivariatePolynomial.zero()
-        result._terms = data
-        return result
+                data[key] = get(key, 0) + ac * bc
+        return _wrap(data)
 
     __rmul__ = __mul__
 
@@ -219,6 +226,15 @@ class RationalExpr:
         return self.num * other.den == other.num * self.den
 
 
+def _power_weights(expr: RationalExpr, d: int):
+    """[expr.num^k * expr.den^(d - k) for k = 0..d], powers by running products."""
+    num_pows, den_pows = [ONE], [ONE]
+    for _ in range(d):
+        num_pows.append(num_pows[-1] * expr.num)
+        den_pows.append(den_pows[-1] * expr.den)
+    return [num_pows[k] * den_pows[d - k] for k in range(d + 1)]
+
+
 def substitute(
     poly: BivariatePolynomial,
     u: RationalExpr,
@@ -229,7 +245,10 @@ def substitute(
 
     Each monomial x^r y^s becomes u^r v^s; the common denominator is
     u.den^d * v.den^d where d bounds the degree of poly in each variable,
-    so the numerator stays a polynomial throughout.
+    so the numerator stays a polynomial throughout.  The terms are grouped
+    by their x-exponent r into rows sum_s c_rs * V[s] (scalar operations
+    only), and the numerator is sum_r U[r] * row_r, where
+    U[k] = u.num^k u.den^(d-k) and V[k] = v.num^k v.den^(d-k).
     """
     mx, my = poly.min_exponents()
     if mx < 0 or my < 0:
@@ -238,16 +257,17 @@ def substitute(
     d = max(dx, dy, 0) if degree_bound is None else degree_bound
     if d < max(dx, dy, 0):
         raise ParameterError(f"degree bound {d} is below the actual degree {max(dx, dy)}")
+    u_weights = _power_weights(u, d)
+    v_weights = _power_weights(v, d)
+    rows: Dict[int, dict] = {}
+    for (ex, ey), coeff in poly._terms.items():
+        row = rows.setdefault(ex, {})
+        for key, c in v_weights[ey]._terms.items():
+            row[key] = row.get(key, 0) + coeff * c
     numerator = BivariatePolynomial.zero()
-    u_num_pows = [u.num**k for k in range(d + 1)]
-    u_den_pows = [u.den**k for k in range(d + 1)]
-    v_num_pows = [v.num**k for k in range(d + 1)]
-    v_den_pows = [v.den**k for k in range(d + 1)]
-    for (ex, ey), coeff in poly.terms().items():
-        numerator = numerator + (
-            u_num_pows[ex] * u_den_pows[d - ex] * v_num_pows[ey] * v_den_pows[d - ey]
-        ).scale(coeff)
-    return RationalExpr(numerator, u_den_pows[d] * v_den_pows[d])
+    for ex, row in rows.items():
+        numerator = numerator + u_weights[ex] * _wrap(row)
+    return RationalExpr(numerator, u_weights[0] * v_weights[0])
 
 
 def _assert_integral(poly: BivariatePolynomial, context: str, nonnegative: bool = False):
@@ -277,7 +297,7 @@ def m_triangle_closed(p: Params) -> BivariatePolynomial:
     """Closed double sum for the Moebius rank triangle; coefficients integral."""
     m, n, t = p.m, p.n, p.t
     d = n - t
-    coeffs: Dict[Tuple[int, int], Fraction] = {}
+    coeffs: Dict[Tuple[int, int], Rational] = {}
     for r in range(d + 1):
         for s in range(r, d + 1):
             value = Fraction(
@@ -288,7 +308,7 @@ def m_triangle_closed(p: Params) -> BivariatePolynomial:
             value *= binomial(m * n - t + 1, n - t - s)
             value *= binomial(m * n + s - r - 1, s - r)
             if value:
-                coeffs[(r, s)] = coeffs.get((r, s), Fraction(0)) + value
+                coeffs[(r, s)] = coeffs.get((r, s), 0) + value
     return _assert_integral(BivariatePolynomial(coeffs), "closed rank triangle")
 
 
@@ -296,16 +316,16 @@ def h_triangle_closed(p: Params) -> BivariatePolynomial:
     """Closed form of the H-triangle; coefficients are non-negative integers."""
     m, n, t = p.m, p.n, p.t
     d = n - t
-    coeffs: Dict[Tuple[int, int], Fraction] = {}
+    coeffs: Dict[Tuple[int, int], int] = {}
     for k in range(d + 1):
         for h in range(d - k + 1):
-            value = Fraction(
+            value = (
                 binomial(m * n - t + 1, k) * binomial(t + k + h - 2, h)
                 - m * binomial(m * n - t, k - 1) * binomial(t + k + h - 1, h)
             )
             key = (d - k, d - k - h)
             if value:
-                coeffs[key] = coeffs.get(key, Fraction(0)) + value
+                coeffs[key] = coeffs.get(key, 0) + value
     return _assert_integral(BivariatePolynomial(coeffs), "closed H-triangle", nonnegative=True)
 
 
@@ -313,14 +333,14 @@ def f_triangle_closed(p: Params) -> BivariatePolynomial:
     """Closed form of the F-triangle; coefficients are non-negative integers."""
     m, n, t = p.m, p.n, p.t
     d = n - t
-    coeffs: Dict[Tuple[int, int], Fraction] = {}
+    coeffs: Dict[Tuple[int, int], Rational] = {}
     for a in range(d + 1):
         for b in range(d - a + 1):
             value = Fraction(t + b, n)
             value *= binomial(m * n + a - 1, a)
             value *= binomial(n, t + a + b)
             if value:
-                coeffs[(a, b)] = coeffs.get((a, b), Fraction(0)) + value
+                coeffs[(a, b)] = coeffs.get((a, b), 0) + value
     return _assert_integral(BivariatePolynomial(coeffs), "closed F-triangle", nonnegative=True)
 
 
@@ -357,10 +377,10 @@ def _identity_holds(lhs, prefactor, source, u, v, degree_bound) -> bool:
 def verify_transformation_identities(p: Params) -> IdentityReport:
     """Check the six triangle substitution identities by denominator clearing.
 
-    Each source triangle is substituted monomial by monomial (a RationalExpr
-    per term over the identity's fixed denominator factors), summed over the
-    common denominator, and compared against the prefactor times the target
-    side as exact polynomials.
+    Each source triangle is substituted over the common denominator built
+    from the identity's fixed factors (see `substitute`), and the cleared
+    numerator is compared against the prefactor times the target side as
+    exact polynomials.
     """
     d = p.max_rank
     m_tri = m_triangle_closed(p)

@@ -160,3 +160,10 @@ def is_geometric_chain(components, n, t, variant):
             if i + j <= m and not setwise_sum(ambient - V[i], ambient - V[j]) <= ambient - V[i + j]:
                 return False
     return True
+
+
+def dominates(heights_a, heights_b):
+    """True iff path b lies weakly below path a: pointwise heights, same length."""
+    return len(heights_a) == len(heights_b) and all(
+        b <= a for a, b in zip(heights_a, heights_b)
+    )

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nclab.closedform import total_count
 from nclab.dyckmodel import (
     DyckPath,
@@ -164,6 +165,14 @@ class TestDominance:
     def test_length_mismatch(self):
         with pytest.raises(DomainError):
             ddom_leq(DyckPath("UD"), DyckPath("UUDD"))
+
+    def test_matches_pointwise_oracle(self):
+        for n in range(1, 7):
+            for t in range(1, n + 1):
+                paths = enumerate_tdyck(n, t)
+                for a in paths:
+                    for b in paths:
+                        assert ddom_leq(a, b) == oracles.dominates(a.heights(), b.heights())
 
     def test_order_isomorphism_exhaustive(self):
         for n in range(1, 7):

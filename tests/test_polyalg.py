@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nclab.closedform import total_count
@@ -34,6 +34,26 @@ def polynomials(draw):
         key = (draw(st.integers(-3, 4)), draw(st.integers(-3, 4)))
         terms[key] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
     return BivariatePolynomial(terms)
+
+
+@st.composite
+def true_polynomials(draw, max_degree=3):
+    """No negative exponents; coefficients integral or not (denominator 1, 2 or 3)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = (draw(st.integers(0, max_degree)), draw(st.integers(0, max_degree)))
+        terms[key] = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 1, 2, 3))))
+    return BivariatePolynomial(terms)
+
+
+@st.composite
+def rational_exprs(draw):
+    num = draw(true_polynomials(max_degree=2))
+    den = draw(true_polynomials(max_degree=2).filter(bool))
+    return RationalExpr(num, den)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 class TestArithmetic:
@@ -182,9 +202,61 @@ class TestRationalExpr:
         result = substitute(source, RationalExpr(ONE, X), RationalExpr(ONE, Y))
         assert result.equals(RationalExpr(X + Y, X * Y))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        true_polynomials(),
+        rational_exprs(),
+        rational_exprs(),
+        st.one_of(st.none(), st.integers(0, 2)),
+        small_rationals,
+        small_rationals,
+    )
+    def test_substitute_matches_pointwise_evaluation(self, source, u, v, slack, x0, y0):
+        u_den, v_den = u.den.eval_exact(x0, y0), v.den.eval_exact(x0, y0)
+        assume(u_den and v_den)
+        bound = None if slack is None else max(source.max_exponents()) + slack
+        result = substitute(source, u, v, degree_bound=bound)
+        expected = source.eval_exact(u.num.eval_exact(x0, y0) / u_den, v.num.eval_exact(x0, y0) / v_den)
+        assert result.num.eval_exact(x0, y0) / result.den.eval_exact(x0, y0) == expected
+
     def test_substitute_rejects_low_bound(self):
         with pytest.raises(ParameterError):
             substitute(X**3, RationalExpr(ONE, X), RationalExpr(ONE, Y), degree_bound=2)
+
+
+class TestIntegerCoefficients:
+    def test_triangles_hold_ints(self):
+        for m in (1, 2, 3):
+            for n in range(1, 6):
+                for t in range(1, n + 1):
+                    p = Params(m, n, t)
+                    polys = [m_triangle_closed(p), h_triangle_closed(p), f_triangle_closed(p)]
+                    if m * n <= 6:
+                        polys.append(m_triangle_brute(p))
+                    for poly_ in polys:
+                        assert all(type(c) is int for c in poly_.terms().values())
+
+    def test_substitute_on_integral_input_holds_ints(self):
+        result = substitute(
+            m_triangle_closed(Params(2, 4, 1)), RationalExpr(Y + ONE, Y - X), RationalExpr(Y - X, Y)
+        )
+        assert not result.num.is_zero()
+        for side in (result.num, result.den):
+            assert all(type(c) is int for c in side.terms().values())
+
+    def test_integral_fraction_is_stored_as_int(self):
+        a = poly({(0, 0): Fraction(4, 2)})
+        b = poly({(0, 0): 2})
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.to_json() == b.to_json()
+        assert type(a.coefficient(0, 0)) is int
+        assert type(a.coefficient(3, 3)) is int
+        half = poly({(1, 0): Fraction(1, 2)})
+        assert type((half * 2).coefficient(1, 0)) is int
+        assert type((half + half).coefficient(1, 0)) is int
+        assert type((half * half.scale(4)).coefficient(2, 0)) is int
+        assert (half * half).coefficient(2, 0) == Fraction(1, 4)
 
 
 class TestIdentities:
