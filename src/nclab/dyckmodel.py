@@ -210,6 +210,7 @@ def bijection_holds(n: int, t: int) -> bool:
     filters = all_t_filters(n, t)
     paths = enumerate_tdyck(n, t)
     images = [theta(filt) for filt in filters]
+    masks = [filt.mask for filt in filters]
     return (
         len(filters) == len(paths) == closedform.total_count(Params(1, n, t))
         and all(theta_inverse(path, t) == filt for filt, path in zip(filters, images))
@@ -217,9 +218,9 @@ def bijection_holds(n: int, t: int) -> bool:
         and set(images) == set(paths)
         and all(theta(theta_inverse(path, t)) == path for path in paths)
         and all(
-            (fa.pairs <= fb.pairs) == ddom_leq(pa, pb)
-            for fa, pa in zip(filters, images)
-            for fb, pb in zip(filters, images)
+            (not ma & ~mb) == ddom_leq(pa, pb)
+            for ma, pa in zip(masks, images)
+            for mb, pb in zip(masks, images)
         )
     )
 

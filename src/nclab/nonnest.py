@@ -5,15 +5,16 @@ ordered by (i, j) <= (k, l) iff i >= k and j <= l (interval containment).
 T_{n,t} keeps the pairs with j > t; its up-closed subsets ("t-filters") are
 in bijection with monotone integer vectors, which is how they are enumerated
 here.  Filters and chains are exposed as immutable value objects; internally
-everything runs on bitmasks over the at most n(n-1)/2 pairs, with the
-pairwise formal-sum table precomputed, so the closure conditions on chains
-are cheap set algebra.
+everything runs on grid bitmasks, pair (i, j) at bit i*(n+1) + j.  On that
+layout the setwise formal sum is a boolean matrix product done in n integer
+multiplies, so the closure conditions on chains are cheap integer algebra.
 """
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import lru_cache, reduce
+from operator import and_, or_
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from . import closedform
 from .errors import (
@@ -56,30 +57,22 @@ def formal_sum(a: Pair, b: Pair) -> Optional[Pair]:
 
 
 class _Universe:
-    """Precomputed pair indexing and sum table for one value of n."""
-
-    __slots__ = ("n", "pairs", "index", "up_masks", "sum_table", "full_mask")
+    """Grid layout for one n: pair (i, j) at bit i*(n+1) + j, all pairs below bit `stride`."""
 
     def __init__(self, n: int):
         self.n = n
+        self.width = n + 1
+        self.stride = n * self.width
         self.pairs = triangular_pairs(n)
-        self.index = {pair: k for k, pair in enumerate(self.pairs)}
-        size = len(self.pairs)
-        self.full_mask = (1 << size) - 1
-        self.up_masks = []
-        for pair in self.pairs:
-            mask = 0
-            for k, other in enumerate(self.pairs):
-                if pair_leq(pair, other):
-                    mask |= 1 << k
-            self.up_masks.append(mask)
-        self.sum_table = []
-        for a in self.pairs:
-            row = []
-            for b in self.pairs:
-                s = formal_sum(a, b)
-                row.append(self.index[s] if s is not None else -1)
-            self.sum_table.append(row)
+        self.index = {(i, j): i * self.width + j for (i, j) in self.pairs}
+        self._pair_at = {k: pair for pair, k in self.index.items()}
+        self.full_mask = sum(1 << k for k in self.index.values())
+        self.up_masks = {
+            k: sum(1 << self.index[other] for other in self.pairs if pair_leq(pair, other))
+            for pair, k in self.index.items()
+        }
+        self._col = sum(1 << (i * self.width) for i in range(1, n))
+        self._row = (1 << self.width) - 1
 
     def mask_of(self, pairs) -> int:
         mask = 0
@@ -91,16 +84,22 @@ class _Universe:
         return mask
 
     def pairs_of(self, mask: int) -> FrozenSet[Pair]:
-        return frozenset(self.pairs[k] for k in _bits(mask))
+        return frozenset([self._pair_at[k] for k in _bits(mask)])
 
+    @lru_cache(maxsize=1 << 14)
     def sum_masks(self, first: int, second: int) -> int:
+        """Every defined formal sum (i, j) + (j, l) = (i, l) of a pair in each mask.
+
+        Per middle index j: column j of `first`, at bits i*(n+1), times row j
+        of `second`, at bits l < n+1, sets each bit i*(n+1) + l exactly once,
+        so nothing carries.  The closure checks repeat a few sums (squares,
+        mostly) very often, hence the bounded memo.
+        """
         out = 0
-        for a in _bits(first):
-            row = self.sum_table[a]
-            for b in _bits(second):
-                target = row[b]
-                if target >= 0:
-                    out |= 1 << target
+        for j in range(2, self.n):
+            column = (first >> j) & self._col
+            if column:
+                out |= column * ((second >> (j * self.width)) & self._row)
         return out
 
 
@@ -112,50 +111,26 @@ def _universe(n: int) -> _Universe:
 @lru_cache(maxsize=None)
 def _restricted_mask(n: int, t: int) -> int:
     u = _universe(n)
-    mask = 0
-    for k, (_, j) in enumerate(u.pairs):
-        if j > t:
-            mask |= 1 << k
-    return mask
+    return sum(1 << k for (_, j), k in u.index.items() if j > t)
 
 
 @lru_cache(maxsize=None)
 def _staircase_mask(n: int, t: int) -> int:
     # Minimal elements of the restricted poset: (i, i+1) for t <= i <= n-1.
     u = _universe(n)
-    mask = 0
-    for i in range(t, n):
-        mask |= 1 << u.index[(i, i + 1)]
-    return mask
+    return sum(1 << u.index[(i, i + 1)] for i in range(t, n))
 
 
 @lru_cache(maxsize=None)
 def _tfilter_masks(n: int, t: int) -> Tuple[int, ...]:
     # Filters of the restricted poset correspond to weakly increasing vectors
     # (a_{t+1}, ..., a_n) with 0 <= a_j <= j-1: column j contains the pairs
-    # (1, j), ..., (a_j, j).  Enumeration is lexicographic in that vector.
-    u = _universe(n)
-    columns = list(range(t + 1, n + 1))
-    masks: List[int] = []
-
-    def rec(pos: int, lower: int, acc_mask: int):
-        if pos == len(columns):
-            masks.append(acc_mask)
-            return
-        j = columns[pos]
-        mask = acc_mask
-        for i in range(1, lower + 1):
-            mask |= 1 << u.index[(i, j)]
-        a = lower
-        while True:
-            rec(pos + 1, a, mask)
-            a += 1
-            if a >= j:
-                break
-            mask |= 1 << u.index[(a, j)]
-
-    rec(0, 0, 0)
-    return tuple(masks)
+    # (1, j), ..., (a_j, j).  The list is lexicographic in that vector.
+    tops = [sum(1 << (i * (n + 1)) for i in range(1, a + 1)) for a in range(n)]
+    vectors = [(0, 0)]  # (last entry, mask) of each prefix
+    for j in range(t + 1, n + 1):
+        vectors = [(a, mask | tops[a] << j) for last, mask in vectors for a in range(last, j)]
+    return tuple(mask for _, mask in vectors)
 
 
 @dataclass(frozen=True)
@@ -175,29 +150,22 @@ class TFilter:
         mask = u.mask_of(pairs)
         if mask & ~_restricted_mask(self.n, self.t):
             raise DomainError(f"a member has second coordinate <= t={self.t}")
-        for k in _bits(mask):
-            if u.up_masks[k] & ~mask:
-                raise DomainError("the member set is not up-closed")
+        # The shifts move each pair to its upper covers (i-1, j) and (i, j+1).
+        if ((mask >> u.width) | (mask << 1)) & u.full_mask & ~mask:
+            raise DomainError("the member set is not up-closed")
+        object.__setattr__(self, "_mask", mask)
 
     @property
     def mask(self) -> int:
-        return _universe(self.n).mask_of(self.pairs)
+        return self._mask
 
     def min_elements(self) -> FrozenSet[Pair]:
         """Members with no other member below them in the pair order."""
+        # The lower covers of (i, j), (i+1, j) and (i, j-1), sit at bits
+        # k + (n+1) and k - 1; a bit standing for no pair is never set.
         u = _universe(self.n)
-        mask = self.mask
-        out = []
-        for k in _bits(mask):
-            i, j = u.pairs[k]
-            below_i = u.index.get((i + 1, j))
-            below_j = u.index.get((i, j - 1)) if j - 1 > self.t else None
-            if below_i is not None and (mask >> below_i) & 1:
-                continue
-            if below_j is not None and (mask >> below_j) & 1:
-                continue
-            out.append((i, j))
-        return frozenset(out)
+        mask = self._mask
+        return u.pairs_of(mask & ~(mask >> u.width) & ~(mask << 1))
 
     def sorted_pairs(self) -> Tuple[Pair, ...]:
         return tuple(sorted(self.pairs))
@@ -262,13 +230,20 @@ class FilterChain:
         return tuple(f.sorted_pairs() for f in self.filters)
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "filters": [[list(pair) for pair in f.sorted_pairs()] for f in self.filters],
-        }
+        return _chain_dict(self.n, self.masks())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return _chain_json(self.n, self.masks())
+
+
+def _chain_dict(n: int, masks: Sequence[int]) -> dict:
+    # Grid bit order is lexicographic pair order, so each list comes sorted.
+    filters = [[list(divmod(k, n + 1)) for k in _bits(mask)] for mask in masks]
+    return {"m": len(masks), "filters": filters}
+
+
+def _chain_json(n: int, masks: Sequence[int]) -> str:
+    return json.dumps(_chain_dict(n, masks), separators=(",", ":"))
 
 
 def _check_variant(variant: str) -> None:
@@ -286,12 +261,13 @@ def _conditions_ok(u: _Universe, comp: List[int], ambient: int, m: int, k: int) 
     generator adding V_m first can prune after each component.
     """
     for j in range(k, m + 1):
-        target = comp[min(k + j, m)]
-        outside = ambient & ~target
+        target = comp[k + j] if k + j <= m else comp[m]
         for a, b in ((k, j),) if j == k else ((k, j), (j, k)):
             if u.sum_masks(comp[a], comp[b]) & ~target:
                 return False
-            if k + j <= m and u.sum_masks(ambient & ~comp[a], ambient & ~comp[b]) & ~outside:
+            # Sums of pairs in `ambient` stay in it, so this is inclusion in
+            # ambient - V_{i+j}.
+            if k + j <= m and u.sum_masks(ambient & ~comp[a], ambient & ~comp[b]) & target:
                 return False
     return True
 
@@ -320,15 +296,17 @@ def _enumerate_nn_cached(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[in
     filters = _tfilter_masks(n, t)
     ambient = u.full_mask if variant == "paper" else _restricted_mask(n, t)
     chains: List[Tuple[int, ...]] = []
-    comp = [0] * (m + 1)
+    comp = [0] * (m + 2)  # comp[m + 1] = 0 lies below every V_m
+
+    @lru_cache(maxsize=None)
+    def supersets(mask: int) -> Tuple[int, ...]:
+        return tuple(f for f in filters if not mask & ~f)
 
     def descend(k: int):
         if k == 0:
-            chains.append(tuple(comp[:0:-1]))
+            chains.append(tuple(comp[m:0:-1]))
             return
-        for mask in filters:
-            if k < m and (comp[k + 1] & ~mask):
-                continue
+        for mask in supersets(comp[k + 1]):
             comp[k] = mask
             if _conditions_ok(u, comp, ambient, m, k):
                 descend(k - 1)
@@ -337,25 +315,27 @@ def _enumerate_nn_cached(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[in
     return tuple(chains)
 
 
-def _check_nn_size(p: Params, max_objects: Optional[int]) -> None:
-    # Resource guard shared by every entry point that enumerates chains.
+def _raw_chains(p: Params, variant: str, max_objects: Optional[int]) -> Tuple[Tuple[int, ...], ...]:
+    """The generator's chain masks, behind the variant check and the size guard.
+
+    Every entry point that enumerates chains comes through here.
+    """
+    _check_variant(variant)
     predicted = closedform.total_count(p)
     if max_objects is not None and predicted > max_objects:
         raise ResourceLimitError(
             f"predicted about {predicted} chains for {p}, more than the cap {max_objects}"
         )
+    return _enumerate_nn_cached(p.m, p.n, p.t, variant)
 
 
 def enumerate_nn(
     p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Tuple[FilterChain, ...]:
     """All geometric chains of t-filters of length m, canonically ordered."""
-    _check_variant(variant)
-    _check_nn_size(p, max_objects)
-    raw = _enumerate_nn_cached(p.m, p.n, p.t, variant)
     chains = [
         FilterChain(tuple(_filter_from_mask(p.n, p.t, mask) for mask in masks))
-        for masks in raw
+        for masks in _raw_chains(p, variant, max_objects)
     ]
     chains.sort(key=FilterChain.sort_key)
     return tuple(chains)
@@ -381,34 +361,79 @@ class FlooredPoset:
         return dict(self.cover_floor)
 
 
-@lru_cache(maxsize=None)
-def _nn_poset_cached(m: int, n: int, t: int, variant: str) -> FlooredPoset:
-    p = Params(m, n, t)
-    chains = enumerate_nn(p, variant=variant, max_objects=None)
+def _certify(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
+    """Exact inclusion down-sets of a chain family and the Lemma 5.4 check.
+
+    Chains (component masks, V_m first) are packed into one int each,
+    component p at bits p*stride.  down(b) is the AND over p of the chains
+    whose component p lies inside b's, read off has[k], the chains holding
+    packed bit k: no lemma is assumed.  A chain below b lies below the
+    single removal b - k, where that is in the family, iff it lacks bit k.
+    So Lemma 5.4 (every cover changes one component by one element) holds
+    at b iff no chain strictly below b holds every such k, and the maximal
+    chains of that residue are b's other covers.  Yields, per b: b,
+    down(b), the covers as (a, packed b & ~a), and {a: message} for the
+    covers that break the lemma.
+    """
     u = _universe(n)
-    width = len(u.pairs)
-    # Component i of a chain sits at bits i*width, so inclusion of chains is
-    # inclusion of their packed masks.
-    packed = [
-        sum(mask << (i * width) for i, mask in enumerate(chain.masks())) for chain in chains
-    ]
-    down = [sum(1 << a for a, pa in enumerate(packed) if not pa & ~pb) for pb in packed]
-    poset = FinitePoset(chains, down, ranks=None)
-    cover_floor = []
-    floors = [frozenset()] * len(chains)
-    violations = []
-    for a, b in poset.covers():
-        extra = packed[b] & ~packed[a]
-        changed = sum(1 for i in range(m) if (extra >> (i * width)) & u.full_mask)
-        if changed != 1 or extra.bit_count() != 1:
-            violations.append(
-                f"cover {chains[a].to_json()} -> {chains[b].to_json()} "
+    packed = [sum(mask << (p * u.stride) for p, mask in enumerate(masks)) for masks in family]
+    index = {pc: c for c, pc in enumerate(packed)}
+    everything = (1 << len(packed)) - 1
+    backwards = packed[::-1]  # the binary literal of has[k] lists the last chain first
+    has = {
+        1 << k: int("".join(["1" if pc >> k & 1 else "0" for pc in backwards]), 2)
+        for k in _bits(reduce(or_, packed))
+    }
+
+    @lru_cache(maxsize=None)
+    def inside(p: int, mask: int) -> int:  # the chains whose component p lies in mask
+        lacking = (u.full_mask & ~mask) << (p * u.stride)
+        return everything & ~reduce(or_, (hs for bit, hs in has.items() if bit & lacking), 0)
+
+    for b, pb in enumerate(packed):
+        down = reduce(and_, (inside(p, mask) for p, mask in enumerate(family[b])))
+        covers, common = [], down & ~(1 << b)
+        for k in _bits(pb):
+            c = index.get(pb ^ 1 << k)
+            if c is not None:
+                covers.append((c, 1 << k))
+                common &= has[1 << k]
+        residue = list(_bits(common))
+        violations = {}
+        for a in residue:
+            if any(x != a and not packed[a] & ~packed[x] for x in residue):
+                continue
+            extra = pb & ~packed[a]
+            covers.append((a, extra))
+            changed = sum(1 for x, y in zip(family[a], family[b]) if x != y)
+            violations[a] = (
+                f"cover {_chain_json(n, family[a])} -> {_chain_json(n, family[b])} "
                 f"changes {changed} components by {extra.bit_count()} elements"
             )
-        label = u.pairs_of(extra & u.full_mask)
-        cover_floor.append(((a, b), label))
-        floors[b] = floors[b] | label
-    return FlooredPoset(poset, tuple(cover_floor), tuple(floors), tuple(violations))
+        yield b, down, covers, violations
+
+
+def _refuse(violations: Sequence[str]) -> None:
+    if violations:
+        raise InvariantViolation("cover structure violations: " + "; ".join(violations))
+
+
+@lru_cache(maxsize=None)
+def _nn_poset_cached(m: int, n: int, t: int, variant: str) -> FlooredPoset:
+    chains = enumerate_nn(Params(m, n, t), variant=variant, max_objects=None)
+    u = _universe(n)
+    down, labelled, floors, violations = [], [], [], []
+    for b, down_b, covers, found in _certify(n, [chain.masks() for chain in chains]):
+        down.append(down_b)
+        floors.append(u.pairs_of(reduce(or_, (e for _, e in covers), 0) & u.full_mask))
+        labelled.extend(((a, b), u.pairs_of(extra & u.full_mask)) for a, extra in covers)
+        violations.extend(((a, b), message) for a, message in found.items())
+    return FlooredPoset(
+        FinitePoset(chains, down, ranks=None),
+        tuple(sorted(labelled)),
+        tuple(floors),
+        tuple(message for _, message in sorted(violations)),
+    )
 
 
 def nn_poset(
@@ -419,17 +444,30 @@ def nn_poset(
 ) -> FlooredPoset:
     """Inclusion poset on enumerate_nn(p) with floor labels on the covers.
 
-    With strict=True a violation of the expected cover structure raises
+    Down-sets and covers come from the certificate (_certify).  With
+    strict=True a violation of the expected cover structure raises
     InvariantViolation instead of being silently recorded.
     """
-    _check_variant(variant)
-    _check_nn_size(p, max_objects)
+    _raw_chains(p, variant, max_objects)
     result = _nn_poset_cached(p.m, p.n, p.t, variant)
-    if strict and result.violations:
-        raise InvariantViolation(
-            "cover structure violations: " + "; ".join(result.violations)
-        )
+    if strict:
+        _refuse(result.violations)
     return result
+
+
+def certify_lemma54(
+    p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
+) -> Tuple[int, Tuple[str, ...]]:
+    """Cover count of the inclusion poset on the chains, and its Lemma 5.4 violations.
+
+    Runs the certificate (_certify) on the raw masks; builds no poset and no FilterChain.
+    """
+    count = 0
+    violations: List[str] = []
+    for _, _, covers, found in _certify(p.n, _raw_chains(p, variant, max_objects)):
+        count += len(covers)
+        violations.extend(found.values())
+    return count, tuple(violations)
 
 
 def h_tilde(
@@ -440,32 +478,24 @@ def h_tilde(
     Each chain contributes x^{|FL|} y^{|FL intersected with the staircase|},
     the staircase being the minimal pairs (t, t+1), ..., (n-1, n).
 
-    FL(b) is read off without building the inclusion poset: it is the set of
-    pairs k of the top component V_m whose removal from V_m gives a chain in
-    the family.  Each such chain differs from b by one element, so it is a
-    lower cover.  That these are all the labelled covers is Lemma 5.4 (every
-    cover changes one component by one element), which this function does
-    not check.  The all-pairs nn_poset records its violations and the
-    `lemma54` suite reports them.  tests/test_nonnest.py requires zero
-    violations and equal polynomials on both paths, both variants, for
-    every triple with mn <= 8, and acceptance criterion 10 requires zero
-    violations for m <= 3, n <= 5.  Beyond those ranges the result is
-    conditional on the lemma.
+    FL(b) is the union of the top-component differences over the covers of
+    b.  The covers come from the Lemma 5.4 certificate (_certify), which
+    computes exact down-sets without the lemma and builds no poset.  When
+    the lemma holds they are the single-element removals that stay in the
+    family, so FL(b) is the set of pairs of V_m whose removal gives a chain
+    in the family.  A cover that breaks the lemma raises
+    InvariantViolation, so no result rests on the lemma unchecked.
     """
-    _check_variant(variant)
-    _check_nn_size(p, max_objects)
-    raw = _enumerate_nn_cached(p.m, p.n, p.t, variant)
-    family = set(raw)
+    full = _universe(p.n).full_mask
     stair = _staircase_mask(p.n, p.t)
     coeffs: Dict[Tuple[int, int], int] = {}
-    for masks in raw:
-        top, rest = masks[0], masks[1:]
-        floor = 0
-        for k in _bits(top):
-            if (top & ~(1 << k),) + rest in family:
-                floor |= 1 << k
+    violations: List[str] = []
+    for _, _, covers, found in _certify(p.n, _raw_chains(p, variant, max_objects)):
+        violations.extend(found.values())
+        floor = reduce(or_, (extra for _, extra in covers), 0) & full
         key = (floor.bit_count(), (floor & stair).bit_count())
         coeffs[key] = coeffs.get(key, 0) + 1
+    _refuse(violations)
     return BivariatePolynomial(coeffs)
 
 
@@ -473,15 +503,16 @@ def chain_counts(
     p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Tuple[int, int]:
     """|enumerate_nn(p)| and the closed total count it is conjectured to equal."""
-    _check_variant(variant)
-    _check_nn_size(p, max_objects)
-    return len(_enumerate_nn_cached(p.m, p.n, p.t, variant)), closedform.total_count(p)
+    return len(_raw_chains(p, variant, max_objects)), closedform.total_count(p)
 
 
 def floor_polynomial_matches(
     p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> bool:
-    """True iff the floor polynomial h_tilde(p) equals the closed H-triangle."""
+    """True iff the floor polynomial h_tilde(p) equals the closed H-triangle.
+
+    h_tilde certifies Lemma 5.4 for p and raises InvariantViolation if it fails.
+    """
     return h_tilde(p, variant=variant, max_objects=max_objects) == h_triangle_closed(p)
 
 

@@ -5,7 +5,8 @@ tuples and every predicate is coded directly from the defining patterns, so
 these routines can serve as oracles for the library.
 """
 
-from itertools import combinations
+import json
+from itertools import combinations, compress
 
 
 def all_set_partitions(n):
@@ -131,13 +132,57 @@ def covers_of(down):
     for b, mask in enumerate(down):
         strictly_below = mask & ~(1 << b)
         below_some_c = 0
-        for c in range(len(down)):
-            if (strictly_below >> c) & 1:
-                below_some_c |= down[c] & ~(1 << c)
-        for a in range(len(down)):
-            if (strictly_below >> a) & 1 and not (below_some_c >> a) & 1:
-                out.append((a, b))
+        for c in set_bits(strictly_below):
+            below_some_c |= down[c] & ~(1 << c)
+        for a in set_bits(strictly_below & ~below_some_c):
+            out.append((a, b))
     return sorted(out)
+
+
+def set_bits(mask):
+    """Positions of the set bits of a non-negative int, in increasing order."""
+    return [i for i, digit in enumerate(reversed(bin(mask))) if digit == "1"]
+
+
+def floored_poset(chains):
+    """Inclusion poset of filter chains with floor labels, comparing every pair.
+
+    `chains` lists chains as tuples (V_m, ..., V_1) of pair sets, in any
+    order.  Returns (elements, down, covers, cover_floor, floors,
+    violations): the chains sorted by their sorted pairs; down[j], the mask
+    of the i with chain i inside chain j component by component; the
+    covers as in covers_of; each cover with its V_m difference; floors[b],
+    the union of those over the covers of b; and a message for each cover
+    that changes more than one component or more than one pair.
+    """
+    elements = sorted(
+        (tuple(frozenset(V) for V in chain) for chain in chains),
+        key=lambda chain: tuple(tuple(sorted(V)) for V in chain),
+    )
+    # (position, pair) sets: one subset test per comparison.
+    flat = [frozenset((p, pair) for p, V in enumerate(chain) for pair in V) for chain in elements]
+    indices = range(len(flat))
+    down = [sum(1 << i for i in compress(indices, map(b.__ge__, flat))) for b in flat]
+    covers = covers_of(down)
+    cover_floor = tuple(((a, b), elements[b][0] - elements[a][0]) for a, b in covers)
+    floors = [frozenset()] * len(elements)
+    violations = []
+    for (a, b), label in cover_floor:
+        floors[b] = floors[b] | label
+        grown = [len(y - x) for x, y in zip(elements[a], elements[b])]
+        changed = sum(1 for g in grown if g)
+        if changed != 1 or sum(grown) != 1:
+            violations.append(
+                f"cover {chain_json(elements[a])} -> {chain_json(elements[b])} "
+                f"changes {changed} components by {sum(grown)} elements"
+            )
+    return elements, down, covers, cover_floor, tuple(floors), tuple(violations)
+
+
+def chain_json(chain):
+    """Compact JSON of a chain of pair sets: m and each component's sorted pairs."""
+    filters = [[list(pair) for pair in sorted(V)] for V in chain]
+    return json.dumps({"m": len(chain), "filters": filters}, separators=(",", ":"))
 
 
 def is_geometric_chain(components, n, t, variant):

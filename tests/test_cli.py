@@ -162,6 +162,20 @@ class TestVerify:
         assert code == 0
         assert all(row["pass"] for row in json.loads(out)["rows"])
 
+    def test_lemma54_builds_no_poset(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lemma54 built a poset or a filter")
+
+        monkeypatch.setattr(nonnest, "FinitePoset", refuse)
+        monkeypatch.setattr(nonnest, "_filter_from_mask", refuse)
+        nonnest._nn_poset_cached.cache_clear()
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "lemma54", "--range", "m=2,n=3,t=1..n"
+        )
+        assert nonnest._nn_poset_cached.cache_info().currsize == 0
+        assert code == 0
+        assert [row["covers"] for row in json.loads(out)["rows"]] == [15, 4, 0]
+
     def test_conj_h_builds_no_poset(self, capsys):
         nonnest._nn_poset_cached.cache_clear()
         code, out, _ = run_cli(

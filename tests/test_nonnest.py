@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nclab import nonnest
+from nclab import cli, nonnest
 from nclab.closedform import total_count
-from nclab.errors import DomainError, ParameterError, ResourceLimitError
+from nclab.errors import DomainError, InvariantViolation, ParameterError, ResourceLimitError
 from nclab.params import Params
 from nclab.polyalg import ONE, BivariatePolynomial, X, Y
 from nclab.nonnest import (
@@ -18,8 +18,10 @@ from nclab.nonnest import (
     _tfilter_masks,
     _universe,
     all_t_filters,
+    certify_lemma54,
     chain_counts,
     enumerate_nn,
+    floor_polynomial_matches,
     formal_sum,
     h_tilde,
     is_geometric,
@@ -39,7 +41,7 @@ def chain(n, t, *filter_sets):
 
 
 def sum_pairs(n, first, second):
-    """Setwise formal sum of two pair sets through the precomputed sum table."""
+    """Setwise formal sum of two pair sets through the grid-mask product."""
     u = _universe(n)
     return u.pairs_of(u.sum_masks(u.mask_of(first), u.mask_of(second)))
 
@@ -90,9 +92,9 @@ class TestFormalSum:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 8), st.data())
     def test_sum_table_matches_oracle_random(self, n, data):
-        u = _universe(n)
-        first = u.pairs_of(data.draw(st.integers(0, u.full_mask)))
-        second = u.pairs_of(data.draw(st.integers(0, u.full_mask)))
+        # Subsets of the pairs: on the grid layout most bits stand for no pair.
+        pairs = st.frozensets(st.sampled_from(_universe(n).pairs))
+        first, second = data.draw(pairs), data.draw(pairs)
         assert sum_pairs(n, first, second) == oracles.setwise_sum(first, second)
 
 
@@ -278,8 +280,8 @@ class TestHTilde:
             assert h_tilde(p).eval_exact(1, 1) == len(enumerate_nn(p))
 
     def test_matches_floors_of_all_pairs_poset(self):
-        # h_tilde reads floors off single-element removals (Lemma 5.4); the
-        # all-pairs poset takes them from its covers and records violations.
+        # h_tilde and nn_poset both read floors off the certificate's covers;
+        # TestCertificate compares nn_poset with the all-pairs oracle.
         for variant in VARIANTS:
             for m in range(1, 9):
                 for n in range(1, 8 // m + 1):
@@ -302,6 +304,76 @@ class TestHTilde:
         for entry in (enumerate_nn, nn_poset, h_tilde):
             with pytest.raises(ResourceLimitError, match="predicted about 55 chains"):
                 entry(p, max_objects=54)
+
+
+class TestCertificate:
+    def test_matches_all_pairs_oracle(self):
+        for variant in VARIANTS:
+            for m in range(1, 9):
+                for n in range(1, 8 // m + 1):
+                    for t in range(1, n + 1):
+                        p = Params(m, n, t)
+                        u = _universe(n)
+                        raw = nonnest._enumerate_nn_cached(m, n, t, variant)
+                        elements, down, covers, cover_floor, floors, violations = (
+                            oracles.floored_poset([tuple(map(u.pairs_of, c)) for c in raw])
+                        )
+                        decorated = nn_poset(p, variant=variant, strict=False)
+                        poset = decorated.poset
+                        case = (variant, p)
+                        assert [tuple(f.pairs for f in c.filters) for c in poset.elements] == (
+                            elements
+                        ), case
+                        assert [poset.down_mask(i) for i in range(len(poset))] == down, case
+                        assert list(poset.covers()) == covers, case
+                        assert decorated.cover_floor == cover_floor, case
+                        assert decorated.floors == floors, case
+                        assert decorated.violations == violations == (), case
+                        assert certify_lemma54(p, variant=variant) == (len(covers), ()), case
+
+    # (m, n, chains (V_m, ..., V_1), the one violating cover's message)
+    BROKEN = [
+        (
+            1,
+            3,
+            [((),), ({(1, 2), (1, 3)},)],
+            'cover {"m":1,"filters":[[]]} -> {"m":1,"filters":[[[1,2],[1,3]]]} '
+            "changes 1 components by 2 elements",
+        ),
+        (
+            2,
+            3,
+            [((), ()), ({(1, 3)}, {(1, 3)}), ({(1, 3)}, {(1, 2), (1, 3)})],
+            'cover {"m":2,"filters":[[],[]]} -> {"m":2,"filters":[[[1,3]],[[1,3]]]} '
+            "changes 2 components by 2 elements",
+        ),
+    ]
+
+    @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=["two-pairs", "two-components"])
+    def test_reports_broken_covers(self, monkeypatch, capsys, m, n, chains, message):
+        u = _universe(n)
+        raw = tuple(tuple(u.mask_of(V) for V in chain) for chain in chains)
+        monkeypatch.setattr(nonnest, "_enumerate_nn_cached", lambda *args: raw)
+        nonnest._nn_poset_cached.cache_clear()
+        try:
+            p = Params(m, n, 1)
+            oracle = oracles.floored_poset(chains)
+            assert oracle[5] == (message,)
+            assert certify_lemma54(p) == (len(oracle[2]), (message,))
+            decorated = nn_poset(p, strict=False)
+            poset = decorated.poset
+            assert [tuple(f.pairs for f in c.filters) for c in poset.elements] == oracle[0]
+            assert [poset.down_mask(i) for i in range(len(poset))] == oracle[1]
+            assert list(poset.covers()) == oracle[2]
+            assert (decorated.cover_floor, decorated.floors, decorated.violations) == oracle[3:]
+            with pytest.raises(InvariantViolation, match="cover structure violations: cover"):
+                nn_poset(p)
+            with pytest.raises(InvariantViolation, match="cover structure violations: cover"):
+                floor_polynomial_matches(p)
+            assert cli.main(["verify", "--suite", "conj-h", "--range", f"m={m},n={n},t=1"]) == 1
+            assert cli.main(["verify", "--suite", "lemma54", "--range", f"m={m},n={n},t=1"]) == 1
+        finally:
+            nonnest._nn_poset_cached.cache_clear()
 
 
 class TestConjectureReport:
