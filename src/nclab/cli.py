@@ -15,8 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import closedform, dyckmodel, ncpart, nonnest, polyalg, posetcore
@@ -329,8 +327,16 @@ def cmd_sweep(args) -> int:
         for p in triples
     ]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_sweep_one, tasks))
+        # Imported here: the pool machinery would add to every command's start-up.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                chunks = list(pool.map(_sweep_one, tasks))
+        except BrokenProcessPool as exc:  # a worker died, e.g. killed for memory
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         chunks = [_sweep_one(task) for task in tasks]
     rows = [row for chunk in chunks for row in chunk]
@@ -437,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParameterError, DomainError, ResourceLimitError, BrokenProcessPool) as exc:
+    except (ParameterError, DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -14,7 +14,7 @@ caches are write-once and keyed by immutable arguments.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Dict, Iterable, Tuple
@@ -33,13 +33,15 @@ class SetPartition:
 
     Canonical form sorts each block ascending and the blocks by their minimum
     element, so equality and hashing are structural and enumeration output is
-    reproducible.
+    reproducible.  `ground_size` is N, stored by the validation that proves
+    the blocks cover {1..N}; it takes no part in equality or hashing.
     """
 
     blocks: Tuple[Tuple[int, ...], ...]
+    ground_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        canon = tuple(sorted(tuple(sorted(block)) for block in self.blocks))
+        canon = tuple(sorted(map(tuple, map(sorted, self.blocks))))
         seen = set()
         for block in canon:
             if not block:
@@ -54,14 +56,11 @@ class SetPartition:
         if seen and seen != set(range(1, n + 1)):
             raise DomainError("blocks must cover an initial segment {1..N} exactly")
         object.__setattr__(self, "blocks", canon)
+        object.__setattr__(self, "ground_size", n)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
         return cls(tuple(tuple(block) for block in blocks))
-
-    @property
-    def ground_size(self) -> int:
-        return sum(len(block) for block in self.blocks)
 
     @property
     def block_count(self) -> int:
@@ -254,45 +253,49 @@ def _first_block_position_sets(size: int, m: int) -> Tuple[Tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _classical_shapes(m: int, size: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    # All m-divisible classically non-crossing partitions of range(size), as
-    # sorted tuples of position blocks, via first-block decomposition: the
-    # gaps between consecutive members of the minimum's block (and the tail)
-    # are partitioned independently.
+def _classical_shapes(m: int, size: int, start: int) -> Tuple[tuple, ...]:
+    # All m-divisible classically non-crossing partitions of the points
+    # start..start+size-1, via first-block decomposition: the gaps between
+    # consecutive members of the minimum's block (and the tail) are
+    # partitioned independently.  Each comes as (blocks, ids): the blocks
+    # sorted by minimum, and ids[i] the minimum of the block of start + i.
     if size == 0:
-        return ((),)
+        return (((), ()),)
     if size % m:
         return ()
     shapes = []
-    for members in _first_block_position_sets(size, m):
-        bounds = []
-        prev = members[0]
-        for pos in members[1:]:
-            bounds.append((prev + 1, pos - prev - 1))
-            prev = pos
-        bounds.append((prev + 1, size - prev - 1))
-        pieces = [_classical_shapes(m, length) for _, length in bounds]
-        for combo in product(*pieces):
-            blocks = [members]
-            for (start, _), sub in zip(bounds, combo):
-                blocks.extend(tuple(x + start for x in blk) for blk in sub)
-            shapes.append(tuple(sorted(blocks)))
+    for offsets in _first_block_position_sets(size, m):
+        members = tuple(start + q for q in offsets)
+        gaps = [
+            _classical_shapes(m, high - low - 1, low + 1)
+            for low, high in zip(members, members[1:] + (start + size,))
+        ]
+        for combo in product(*gaps):
+            # Member i precedes gap i, so ids run in position order and the
+            # blocks stay sorted by minimum.
+            blocks, ids = (members,), ()
+            for sub_blocks, sub_ids in combo:
+                blocks += sub_blocks
+                ids += (start,) + sub_ids
+            shapes.append((blocks, ids))
     return tuple(shapes)
 
 
 @lru_cache(maxsize=None)
 def _enumerate_nc_cached(m: int, n: int, t: int) -> Tuple[SetPartition, ...]:
+    # tilde_transform's relabelling i -> t+1-i (i <= t), as a lookup table.
+    label = [0] + [t + 1 - x if x <= t else x for x in range(1, m * n + 1)]
     found = []
-    for shape in _classical_shapes(m, m * n):
-        classical = SetPartition(
-            tuple(tuple(x + 1 for x in block) for block in shape)
-        )
-        candidate = tilde_transform(classical, t)
-        if not is_t_partition(candidate, t):
+    for blocks, ids in _classical_shapes(m, m * n, 1):
+        # Block ids of the relabelled partition: label i <= t is point t+1-i.
+        bid = (0,) + ids[t - 1 :: -1] + ids[t:]
+        if len(set(bid[1 : t + 1])) < t:  # not a t-partition
             continue
-        if _has_forbidden_quadruple(candidate.block_ids(), t):
+        if _has_forbidden_quadruple(bid, t):
             continue
-        found.append(candidate)
+        if t > 1:
+            blocks = tuple(tuple(label[x] for x in block) for block in blocks)
+        found.append(SetPartition(blocks))
     found.sort(key=lambda sp: sp.blocks)
     return tuple(found)
 
@@ -300,10 +303,12 @@ def _enumerate_nc_cached(m: int, n: int, t: int) -> Tuple[SetPartition, ...]:
 def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[SetPartition, ...]:
     """All m-divisible non-crossing t-partitions of {1..mn}, canonically ordered.
 
-    Candidates are produced by relabelling the classical m-divisible
-    non-crossing partitions (the relabelling map is a bijection on all
-    partitions of the ground set) and filtering with the literal order-t
-    tests, so membership never rests on anything but the defining patterns.
+    Candidates are the classical m-divisible non-crossing partitions under
+    the relabelling of tilde_transform (a bijection on all partitions of the
+    ground set), each written straight into a block-id array.  The array is
+    filtered by the literal order-t tests (1..t in distinct blocks, then the
+    forbidden-quadruple scan), so membership never rests on anything but the
+    defining patterns; a SetPartition is built only for accepted candidates.
     Raises ResourceLimitError when the closed counting formula predicts more
     output (or more intermediate classical partitions) than `max_objects`.
     """

@@ -428,9 +428,13 @@ def _nn_poset_cached(m: int, n: int, t: int, variant: str) -> FlooredPoset:
         floors.append(u.pairs_of(reduce(or_, (e for _, e in covers), 0) & u.full_mask))
         labelled.extend(((a, b), u.pairs_of(extra & u.full_mask)) for a, extra in covers)
         violations.extend(((a, b), message) for a, message in found.items())
+    cover_floor = tuple(sorted(labelled))
+    poset = FinitePoset(chains, down, ranks=None)
+    # The certificate's covers are the Hasse diagram: covers() need not rederive them.
+    poset._covers = tuple(pair for pair, _ in cover_floor)
     return FlooredPoset(
-        FinitePoset(chains, down, ranks=None),
-        tuple(sorted(labelled)),
+        poset,
+        cover_floor,
         tuple(floors),
         tuple(message for _, message in sorted(violations)),
     )

@@ -21,7 +21,7 @@ from .closedform import binomial
 from .errors import InvariantViolation, ParameterError
 from .ncpart import DEFAULT_MAX_OBJECTS
 from .params import Params
-from .posetcore import build_refinement_poset
+from .posetcore import _bits, build_refinement_poset
 
 
 def _exact(coeff):
@@ -280,16 +280,29 @@ def _assert_integral(poly: BivariatePolynomial, context: str, nonnegative: bool 
 
 
 def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> BivariatePolynomial:
-    """Moebius-weighted rank generating polynomial, straight off the poset."""
+    """M(x, y) = sum over a <= b of mu(a, b) x^rk(a) y^rk(b), straight off the poset.
+
+    The coefficient of x^r y^s sums v_r[b] = sum over a of rank r of
+    mu(a, b) over the b of rank s.  Moebius inversion gives each v_r in one
+    triangular solve, v_r[b] = [rk b = r] - sum over a < b of v_r[a], taken
+    in index order (a linear extension, by from_covers) over the up-set of
+    rank r, outside which v_r vanishes.  One solve per rank replaces one
+    Moebius row per element.
+    """
     poset = build_refinement_poset(p, max_objects=max_objects)
+    ranks = poset.ranks
     coeffs: Dict[Tuple[int, int], int] = {}
-    for a in range(len(poset)):
-        ra = poset.rank(a)
-        row = poset._moebius_row(a)
-        for b, mu in row.items():
-            if mu:
-                key = (ra, poset.rank(b))
-                coeffs[key] = coeffs.get(key, 0) + mu
+    for r in range(poset.max_rank + 1):
+        support = 0
+        for a in _bits(poset.level_mask(r)):
+            support |= poset.up_mask(a)
+        v = [0] * len(poset)
+        for b in _bits(support):
+            below = poset.down_mask(b) & support & ~(1 << b)
+            v[b] = (ranks[b] == r) - sum(v[a] for a in _bits(below))
+            if v[b]:
+                key = (r, ranks[b])
+                coeffs[key] = coeffs.get(key, 0) + v[b]
     return BivariatePolynomial(coeffs)
 
 

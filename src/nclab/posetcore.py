@@ -8,7 +8,7 @@ readers are safe.
 """
 
 from functools import lru_cache
-from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError
 from .ncpart import DEFAULT_MAX_OBJECTS, enumerate_nc, rank_of, tilde_transform
@@ -26,11 +26,13 @@ class FinitePoset:
     """Explicit finite poset over an indexed element list.
 
     `down[i]` is the bitmask of indices j with j <= i (including i itself)
-    and `up[i]` the mask of j >= i.  An optional rank vector enables the
-    graded queries; construction can assert the grading.
+    and `up[i]` the mask of j >= i.  The up-masks are derived from the
+    down-masks on first use unless `from_covers` already derived them.  An
+    optional rank vector enables the graded queries; construction can assert
+    the grading.
     """
 
-    __slots__ = ("elements", "ranks", "_index", "_down", "_up", "_covers", "_mu_rows")
+    __slots__ = ("elements", "ranks", "_index", "_down", "_up", "_covers")
 
     def __init__(
         self,
@@ -43,19 +45,15 @@ class FinitePoset:
         if len(down_masks) != n:
             raise ParameterError("one down-mask per element is required")
         self._down = list(down_masks)
-        self._up = [0] * n
-        for j in range(n):
-            mask = self._down[j]
+        for j, mask in enumerate(self._down):
             if not (mask >> j) & 1:
                 raise ParameterError("the order must be reflexive")
-            for i in _bits(mask):
-                self._up[i] |= 1 << j
         self.ranks = tuple(ranks) if ranks is not None else None
         self._index = {el: i for i, el in enumerate(self.elements)}
         if len(self._index) != n:
             raise ParameterError("elements must be pairwise distinct")
+        self._up = None
         self._covers = None
-        self._mu_rows = {}
 
     @classmethod
     def from_covers(
@@ -66,11 +64,11 @@ class FinitePoset:
     ) -> "FinitePoset":
         """Poset generated by its cover relations.
 
-        Each cover (a, b) needs a < b, so index order is a linear extension
-        and down-masks are OR-ed along the covers in one pass.  Each cover
-        must also step rank by exactly one, which makes it irredundant: the
-        given covers are stored as the Hasse diagram and `covers()` does not
-        recompute them.
+        Each cover (a, b) needs a < b, so index order is a linear extension:
+        down-masks are OR-ed along the covers in one forward pass and
+        up-masks in one reverse pass.  Each cover must also step rank by
+        exactly one, which makes it irredundant: the given covers are stored
+        as the Hasse diagram and `covers()` does not recompute them.
         """
         n = len(elements)
         if len(ranks) != n:
@@ -88,7 +86,12 @@ class FinitePoset:
         for b in range(n):
             for a in lower[b]:
                 down[b] |= down[a]
+        up = [1 << i for i in range(n)]
+        for b in reversed(range(n)):
+            for a in lower[b]:
+                up[a] |= up[b]
         poset = cls(elements, down, ranks)
+        poset._up = up
         poset._covers = tuple(sorted(covers))
         return poset
 
@@ -108,7 +111,16 @@ class FinitePoset:
         return self._down[b]
 
     def up_mask(self, a: int) -> int:
-        return self._up[a]
+        return self._ups()[a]
+
+    def _ups(self) -> List[int]:
+        if self._up is None:
+            up = [0] * len(self.elements)
+            for j, mask in enumerate(self._down):
+                for i in _bits(mask):
+                    up[i] |= 1 << j
+            self._up = up
+        return self._up
 
     def rank(self, i: int) -> int:
         if self.ranks is None:
@@ -131,22 +143,23 @@ class FinitePoset:
     def validate_partial_order(self) -> None:
         """Assert reflexivity, antisymmetry and transitivity (test support)."""
         n = len(self.elements)
+        up = self._ups()
         for i in range(n):
             if not self.leq(i, i):
                 raise InvariantViolation("order is not reflexive")
-            if self._up[i] & self._down[i] != 1 << i:
+            if up[i] & self._down[i] != 1 << i:
                 raise InvariantViolation("order is not antisymmetric")
         for i in range(n):
-            for j in _bits(self._up[i]):
-                if self._up[j] & ~self._up[i]:
+            for j in _bits(up[i]):
+                if up[j] & ~up[i]:
                     raise InvariantViolation("order is not transitive")
 
     def covers(self) -> Tuple[Tuple[int, int], ...]:
         """All pairs (a, b) with a < b and nothing strictly between."""
         if self._covers is None:
             out = []
-            for a in range(len(self.elements)):
-                strict_up = self._up[a] & ~(1 << a)
+            for a, up in enumerate(self._ups()):
+                strict_up = up & ~(1 << a)
                 for b in _bits(strict_up):
                     between = strict_up & self._down[b] & ~(1 << b)
                     if not between:
@@ -164,10 +177,10 @@ class FinitePoset:
                     f"cover {a} -> {b} jumps rank {self.ranks[a]} -> {self.ranks[b]}"
                 )
         top = self.max_rank
-        for i in range(len(self.elements)):
+        for i, up in enumerate(self._ups()):
             if self._down[i] == 1 << i and self.ranks[i] != 0:
                 raise InvariantViolation(f"minimal element {i} has rank {self.ranks[i]}")
-            if self._up[i] == 1 << i and self.ranks[i] != top:
+            if up == 1 << i and self.ranks[i] != top:
                 raise InvariantViolation(f"maximal element {i} has rank {self.ranks[i]}")
         if expected_max_rank is not None and top != expected_max_rank:
             raise InvariantViolation(
@@ -175,16 +188,14 @@ class FinitePoset:
             )
 
     def _moebius_row(self, a: int) -> Dict[int, int]:
-        row = self._mu_rows.get(a)
-        if row is not None:
-            return row
+        """mu(a, b) for every b >= a, recomputed on each call."""
+        up_a = self._ups()[a]
         row = {a: 1}
         # Down-set size orders the up-set by a linear extension.
-        above = sorted(_bits(self._up[a] & ~(1 << a)), key=lambda b: self._down[b].bit_count())
+        above = sorted(_bits(up_a & ~(1 << a)), key=lambda b: self._down[b].bit_count())
         for b in above:
-            interval = self._up[a] & self._down[b] & ~(1 << b)
+            interval = up_a & self._down[b] & ~(1 << b)
             row[b] = -sum(row[c] for c in _bits(interval))
-        self._mu_rows[a] = row
         return row
 
     def moebius(self, a: int, b: int) -> int:

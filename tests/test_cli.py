@@ -275,3 +275,17 @@ class TestSubprocess:
         rows = json.loads(result.stdout)["rows"]
         keys = [(row["m"], row["n"], row["t"]) for row in rows]
         assert keys == sorted(keys)
+
+    def test_import_loads_no_process_pool(self):
+        # Only `sweep --jobs N` with N > 1 needs the pool; every other
+        # command's start-up must not pay for importing it.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nclab.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

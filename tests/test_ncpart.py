@@ -214,14 +214,17 @@ class TestEnumerate:
         assert len(enumerate_nc(Params(1, 4, 2))) == 9
 
     def test_matches_brute_force(self):
-        cases = [
-            (m, n, t)
-            for m, n in ((1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (3, 2), (4, 1))
-            for t in range(1, n + 1)
-        ]
-        for m, n, t in cases:
-            expected = [from_oracle(blocks) for blocks in oracles.brute_nc(m, n, t)]
-            assert list(enumerate_nc(Params(m, n, t))) == expected
+        # The block-id array generator against the filter over all set
+        # partitions, for every (m, n, t) with mn <= 8.
+        for m in range(1, 9):
+            for n in range(1, 8 // m + 1):
+                for t in range(1, n + 1):
+                    brute = oracles.brute_nc(m, n, t)
+                    parts = enumerate_nc(Params(m, n, t))
+                    assert list(parts) == [from_oracle(blocks) for blocks in brute], (m, n, t)
+                    assert [sp.ground_size for sp in parts] == [
+                        oracles.ground_size(blocks) for blocks in brute
+                    ], (m, n, t)
 
     def test_cardinality_formula_all_m(self):
         # the formula match holds for every m with mn <= 10, not only m <= 3

@@ -20,6 +20,7 @@ from nclab.polyalg import (
     substitute,
     verify_transformation_identities,
 )
+from nclab.posetcore import build_refinement_poset
 
 
 def poly(terms):
@@ -137,6 +138,21 @@ class TestMTriangle:
     def test_nc3_top_moebius_coefficient(self):
         assert m_triangle_brute(Params(1, 3, 1)).coefficient(0, 2) == 2
         assert m_triangle_closed(Params(1, 3, 1)).coefficient(0, 2) == 2
+
+    def test_rank_solve_matches_moebius_sum(self):
+        # The rank-wise solve against the per-element definition
+        # sum over a <= b of mu(a, b) x^rk(a) y^rk(b), every family with mn <= 8.
+        for m in range(1, 9):
+            for n in range(1, 8 // m + 1):
+                for t in range(1, n + 1):
+                    p = Params(m, n, t)
+                    poset = build_refinement_poset(p)
+                    coeffs = {}
+                    for a in range(len(poset)):
+                        for b, mu in poset._moebius_row(a).items():
+                            key = (poset.rank(a), poset.rank(b))
+                            coeffs[key] = coeffs.get(key, 0) + mu
+                    assert m_triangle_brute(p) == BivariatePolynomial(coeffs), (m, n, t)
 
     def test_brute_equals_closed_small(self):
         for m, n in ((1, 4), (1, 5), (2, 2), (2, 3), (3, 2)):

@@ -70,6 +70,19 @@ class TestCoverFirst:
                     assert [poset.down_mask(i) for i in range(len(poset))] == down, (m, n, t)
                     assert list(poset.covers()) == oracles.covers_of(down), (m, n, t)
 
+    def test_from_covers_up_masks_match_down_mask_transpose(self):
+        # from_covers derives up-masks along the covers; the plain
+        # constructor transposes the down-masks.  Every family with mn <= 8.
+        for m in range(1, 9):
+            for n in range(1, 8 // m + 1):
+                for t in range(1, n + 1):
+                    poset = build_refinement_poset(Params(m, n, t))
+                    down = [poset.down_mask(i) for i in range(len(poset))]
+                    plain = FinitePoset(poset.elements, down, poset.ranks)
+                    assert [poset.up_mask(i) for i in range(len(poset))] == [
+                        plain.up_mask(i) for i in range(len(poset))
+                    ], (m, n, t)
+
     def test_from_covers_closes_transitively(self):
         poset = FinitePoset.from_covers("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
         assert [poset.down_mask(i) for i in range(4)] == [0b0001, 0b0011, 0b0101, 0b1111]
