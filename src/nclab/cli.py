@@ -321,18 +321,22 @@ def _sweep_one(task) -> List[dict]:
 
 def cmd_sweep(args) -> int:
     cap = _resolve_cap(args.max_objects)
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
     triples = _parse_range(args.range or "")
     tasks = [
         (args.do, p.m, p.n, p.t, args.by, args.which, args.suite, args.variant, cap)
         for p in triples
     ]
-    if args.jobs > 1:
+    # The pool forks all its workers up front, so never more than there are tasks.
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
         # Imported here: the pool machinery would add to every command's start-up.
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(_sweep_one, tasks))
         except BrokenProcessPool as exc:  # a worker died, e.g. killed for memory
             print(f"error: {exc}", file=sys.stderr)
@@ -427,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--which", choices=("m", "f", "h", "htilde"), default="h")
     sp.add_argument("--suite", choices=_SUITES, default="identities")
     sp.add_argument("--variant", choices=nonnest.VARIANTS, default="paper")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per triple")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_cap(sp)
     sp.set_defaults(func=cmd_sweep)

@@ -10,7 +10,6 @@ here is immutable and pure.
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 from . import closedform
@@ -104,8 +103,10 @@ def path_stats(path: DyckPath) -> PathStats:
     )
 
 
-@lru_cache(maxsize=None)
-def _tdyck_cached(n: int, t: int) -> Tuple[DyckPath, ...]:
+def enumerate_tdyck(n: int, t: int) -> Tuple[DyckPath, ...]:
+    """All paths of length 2n whose first t steps rise, in stable order."""
+    if not 1 <= t <= n:
+        raise ParameterError(f"need 1 <= t <= n, got t={t}, n={n}")
     paths: List[str] = []
     total = 2 * n
 
@@ -127,13 +128,6 @@ def _tdyck_cached(n: int, t: int) -> Tuple[DyckPath, ...]:
     start = ["U"] * t
     extend(start, t)
     return tuple(DyckPath(s) for s in sorted(paths))
-
-
-def enumerate_tdyck(n: int, t: int) -> Tuple[DyckPath, ...]:
-    """All paths of length 2n whose first t steps rise, in stable order."""
-    if not 1 <= t <= n:
-        raise ParameterError(f"need 1 <= t <= n, got t={t}, n={n}")
-    return _tdyck_cached(n, t)
 
 
 def _path_from_valleys(n: int, valleys: Iterable[Tuple[int, int]]) -> DyckPath:

@@ -9,8 +9,10 @@ realizes either forbidden pattern:
 
 For t = 1 only the second pattern can occur, so the test degenerates to the
 classical non-crossing condition.  All values here are immutable and all
-functions pure, so everything is safe under concurrent callers; the module
-caches are write-once and keyed by immutable arguments.
+functions pure, so everything is safe under concurrent callers.  Only the
+shape tables behind the generator (first-block position sets and classical
+shapes, keyed by immutable arguments) are memoised; enumeration results are
+not kept, so each call builds its family once and the caller owns it.
 """
 
 import json
@@ -47,7 +49,7 @@ class SetPartition:
             if not block:
                 raise DomainError("blocks must be non-empty")
             for x in block:
-                if not isinstance(x, int) or x < 1:
+                if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                     raise DomainError(f"elements must be positive integers, got {x!r}")
                 if x in seen:
                     raise DomainError(f"element {x} appears in two blocks")
@@ -281,8 +283,26 @@ def _classical_shapes(m: int, size: int, start: int) -> Tuple[tuple, ...]:
     return tuple(shapes)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_nc_cached(m: int, n: int, t: int) -> Tuple[SetPartition, ...]:
+def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[SetPartition, ...]:
+    """All m-divisible non-crossing t-partitions of {1..mn}, canonically ordered.
+
+    Candidates are the classical m-divisible non-crossing partitions under
+    the relabelling of tilde_transform (a bijection on all partitions of the
+    ground set), each written straight into a block-id array.  The array is
+    filtered by the literal order-t tests (1..t in distinct blocks, then the
+    forbidden-quadruple scan), so membership never rests on anything but the
+    defining patterns; a SetPartition is built only for accepted candidates.
+    Raises ResourceLimitError when the closed counting formula predicts more
+    output (or more intermediate classical partitions) than `max_objects`.
+    """
+    m, n, t = p.m, p.n, p.t
+    predicted = closedform.total_count(p)
+    workload = closedform.total_count(Params(m, n, 1))
+    if max_objects is not None and max(predicted, workload) > max_objects:
+        raise ResourceLimitError(
+            f"predicted {max(predicted, workload)} partitions for {p}, "
+            f"more than the cap {max_objects}"
+        )
     # tilde_transform's relabelling i -> t+1-i (i <= t), as a lookup table.
     label = [0] + [t + 1 - x if x <= t else x for x in range(1, m * n + 1)]
     found = []
@@ -298,25 +318,3 @@ def _enumerate_nc_cached(m: int, n: int, t: int) -> Tuple[SetPartition, ...]:
         found.append(SetPartition(blocks))
     found.sort(key=lambda sp: sp.blocks)
     return tuple(found)
-
-
-def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[SetPartition, ...]:
-    """All m-divisible non-crossing t-partitions of {1..mn}, canonically ordered.
-
-    Candidates are the classical m-divisible non-crossing partitions under
-    the relabelling of tilde_transform (a bijection on all partitions of the
-    ground set), each written straight into a block-id array.  The array is
-    filtered by the literal order-t tests (1..t in distinct blocks, then the
-    forbidden-quadruple scan), so membership never rests on anything but the
-    defining patterns; a SetPartition is built only for accepted candidates.
-    Raises ResourceLimitError when the closed counting formula predicts more
-    output (or more intermediate classical partitions) than `max_objects`.
-    """
-    predicted = closedform.total_count(p)
-    workload = closedform.total_count(Params(p.m, p.n, 1))
-    if max_objects is not None and max(predicted, workload) > max_objects:
-        raise ResourceLimitError(
-            f"predicted {max(predicted, workload)} partitions for {p}, "
-            f"more than the cap {max_objects}"
-        )
-    return _enumerate_nc_cached(p.m, p.n, p.t)

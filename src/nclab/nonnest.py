@@ -290,8 +290,7 @@ def is_geometric(chain: FilterChain, variant: str = "paper") -> bool:
     return all(_conditions_ok(u, comp, ambient, m, k) for k in range(1, m + 1))
 
 
-@lru_cache(maxsize=None)
-def _enumerate_nn_cached(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[int, ...], ...]:
+def _generate_chains(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[int, ...], ...]:
     u = _universe(n)
     filters = _tfilter_masks(n, t)
     ambient = u.full_mask if variant == "paper" else _restricted_mask(n, t)
@@ -326,7 +325,7 @@ def _raw_chains(p: Params, variant: str, max_objects: Optional[int]) -> Tuple[Tu
         raise ResourceLimitError(
             f"predicted about {predicted} chains for {p}, more than the cap {max_objects}"
         )
-    return _enumerate_nn_cached(p.m, p.n, p.t, variant)
+    return _generate_chains(p.m, p.n, p.t, variant)
 
 
 def enumerate_nn(
@@ -418,28 +417,6 @@ def _refuse(violations: Sequence[str]) -> None:
         raise InvariantViolation("cover structure violations: " + "; ".join(violations))
 
 
-@lru_cache(maxsize=None)
-def _nn_poset_cached(m: int, n: int, t: int, variant: str) -> FlooredPoset:
-    chains = enumerate_nn(Params(m, n, t), variant=variant, max_objects=None)
-    u = _universe(n)
-    down, labelled, floors, violations = [], [], [], []
-    for b, down_b, covers, found in _certify(n, [chain.masks() for chain in chains]):
-        down.append(down_b)
-        floors.append(u.pairs_of(reduce(or_, (e for _, e in covers), 0) & u.full_mask))
-        labelled.extend(((a, b), u.pairs_of(extra & u.full_mask)) for a, extra in covers)
-        violations.extend(((a, b), message) for a, message in found.items())
-    cover_floor = tuple(sorted(labelled))
-    poset = FinitePoset(chains, down, ranks=None)
-    # The certificate's covers are the Hasse diagram: covers() need not rederive them.
-    poset._covers = tuple(pair for pair, _ in cover_floor)
-    return FlooredPoset(
-        poset,
-        cover_floor,
-        tuple(floors),
-        tuple(message for _, message in sorted(violations)),
-    )
-
-
 def nn_poset(
     p: Params,
     variant: str = "paper",
@@ -452,11 +429,22 @@ def nn_poset(
     strict=True a violation of the expected cover structure raises
     InvariantViolation instead of being silently recorded.
     """
-    _raw_chains(p, variant, max_objects)
-    result = _nn_poset_cached(p.m, p.n, p.t, variant)
+    chains = enumerate_nn(p, variant=variant, max_objects=max_objects)
+    u = _universe(p.n)
+    down, labelled, floors, violations = [], [], [], []
+    for b, down_b, covers, found in _certify(p.n, [chain.masks() for chain in chains]):
+        down.append(down_b)
+        floors.append(u.pairs_of(reduce(or_, (e for _, e in covers), 0) & u.full_mask))
+        labelled.extend(((a, b), u.pairs_of(extra & u.full_mask)) for a, extra in covers)
+        violations.extend(((a, b), message) for a, message in found.items())
+    cover_floor = tuple(sorted(labelled))
+    poset = FinitePoset(chains, down, ranks=None)
+    # The certificate's covers are the Hasse diagram: covers() need not rederive them.
+    poset._covers = tuple(pair for pair, _ in cover_floor)
+    messages = tuple(message for _, message in sorted(violations))
     if strict:
-        _refuse(result.violations)
-    return result
+        _refuse(messages)
+    return FlooredPoset(poset, cover_floor, tuple(floors), messages)
 
 
 def certify_lemma54(

@@ -3,11 +3,11 @@
 The order relation is stored as one bitmask per element (an arbitrary-size
 Python int), which makes interval extraction, cover detection and the chain
 dynamic programs cheap at desk scale.  Posets are immutable after
-construction; the internal memo tables are write-once caches, so concurrent
-readers are safe.
+construction; the only lazily filled tables (up-masks, covers) belong to
+their poset and are written once, so concurrent readers are safe.  No poset
+is kept at module level: each build_refinement_poset call builds its own.
 """
 
-from functools import lru_cache
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError
@@ -242,27 +242,6 @@ class FinitePoset:
         return self._count_multichains([(1 << len(self.elements)) - 1] * (l - 1))
 
 
-@lru_cache(maxsize=None)
-def _refinement_poset_cached(m: int, n: int, t: int) -> FinitePoset:
-    p = Params(m, n, t)
-    parts = sorted(enumerate_nc(p, max_objects=None), key=lambda sp: (rank_of(sp, p), sp.blocks))
-    index = {sp.blocks: i for i, sp in enumerate(parts)}
-    covers = []
-    for i, sp in enumerate(parts):
-        blocks = sp.blocks
-        # Merging blocks a < b keeps the canonical order: the merged block
-        # starts at blocks[a][0] and stays in place.
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                merged = tuple(sorted(blocks[a] + blocks[b]))
-                j = index.get(blocks[:a] + (merged,) + blocks[a + 1 : b] + blocks[b + 1 :])
-                if j is not None:
-                    covers.append((i, j))
-    poset = FinitePoset.from_covers(parts, covers, tuple(rank_of(sp, p) for sp in parts))
-    poset.assert_graded(expected_max_rank=n - t)
-    return poset
-
-
 def build_refinement_poset(
     p: Params, max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> FinitePoset:
@@ -278,8 +257,24 @@ def build_refinement_poset(
     down-masks and covers with the all-pairs oracle in tests/oracles.py for
     every (m, n, t) with mn <= 8.
     """
-    enumerate_nc(p, max_objects=max_objects)  # runs the resource guard
-    return _refinement_poset_cached(p.m, p.n, p.t)
+    parts = sorted(
+        enumerate_nc(p, max_objects=max_objects), key=lambda sp: (rank_of(sp, p), sp.blocks)
+    )
+    index = {sp.blocks: i for i, sp in enumerate(parts)}
+    covers = []
+    for i, sp in enumerate(parts):
+        blocks = sp.blocks
+        # Merging blocks a < b keeps the canonical order: the merged block
+        # starts at blocks[a][0] and stays in place.
+        for a in range(len(blocks)):
+            for b in range(a + 1, len(blocks)):
+                merged = tuple(sorted(blocks[a] + blocks[b]))
+                j = index.get(blocks[:a] + (merged,) + blocks[a + 1 : b] + blocks[b + 1 :])
+                if j is not None:
+                    covers.append((i, j))
+    poset = FinitePoset.from_covers(parts, covers, tuple(rank_of(sp, p) for sp in parts))
+    poset.assert_graded(expected_max_rank=p.n - p.t)
+    return poset
 
 
 def verify_ideal_embedding(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> bool:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -11,6 +12,10 @@ GOLDEN_H_232 = '{"terms":[{"x":0,"y":0,"c":"3"},{"x":1,"y":0,"c":"1"},{"x":1,"y"
 
 def exit_worker(task):
     os._exit(1)
+
+
+def refuse_poset(*args, **kwargs):
+    raise AssertionError("built a poset or a filter")
 
 
 def run_cli(capsys, *argv):
@@ -153,35 +158,28 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["all_pass"]
 
-    def test_conj_count_builds_no_poset(self, capsys):
-        nonnest._nn_poset_cached.cache_clear()
+    def test_conj_count_builds_no_poset(self, capsys, monkeypatch):
+        monkeypatch.setattr(nonnest, "FinitePoset", refuse_poset)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "conj-count", "--range", "m=2,n=3,t=1..n"
         )
-        assert nonnest._nn_poset_cached.cache_info().currsize == 0
         assert code == 0
         assert all(row["pass"] for row in json.loads(out)["rows"])
 
     def test_lemma54_builds_no_poset(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("lemma54 built a poset or a filter")
-
-        monkeypatch.setattr(nonnest, "FinitePoset", refuse)
-        monkeypatch.setattr(nonnest, "_filter_from_mask", refuse)
-        nonnest._nn_poset_cached.cache_clear()
+        monkeypatch.setattr(nonnest, "FinitePoset", refuse_poset)
+        monkeypatch.setattr(nonnest, "_filter_from_mask", refuse_poset)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "lemma54", "--range", "m=2,n=3,t=1..n"
         )
-        assert nonnest._nn_poset_cached.cache_info().currsize == 0
         assert code == 0
         assert [row["covers"] for row in json.loads(out)["rows"]] == [15, 4, 0]
 
-    def test_conj_h_builds_no_poset(self, capsys):
-        nonnest._nn_poset_cached.cache_clear()
+    def test_conj_h_builds_no_poset(self, capsys, monkeypatch):
+        monkeypatch.setattr(nonnest, "FinitePoset", refuse_poset)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "conj-h", "--range", "m=2,n=3,t=1..n"
         )
-        assert nonnest._nn_poset_cached.cache_info().currsize == 0
         assert code == 0
         assert all(row["pass"] for row in json.loads(out)["rows"])
 
@@ -251,6 +249,53 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestSweepJobs:
+    def sweep(self, capsys, monkeypatch, jobs, triples="n=2..3"):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        code, out, err = run_cli(
+            capsys, "sweep", "--do", "count", "--range", f"m=1,{triples},t=1", "--jobs", jobs
+        )
+        return code, out, err, FakePool.sizes
+
+    def test_pool_no_larger_than_task_list(self, capsys, monkeypatch):
+        code, out, _, sizes = self.sweep(capsys, monkeypatch, "64")
+        assert code == 0
+        assert sizes == [2]
+        assert [row["n"] for row in json.loads(out)["rows"]] == [2, 3]
+
+    def test_single_task_starts_no_pool(self, capsys, monkeypatch):
+        code, _, _, sizes = self.sweep(capsys, monkeypatch, "8", triples="n=3")
+        assert code == 0
+        assert sizes == []
+
+    def test_rejects_fewer_than_one_job(self, capsys, monkeypatch):
+        for jobs in ("0", "-3"):
+            code, out, err, sizes = self.sweep(capsys, monkeypatch, jobs)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+            assert sizes == []
 
 
 class TestSubprocess:

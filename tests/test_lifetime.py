@@ -1,0 +1,42 @@
+"""No enumeration or poset outlives the call that built it.
+
+A long sweep builds one family per (m, n, t); if any entry point kept its
+result at module level, memory would grow with every triple.  Each check
+holds only a weak reference to one element of a result, drops the result
+and collects: the element must then be gone.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from nclab.dyckmodel import enumerate_tdyck
+from nclab.ncpart import enumerate_nc
+from nclab.nonnest import enumerate_nn, nn_poset
+from nclab.params import Params
+from nclab.posetcore import build_refinement_poset
+
+P = Params(2, 3, 2)
+
+RESULTS = {
+    "enumerate_nc": lambda: enumerate_nc(P),
+    "build_refinement_poset": lambda: build_refinement_poset(P).elements,
+    "enumerate_nn": lambda: enumerate_nn(P),
+    "nn_poset": lambda: nn_poset(P).poset.elements,
+    "enumerate_tdyck": lambda: enumerate_tdyck(P.n, P.t),
+}
+
+
+def element_ref(build):
+    # Called in its own frame so that no local keeps the result alive.
+    elements = build()
+    assert elements
+    return weakref.ref(elements[-1])
+
+
+@pytest.mark.parametrize("name", sorted(RESULTS))
+def test_result_dies_with_its_caller(name):
+    ref = element_ref(RESULTS[name])
+    gc.collect()
+    assert ref() is None, f"{name} kept its result after the call"

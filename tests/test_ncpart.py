@@ -56,6 +56,13 @@ class TestSetPartition:
         with pytest.raises(DomainError):
             SetPartition.from_blocks([[1], []])
 
+    def test_rejects_bool_elements(self):
+        # bool is a subclass of int, so True would otherwise pass as element 1.
+        with pytest.raises(DomainError, match="positive integers, got True"):
+            SetPartition.from_json_dict({"n": 1, "blocks": [[True]]})
+        with pytest.raises(DomainError, match="positive integers, got True"):
+            SetPartition.from_blocks([[2], [True]])
+
     def test_json_round_trip(self):
         data = FIGURE_PARTITION.to_json_dict()
         assert data["n"] == 14

@@ -314,7 +314,7 @@ class TestCertificate:
                     for t in range(1, n + 1):
                         p = Params(m, n, t)
                         u = _universe(n)
-                        raw = nonnest._enumerate_nn_cached(m, n, t, variant)
+                        raw = nonnest._generate_chains(m, n, t, variant)
                         elements, down, covers, cover_floor, floors, violations = (
                             oracles.floored_poset([tuple(map(u.pairs_of, c)) for c in raw])
                         )
@@ -353,27 +353,23 @@ class TestCertificate:
     def test_reports_broken_covers(self, monkeypatch, capsys, m, n, chains, message):
         u = _universe(n)
         raw = tuple(tuple(u.mask_of(V) for V in chain) for chain in chains)
-        monkeypatch.setattr(nonnest, "_enumerate_nn_cached", lambda *args: raw)
-        nonnest._nn_poset_cached.cache_clear()
-        try:
-            p = Params(m, n, 1)
-            oracle = oracles.floored_poset(chains)
-            assert oracle[5] == (message,)
-            assert certify_lemma54(p) == (len(oracle[2]), (message,))
-            decorated = nn_poset(p, strict=False)
-            poset = decorated.poset
-            assert [tuple(f.pairs for f in c.filters) for c in poset.elements] == oracle[0]
-            assert [poset.down_mask(i) for i in range(len(poset))] == oracle[1]
-            assert list(poset.covers()) == oracle[2]
-            assert (decorated.cover_floor, decorated.floors, decorated.violations) == oracle[3:]
-            with pytest.raises(InvariantViolation, match="cover structure violations: cover"):
-                nn_poset(p)
-            with pytest.raises(InvariantViolation, match="cover structure violations: cover"):
-                floor_polynomial_matches(p)
-            assert cli.main(["verify", "--suite", "conj-h", "--range", f"m={m},n={n},t=1"]) == 1
-            assert cli.main(["verify", "--suite", "lemma54", "--range", f"m={m},n={n},t=1"]) == 1
-        finally:
-            nonnest._nn_poset_cached.cache_clear()
+        monkeypatch.setattr(nonnest, "_generate_chains", lambda *args: raw)
+        p = Params(m, n, 1)
+        oracle = oracles.floored_poset(chains)
+        assert oracle[5] == (message,)
+        assert certify_lemma54(p) == (len(oracle[2]), (message,))
+        decorated = nn_poset(p, strict=False)
+        poset = decorated.poset
+        assert [tuple(f.pairs for f in c.filters) for c in poset.elements] == oracle[0]
+        assert [poset.down_mask(i) for i in range(len(poset))] == oracle[1]
+        assert list(poset.covers()) == oracle[2]
+        assert (decorated.cover_floor, decorated.floors, decorated.violations) == oracle[3:]
+        with pytest.raises(InvariantViolation, match="cover structure violations: cover"):
+            nn_poset(p)
+        with pytest.raises(InvariantViolation, match="cover structure violations: cover"):
+            floor_polynomial_matches(p)
+        assert cli.main(["verify", "--suite", "conj-h", "--range", f"m={m},n={n},t=1"]) == 1
+        assert cli.main(["verify", "--suite", "lemma54", "--range", f"m={m},n={n},t=1"]) == 1
 
 
 class TestConjectureReport:
