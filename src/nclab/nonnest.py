@@ -346,15 +346,12 @@ class FlooredPoset:
 
     `cover_floor[(a, b)]` is the top-component difference across the cover
     a < b, and `floors[b]` the union of those labels over all elements
-    covered by b.  `violations` lists covers that break the single-index,
-    single-element structure; strict construction refuses to return them
-    silently.
+    covered by b.
     """
 
     poset: FinitePoset
     cover_floor: Tuple[Tuple[Tuple[int, int], FrozenSet[Pair]], ...]
     floors: Tuple[FrozenSet[Pair], ...]
-    violations: Tuple[str, ...]
 
     def cover_floor_map(self) -> Dict[Tuple[int, int], FrozenSet[Pair]]:
         return dict(self.cover_floor)
@@ -370,9 +367,9 @@ def _certify(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
     single removal b - k, where that is in the family, iff it lacks bit k.
     So Lemma 5.4 (every cover changes one component by one element) holds
     at b iff no chain strictly below b holds every such k, and the maximal
-    chains of that residue are b's other covers.  Yields, per b: b,
-    down(b), the covers as (a, packed b & ~a), and {a: message} for the
-    covers that break the lemma.
+    chains of that residue are b's other covers.  Yields, per b: b, the
+    covers as (a, packed b & ~a), and {a: message} for the covers that
+    break the lemma.
     """
     u = _universe(n)
     packed = [sum(mask << (p * u.stride) for p, mask in enumerate(masks)) for masks in family]
@@ -409,7 +406,7 @@ def _certify(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
                 f"cover {_chain_json(n, family[a])} -> {_chain_json(n, family[b])} "
                 f"changes {changed} components by {extra.bit_count()} elements"
             )
-        yield b, down, covers, violations
+        yield b, covers, violations
 
 
 def _refuse(violations: Sequence[str]) -> None:
@@ -418,33 +415,28 @@ def _refuse(violations: Sequence[str]) -> None:
 
 
 def nn_poset(
-    p: Params,
-    variant: str = "paper",
-    max_objects: int = DEFAULT_MAX_OBJECTS,
-    strict: bool = True,
+    p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> FlooredPoset:
     """Inclusion poset on enumerate_nn(p) with floor labels on the covers.
 
-    Down-sets and covers come from the certificate (_certify).  With
-    strict=True a violation of the expected cover structure raises
-    InvariantViolation instead of being silently recorded.
+    The covers come from the certificate (_certify); a violation of Lemma
+    5.4 raises InvariantViolation.  Under the certified lemma every cover
+    adds one pair to one component, so the poset is graded by the total
+    pair count over the components.
     """
     chains = enumerate_nn(p, variant=variant, max_objects=max_objects)
+    family = [chain.masks() for chain in chains]
     u = _universe(p.n)
-    down, labelled, floors, violations = [], [], [], []
-    for b, down_b, covers, found in _certify(p.n, [chain.masks() for chain in chains]):
-        down.append(down_b)
+    labelled, floors, violations = [], [], []
+    for b, covers, found in _certify(p.n, family):
         floors.append(u.pairs_of(reduce(or_, (e for _, e in covers), 0) & u.full_mask))
         labelled.extend(((a, b), u.pairs_of(extra & u.full_mask)) for a, extra in covers)
-        violations.extend(((a, b), message) for a, message in found.items())
+        violations.extend(found.values())
+    _refuse(violations)
     cover_floor = tuple(sorted(labelled))
-    poset = FinitePoset(chains, down, ranks=None)
-    # The certificate's covers are the Hasse diagram: covers() need not rederive them.
-    poset._covers = tuple(pair for pair, _ in cover_floor)
-    messages = tuple(message for _, message in sorted(violations))
-    if strict:
-        _refuse(messages)
-    return FlooredPoset(poset, cover_floor, tuple(floors), messages)
+    ranks = [sum(mask.bit_count() for mask in masks) for masks in family]
+    poset = FinitePoset(chains, [pair for pair, _ in cover_floor], ranks)
+    return FlooredPoset(poset, cover_floor, tuple(floors))
 
 
 def certify_lemma54(
@@ -456,7 +448,7 @@ def certify_lemma54(
     """
     count = 0
     violations: List[str] = []
-    for _, _, covers, found in _certify(p.n, _raw_chains(p, variant, max_objects)):
+    for _, covers, found in _certify(p.n, _raw_chains(p, variant, max_objects)):
         count += len(covers)
         violations.extend(found.values())
     return count, tuple(violations)
@@ -478,11 +470,16 @@ def h_tilde(
     in the family.  A cover that breaks the lemma raises
     InvariantViolation, so no result rests on the lemma unchecked.
     """
+    return _floor_polynomial(p, _raw_chains(p, variant, max_objects))
+
+
+def _floor_polynomial(p: Params, family: Sequence[Tuple[int, ...]]) -> BivariatePolynomial:
+    """h_tilde's polynomial over an already generated chain family."""
     full = _universe(p.n).full_mask
     stair = _staircase_mask(p.n, p.t)
     coeffs: Dict[Tuple[int, int], int] = {}
     violations: List[str] = []
-    for _, _, covers, found in _certify(p.n, _raw_chains(p, variant, max_objects)):
+    for _, covers, found in _certify(p.n, family):
         violations.extend(found.values())
         floor = reduce(or_, (extra for _, extra in covers), 0) & full
         key = (floor.bit_count(), (floor & stair).bit_count())
@@ -515,12 +512,14 @@ def verify_conjectures(
 ) -> Tuple[dict, ...]:
     """Per-triple rows of chain_counts and floor_polynomial_matches.
 
-    Rows only report; no assertion is made here.
+    Each triple's chains are generated once and feed both checks.  Rows only
+    report; no assertion is made here.
     """
     rows = []
     for p in params_list:
-        enumerated, expected = chain_counts(p, variant=variant, max_objects=max_objects)
-        h_ok = floor_polynomial_matches(p, variant=variant, max_objects=max_objects)
+        family = _raw_chains(p, variant, max_objects)
+        enumerated, expected = len(family), closedform.total_count(p)
+        h_ok = _floor_polynomial(p, family) == h_triangle_closed(p)
         rows.append(
             {
                 "m": p.m,

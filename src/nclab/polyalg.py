@@ -51,9 +51,12 @@ class BivariatePolynomial:
         data: Dict[Tuple[int, int], Rational] = {}
         if terms:
             for (ex, ey), coeff in dict(terms).items():
+                for e in (ex, ey):
+                    if not isinstance(e, int) or isinstance(e, bool):
+                        raise ParameterError(f"exponents must be integers, got {e!r}")
                 coeff = _exact(coeff)
                 if coeff:
-                    data[(int(ex), int(ey))] = coeff
+                    data[(ex, ey)] = coeff
         self._terms = data
 
     @classmethod
@@ -285,24 +288,25 @@ def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Bivar
     The coefficient of x^r y^s sums v_r[b] = sum over a of rank r of
     mu(a, b) over the b of rank s.  Moebius inversion gives each v_r in one
     triangular solve, v_r[b] = [rk b = r] - sum over a < b of v_r[a], taken
-    in index order (a linear extension, by from_covers) over the up-set of
-    rank r, outside which v_r vanishes.  One solve per rank replaces one
-    Moebius row per element.
+    level by level (rank r, r + 1, ...) over the up-set of rank r, outside
+    which v_r vanishes; each a < b lies on a lower level than b.  One solve
+    per rank replaces one Moebius row per element.
     """
     poset = build_refinement_poset(p, max_objects=max_objects)
-    ranks = poset.ranks
+    levels = [poset.level_mask(s) for s in range(poset.max_rank + 1)]
     coeffs: Dict[Tuple[int, int], int] = {}
-    for r in range(poset.max_rank + 1):
+    for r, level in enumerate(levels):
         support = 0
-        for a in _bits(poset.level_mask(r)):
+        for a in _bits(level):
             support |= poset.up_mask(a)
         v = [0] * len(poset)
-        for b in _bits(support):
-            below = poset.down_mask(b) & support & ~(1 << b)
-            v[b] = (ranks[b] == r) - sum(v[a] for a in _bits(below))
-            if v[b]:
-                key = (r, ranks[b])
-                coeffs[key] = coeffs.get(key, 0) + v[b]
+        for s in range(r, len(levels)):
+            total = 0
+            for b in _bits(support & levels[s]):
+                below = poset.down_mask(b) & support & ~(1 << b)
+                v[b] = (s == r) - sum(v[a] for a in _bits(below))
+                total += v[b]
+            coeffs[(r, s)] = total
     return BivariatePolynomial(coeffs)
 
 

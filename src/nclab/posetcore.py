@@ -2,13 +2,14 @@
 
 The order relation is stored as one bitmask per element (an arbitrary-size
 Python int), which makes interval extraction, cover detection and the chain
-dynamic programs cheap at desk scale.  Posets are immutable after
-construction; the only lazily filled tables (up-masks, covers) belong to
-their poset and are written once, so concurrent readers are safe.  No poset
-is kept at module level: each build_refinement_poset call builds its own.
+dynamic programs cheap at desk scale.  A poset is built one way, from its
+elements, its covers and its ranks, and every table (down-masks, up-masks,
+covers) is filled in the constructor, so posets are immutable afterwards
+and concurrent readers are safe.  No poset is kept at module level: each
+build_refinement_poset call builds its own.
 """
 
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, ParameterError
 from .ncpart import DEFAULT_MAX_OBJECTS, enumerate_nc, rank_of, tilde_transform
@@ -23,13 +24,14 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class FinitePoset:
-    """Explicit finite poset over an indexed element list.
+    """Finite graded poset over an indexed element list, generated by its covers.
 
     `down[i]` is the bitmask of indices j with j <= i (including i itself)
-    and `up[i]` the mask of j >= i.  The up-masks are derived from the
-    down-masks on first use unless `from_covers` already derived them.  An
-    optional rank vector enables the graded queries; construction can assert
-    the grading.
+    and `up[i]` the mask of j >= i.  Each cover (a, b) must step rank by
+    exactly one, which makes it irredundant: the given covers are the Hasse
+    diagram, and down-masks are OR-ed along them in ascending rank order and
+    up-masks in descending rank order, so index order need not be a linear
+    extension.
     """
 
     __slots__ = ("elements", "ranks", "_index", "_down", "_up", "_covers")
@@ -37,63 +39,38 @@ class FinitePoset:
     def __init__(
         self,
         elements: Sequence[Hashable],
-        down_masks: Sequence[int],
-        ranks: Optional[Sequence[int]] = None,
+        covers: Sequence[Tuple[int, int]],
+        ranks: Sequence[int],
     ):
         self.elements = tuple(elements)
+        self.ranks = tuple(ranks)
         n = len(self.elements)
-        if len(down_masks) != n:
-            raise ParameterError("one down-mask per element is required")
-        self._down = list(down_masks)
-        for j, mask in enumerate(self._down):
-            if not (mask >> j) & 1:
-                raise ParameterError("the order must be reflexive")
-        self.ranks = tuple(ranks) if ranks is not None else None
+        if len(self.ranks) != n:
+            raise ParameterError("one rank per element is required")
         self._index = {el: i for i, el in enumerate(self.elements)}
         if len(self._index) != n:
             raise ParameterError("elements must be pairwise distinct")
-        self._up = None
-        self._covers = None
-
-    @classmethod
-    def from_covers(
-        cls,
-        elements: Sequence[Hashable],
-        covers: Sequence[Tuple[int, int]],
-        ranks: Sequence[int],
-    ) -> "FinitePoset":
-        """Poset generated by its cover relations.
-
-        Each cover (a, b) needs a < b, so index order is a linear extension:
-        down-masks are OR-ed along the covers in one forward pass and
-        up-masks in one reverse pass.  Each cover must also step rank by
-        exactly one, which makes it irredundant: the given covers are stored
-        as the Hasse diagram and `covers()` does not recompute them.
-        """
-        n = len(elements)
-        if len(ranks) != n:
-            raise ParameterError("one rank per element is required")
         lower = [[] for _ in range(n)]
         for a, b in covers:
-            if not 0 <= a < b < n:
-                raise ParameterError(f"cover ({a}, {b}) needs 0 <= a < b < {n}")
-            if ranks[b] != ranks[a] + 1:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ParameterError(f"cover ({a}, {b}) needs both indices in [0, {n})")
+            if self.ranks[b] != self.ranks[a] + 1:
                 raise ParameterError(
-                    f"cover ({a}, {b}) steps rank {ranks[a]} -> {ranks[b]}, not by one"
+                    f"cover ({a}, {b}) steps rank {self.ranks[a]} -> {self.ranks[b]}, not by one"
                 )
             lower[b].append(a)
+        order = sorted(range(n), key=self.ranks.__getitem__)
         down = [1 << i for i in range(n)]
-        for b in range(n):
+        for b in order:
             for a in lower[b]:
                 down[b] |= down[a]
         up = [1 << i for i in range(n)]
-        for b in reversed(range(n)):
+        for b in reversed(order):
             for a in lower[b]:
                 up[a] |= up[b]
-        poset = cls(elements, down, ranks)
-        poset._up = up
-        poset._covers = tuple(sorted(covers))
-        return poset
+        self._down = down
+        self._up = up
+        self._covers = tuple(sorted(covers))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -111,26 +88,13 @@ class FinitePoset:
         return self._down[b]
 
     def up_mask(self, a: int) -> int:
-        return self._ups()[a]
-
-    def _ups(self) -> List[int]:
-        if self._up is None:
-            up = [0] * len(self.elements)
-            for j, mask in enumerate(self._down):
-                for i in _bits(mask):
-                    up[i] |= 1 << j
-            self._up = up
-        return self._up
+        return self._up[a]
 
     def rank(self, i: int) -> int:
-        if self.ranks is None:
-            raise ParameterError("this poset carries no rank function")
         return self.ranks[i]
 
     @property
     def max_rank(self) -> int:
-        if self.ranks is None:
-            raise ParameterError("this poset carries no rank function")
         return max(self.ranks)
 
     def level_mask(self, r: int) -> int:
@@ -143,7 +107,7 @@ class FinitePoset:
     def validate_partial_order(self) -> None:
         """Assert reflexivity, antisymmetry and transitivity (test support)."""
         n = len(self.elements)
-        up = self._ups()
+        up = self._up
         for i in range(n):
             if not self.leq(i, i):
                 raise InvariantViolation("order is not reflexive")
@@ -155,29 +119,13 @@ class FinitePoset:
                     raise InvariantViolation("order is not transitive")
 
     def covers(self) -> Tuple[Tuple[int, int], ...]:
-        """All pairs (a, b) with a < b and nothing strictly between."""
-        if self._covers is None:
-            out = []
-            for a, up in enumerate(self._ups()):
-                strict_up = up & ~(1 << a)
-                for b in _bits(strict_up):
-                    between = strict_up & self._down[b] & ~(1 << b)
-                    if not between:
-                        out.append((a, b))
-            self._covers = tuple(sorted(out))
+        """The Hasse diagram: the given covers (a, b), a below b, sorted."""
         return self._covers
 
     def assert_graded(self, expected_max_rank: Optional[int] = None) -> None:
-        """Check rank 0 minima, covers stepping by one, and the top rank."""
-        if self.ranks is None:
-            raise ParameterError("gradedness needs a rank function")
-        for a, b in self.covers():
-            if self.ranks[b] != self.ranks[a] + 1:
-                raise InvariantViolation(
-                    f"cover {a} -> {b} jumps rank {self.ranks[a]} -> {self.ranks[b]}"
-                )
+        """Check rank 0 minima and the top rank; the constructor checks the covers."""
         top = self.max_rank
-        for i, up in enumerate(self._ups()):
+        for i, up in enumerate(self._up):
             if self._down[i] == 1 << i and self.ranks[i] != 0:
                 raise InvariantViolation(f"minimal element {i} has rank {self.ranks[i]}")
             if up == 1 << i and self.ranks[i] != top:
@@ -189,7 +137,7 @@ class FinitePoset:
 
     def _moebius_row(self, a: int) -> Dict[int, int]:
         """mu(a, b) for every b >= a, recomputed on each call."""
-        up_a = self._ups()[a]
+        up_a = self._up[a]
         row = {a: 1}
         # Down-set size orders the up-set by a linear extension.
         above = sorted(_bits(up_a & ~(1 << a)), key=lambda b: self._down[b].bit_count())
@@ -215,8 +163,6 @@ class FinitePoset:
 
     def count_rank_multichains(self, targets: Sequence[int]) -> int:
         """Weakly increasing tuples (x_1 <= ... <= x_l) with rank(x_i) = targets[i]."""
-        if self.ranks is None:
-            raise ParameterError("rank-selected counting needs a rank function")
         targets = tuple(targets)
         if any(b < a for a, b in zip(targets, targets[1:])):
             raise ParameterError(f"targets must be weakly increasing, got {targets}")
@@ -247,15 +193,17 @@ def build_refinement_poset(
 ) -> FinitePoset:
     """Refinement poset on enumerate_nc(p), graded by rank_of.
 
-    Built cover-first: the covers are the single block merges that stay in
-    the family, and the order is their transitive closure.  This rests on
-    the family being graded by rank n - #blocks, so that every cover is one
-    merge (Armstrong, arXiv:math/0611106, for the classical case).  The
-    construction asserts what it can see of the grading (minima at rank 0,
-    maxima at rank n - t); a relation reachable only through a rank jump
-    would be missed, so tests/test_posetcore.py compares elements, ranks,
-    down-masks and covers with the all-pairs oracle in tests/oracles.py for
-    every (m, n, t) with mn <= 8.
+    Elements are ordered by rank, then blocks.  The covers handed to
+    FinitePoset are the single block merges that stay in the family, and the
+    order is their transitive closure.  This rests on the family being
+    graded by rank n - #blocks, so that every cover is one merge (Armstrong,
+    arXiv:math/0611106, for the classical case).  The build checks what it
+    can see of the grading: each merge steps rank by one (the constructor),
+    minima sit at rank 0 and maxima at rank n - t (assert_graded).  A
+    relation reachable only through a rank jump would be missed, so
+    tests/test_posetcore.py compares elements, ranks, down-masks and covers
+    with the all-pairs oracle in tests/oracles.py for every (m, n, t) with
+    mn <= 8.
     """
     parts = sorted(
         enumerate_nc(p, max_objects=max_objects), key=lambda sp: (rank_of(sp, p), sp.blocks)
@@ -272,7 +220,7 @@ def build_refinement_poset(
                 j = index.get(blocks[:a] + (merged,) + blocks[a + 1 : b] + blocks[b + 1 :])
                 if j is not None:
                     covers.append((i, j))
-    poset = FinitePoset.from_covers(parts, covers, tuple(rank_of(sp, p) for sp in parts))
+    poset = FinitePoset(parts, covers, tuple(rank_of(sp, p) for sp in parts))
     poset.assert_graded(expected_max_rank=p.n - p.t)
     return poset
 

@@ -19,7 +19,14 @@ from nclab.closedform import (
 )
 from nclab.dyckmodel import DyckPath, bijection_holds, h_via_paths, theta
 from nclab.ncpart import SetPartition, block_profile, enumerate_nc, rank_of, weight_signature
-from nclab.nonnest import TFilter, enumerate_nn, h_tilde, nn_poset, verify_conjectures
+from nclab.nonnest import (
+    TFilter,
+    certify_lemma54,
+    enumerate_nn,
+    h_tilde,
+    nn_poset,
+    verify_conjectures,
+)
 from nclab.params import Params
 from nclab.polyalg import (
     f_triangle_closed,
@@ -272,5 +279,5 @@ def test_criterion_10_cover_structure():
     for m in (1, 2, 3):
         for n in range(1, 6):
             for t in range(1, n + 1):
-                decorated = nn_poset(Params(m, n, t), strict=False)
-                assert decorated.violations == (), (m, n, t, decorated.violations)
+                _, violations = certify_lemma54(Params(m, n, t))
+                assert violations == (), (m, n, t, violations)

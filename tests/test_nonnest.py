@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -258,8 +259,8 @@ class TestFlooredPoset:
         for m in (1, 2, 3):
             for n in (2, 3, 4):
                 for t in range(1, n + 1):
-                    decorated = nn_poset(Params(m, n, t))
-                    assert decorated.violations == ()
+                    p = Params(m, n, t)
+                    assert certify_lemma54(p) == (len(nn_poset(p).poset.covers()), ())
 
 
 class TestHTilde:
@@ -287,8 +288,7 @@ class TestHTilde:
                 for n in range(1, 8 // m + 1):
                     for t in range(1, n + 1):
                         p = Params(m, n, t)
-                        decorated = nn_poset(p, variant=variant, strict=False)
-                        assert decorated.violations == (), (variant, p)
+                        decorated = nn_poset(p, variant=variant)
                         stair = {(i, i + 1) for i in range(t, n)}
                         expected = {}
                         for floor in decorated.floors:
@@ -318,17 +318,19 @@ class TestCertificate:
                         elements, down, covers, cover_floor, floors, violations = (
                             oracles.floored_poset([tuple(map(u.pairs_of, c)) for c in raw])
                         )
-                        decorated = nn_poset(p, variant=variant, strict=False)
+                        decorated = nn_poset(p, variant=variant)
                         poset = decorated.poset
                         case = (variant, p)
                         assert [tuple(f.pairs for f in c.filters) for c in poset.elements] == (
                             elements
                         ), case
+                        assert poset.ranks == tuple(sum(map(len, c)) for c in elements), case
+                        poset.assert_graded()
                         assert [poset.down_mask(i) for i in range(len(poset))] == down, case
                         assert list(poset.covers()) == covers, case
                         assert decorated.cover_floor == cover_floor, case
                         assert decorated.floors == floors, case
-                        assert decorated.violations == violations == (), case
+                        assert violations == (), case
                         assert certify_lemma54(p, variant=variant) == (len(covers), ()), case
 
     # (m, n, chains (V_m, ..., V_1), the one violating cover's message)
@@ -358,15 +360,10 @@ class TestCertificate:
         oracle = oracles.floored_poset(chains)
         assert oracle[5] == (message,)
         assert certify_lemma54(p) == (len(oracle[2]), (message,))
-        decorated = nn_poset(p, strict=False)
-        poset = decorated.poset
-        assert [tuple(f.pairs for f in c.filters) for c in poset.elements] == oracle[0]
-        assert [poset.down_mask(i) for i in range(len(poset))] == oracle[1]
-        assert list(poset.covers()) == oracle[2]
-        assert (decorated.cover_floor, decorated.floors, decorated.violations) == oracle[3:]
-        with pytest.raises(InvariantViolation, match="cover structure violations: cover"):
+        refusal = re.escape("cover structure violations: " + message)
+        with pytest.raises(InvariantViolation, match=refusal):
             nn_poset(p)
-        with pytest.raises(InvariantViolation, match="cover structure violations: cover"):
+        with pytest.raises(InvariantViolation, match=refusal):
             floor_polynomial_matches(p)
         assert cli.main(["verify", "--suite", "conj-h", "--range", f"m={m},n={n},t=1"]) == 1
         assert cli.main(["verify", "--suite", "lemma54", "--range", f"m={m},n={n},t=1"]) == 1
@@ -379,6 +376,19 @@ class TestConjectureReport:
 
         monkeypatch.setattr(nonnest, "_filter_from_mask", refuse)
         assert chain_counts(Params(2, 3, 2)) == (5, 5)
+
+    def test_generates_each_family_once(self, monkeypatch):
+        calls = []
+        generate = nonnest._generate_chains
+
+        def counting(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(nonnest, "_generate_chains", counting)
+        rows = verify_conjectures([Params(2, 4, 1), Params(3, 3, 2)])
+        assert all(row["pass"] for row in rows)
+        assert calls == [(2, 4, 1, "paper"), (3, 3, 2, "paper")]
 
     def test_332_row(self):
         rows = verify_conjectures([Params(3, 3, 2)])

@@ -121,6 +121,15 @@ class TestJson:
         p = poly({(0, 1): Fraction(-3, 7), (2, 2): 4})
         assert BivariatePolynomial.from_json_dict(p.to_json_dict()) == p
 
+    def test_non_integer_exponents_rejected(self):
+        # A truncated 1.5 would collide with x^1 and overwrite it.
+        data = {"terms": [{"x": 1.5, "y": 0, "c": "1"}, {"x": 1, "y": 0, "c": "2"}]}
+        with pytest.raises(ParameterError, match="exponents must be integers, got 1.5"):
+            BivariatePolynomial.from_json_dict(data)
+        for key in ((True, 0), (0, "1"), (Fraction(1), 0)):
+            with pytest.raises(ParameterError):
+                BivariatePolynomial({key: 1})
+
 
 class TestMTriangle:
     def test_brute_two_chain(self):

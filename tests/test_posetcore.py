@@ -10,12 +10,21 @@ NC3 = Params(1, 3, 1)
 
 
 def chain_poset(k):
-    """Total order 0 < 1 < ... < k-1: the down-set of i is {0, ..., i}."""
-    return FinitePoset(tuple(range(k)), [(2 << i) - 1 for i in range(k)], ranks=tuple(range(k)))
+    """Total order 0 < 1 < ... < k-1: element i covers i - 1."""
+    return FinitePoset(tuple(range(k)), [(i, i + 1) for i in range(k - 1)], tuple(range(k)))
 
 
 def antichain_poset(k):
-    return FinitePoset(tuple(range(k)), [1 << i for i in range(k)], ranks=(0,) * k)
+    return FinitePoset(tuple(range(k)), [], (0,) * k)
+
+
+def transpose(masks):
+    """up[i] = {j : i in masks[j]}, one bit at a time."""
+    up = [0] * len(masks)
+    for j, mask in enumerate(masks):
+        for i in oracles.set_bits(mask):
+            up[i] |= 1 << j
+    return up
 
 
 class TestConstruction:
@@ -70,32 +79,40 @@ class TestCoverFirst:
                     assert [poset.down_mask(i) for i in range(len(poset))] == down, (m, n, t)
                     assert list(poset.covers()) == oracles.covers_of(down), (m, n, t)
 
-    def test_from_covers_up_masks_match_down_mask_transpose(self):
-        # from_covers derives up-masks along the covers; the plain
-        # constructor transposes the down-masks.  Every family with mn <= 8.
+    def test_up_masks_match_down_mask_transpose(self):
+        # The constructor derives up-masks along the covers; the test
+        # transposes the down-masks.  Every family with mn <= 8.
         for m in range(1, 9):
             for n in range(1, 8 // m + 1):
                 for t in range(1, n + 1):
                     poset = build_refinement_poset(Params(m, n, t))
                     down = [poset.down_mask(i) for i in range(len(poset))]
-                    plain = FinitePoset(poset.elements, down, poset.ranks)
-                    assert [poset.up_mask(i) for i in range(len(poset))] == [
-                        plain.up_mask(i) for i in range(len(poset))
-                    ], (m, n, t)
+                    up = [poset.up_mask(i) for i in range(len(poset))]
+                    assert up == transpose(down), (m, n, t)
 
-    def test_from_covers_closes_transitively(self):
-        poset = FinitePoset.from_covers("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
+    def test_covers_close_transitively(self):
+        poset = FinitePoset("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
         assert [poset.down_mask(i) for i in range(4)] == [0b0001, 0b0011, 0b0101, 0b1111]
+        assert [poset.up_mask(i) for i in range(4)] == [0b1111, 0b1010, 0b1100, 0b1000]
         assert poset.covers() == ((0, 1), (0, 2), (1, 3), (2, 3))
         poset.validate_partial_order()
+        # The same order indexed top first: index order is no linear extension.
+        poset = FinitePoset("dcba", [(2, 0), (3, 1), (1, 0), (3, 2)], (2, 1, 1, 0))
+        assert [poset.down_mask(i) for i in range(4)] == [0b1111, 0b1010, 0b1100, 0b1000]
+        assert [poset.up_mask(i) for i in range(4)] == [0b0001, 0b0011, 0b0101, 0b1111]
+        assert poset.covers() == ((1, 0), (2, 0), (3, 1), (3, 2))
+        poset.validate_partial_order()
+        poset.assert_graded(expected_max_rank=2)
 
-    def test_from_covers_rejects_bad_covers(self):
+    def test_rejects_bad_input(self):
         ranks = (0, 1, 2)
-        for cover in ((1, 0), (1, 1), (0, 3), (-1, 1), (0, 2)):
+        for cover in ((1, 0), (1, 1), (0, 3), (-1, 1), (0, 2), (3, 0)):
             with pytest.raises(ParameterError):
-                FinitePoset.from_covers("abc", [cover], ranks)
-        with pytest.raises(ParameterError):
-            FinitePoset.from_covers("abc", [(0, 1)], (0, 1))
+                FinitePoset("abc", [cover], ranks)
+        with pytest.raises(ParameterError, match="one rank per element"):
+            FinitePoset("abc", [(0, 1)], (0, 1))
+        with pytest.raises(ParameterError, match="pairwise distinct"):
+            FinitePoset("aab", [(0, 1)], ranks)
 
 
 class TestCovers:
