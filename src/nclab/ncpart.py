@@ -10,16 +10,17 @@ realizes either forbidden pattern:
 For t = 1 only the second pattern can occur, so the test degenerates to the
 classical non-crossing condition.  All values here are immutable and all
 functions pure, so everything is safe under concurrent callers.  Only the
-shape tables behind the generator (first-block position sets and classical
-shapes, keyed by immutable arguments) are memoised; enumeration results are
-not kept, so each call builds its family once and the caller owns it.
+first-block position sets behind the generator (keyed by size and m) are
+memoised.  Classical shapes are streamed: each enumeration keeps its gap
+tables in a dict of its own and frees them with its result, which the caller
+owns.
 """
 
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from . import closedform
 from .errors import DomainError, ParameterError, ResourceLimitError
@@ -43,7 +44,13 @@ class SetPartition:
     ground_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        canon = tuple(sorted(map(tuple, map(sorted, self.blocks))))
+        # A block that is already a sorted plain tuple is kept as it is, so
+        # partitions built from shared tuples share them.
+        canon = tuple(sorted(
+            block if type(block) is tuple and list(block) == sorted(block)
+            else tuple(sorted(block))
+            for block in self.blocks
+        ))
         seen = set()
         for block in canon:
             if not block:
@@ -254,44 +261,56 @@ def _first_block_position_sets(size: int, m: int) -> Tuple[Tuple[int, ...], ...]
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _classical_shapes(m: int, size: int, start: int) -> Tuple[tuple, ...]:
-    # All m-divisible classically non-crossing partitions of the points
-    # start..start+size-1, via first-block decomposition: the gaps between
-    # consecutive members of the minimum's block (and the tail) are
-    # partitioned independently.  Each comes as (blocks, ids): the blocks
-    # sorted by minimum, and ids[i] the minimum of the block of start + i.
+def _classical_shapes(m: int, size: int, start: int, tables: dict) -> Iterator[tuple]:
+    # Yields each m-divisible classically non-crossing partition of the
+    # points start..start+size-1 once, as its blocks sorted by minimum, via
+    # first-block decomposition: the gaps between consecutive members of the
+    # minimum's block (and the tail) are partitioned independently.  The gap
+    # tables are composed many times, so each is built once into `tables`,
+    # keyed by (size, start); the caller owns that dict and frees it.
     if size == 0:
-        return (((), ()),)
-    if size % m:
-        return ()
-    shapes = []
+        yield ()
+        return
     for offsets in _first_block_position_sets(size, m):
         members = tuple(start + q for q in offsets)
-        gaps = [
-            _classical_shapes(m, high - low - 1, low + 1)
-            for low, high in zip(members, members[1:] + (start + size,))
-        ]
+        gaps = []
+        for low, high in zip(members, members[1:] + (start + size,)):
+            key = (high - low - 1, low + 1)
+            if key not in tables:
+                tables[key] = tuple(_classical_shapes(m, *key, tables))
+            gaps.append(tables[key])
+        # Member i precedes gap i, so the blocks stay sorted by minimum.
         for combo in product(*gaps):
-            # Member i precedes gap i, so ids run in position order and the
-            # blocks stay sorted by minimum.
-            blocks, ids = (members,), ()
-            for sub_blocks, sub_ids in combo:
-                blocks += sub_blocks
-                ids += (start,) + sub_ids
-            shapes.append((blocks, ids))
-    return tuple(shapes)
+            yield sum(combo, (members,))
 
 
 def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[SetPartition, ...]:
     """All m-divisible non-crossing t-partitions of {1..mn}, canonically ordered.
 
-    Candidates are the classical m-divisible non-crossing partitions under
-    the relabelling of tilde_transform (a bijection on all partitions of the
-    ground set), each written straight into a block-id array.  The array is
-    filtered by the literal order-t tests (1..t in distinct blocks, then the
-    forbidden-quadruple scan), so membership never rests on anything but the
-    defining patterns; a SetPartition is built only for accepted candidates.
+    Candidates are the classical m-divisible non-crossing partitions c, taken
+    to b = tilde_transform(c, t), a bijection on all partitions of the ground
+    set.  The only filter is that b be a t-partition, i.e. that 1..t lie in
+    distinct blocks of c.  With the blocks of c sorted by minimum, that holds
+    iff the first t minima are 1..t; those t blocks then hold one point <= t
+    each, their minimum, and only they are relabelled.
+
+    Lemma.  If c is classically non-crossing and b is a t-partition, then b
+    is non-crossing of order t.  Proof: take i < j < k < l in b.
+      * Pattern j <= t, with i, l in C and j, k in B (B != C).  B holds only
+        one point <= t, so t < k < l.  In c, the points t+1-j < t+1-i <= t
+        < k < l lie in B, C, B, C: a classical crossing.
+      * Pattern j > t, with i, k in C and j, l in B.  Then j, k and l are
+        fixed points, and i goes to some i' < j (i' = t+1-i <= t if i <= t).
+        In c, the points i' < j < k < l lie in C, B, C, B: a crossing.
+    Either way c would cross, a contradiction.  Conversely, if b is in the
+    family and c had a crossing w < x < y < z with w, y in X and x, z in Y,
+    then y, z > t, since X holds at most one point <= t.  If x > t, the
+    images of w, x, y, z in b form pattern j > t; if x <= t, the points
+    t+1-x < t+1-w <= t < y < z of b lie in Y, X, X, Y, which is pattern
+    j <= t.  So the candidates that pass are exactly the family.  The
+    literal forbidden-quadruple scan never rejects one; it stays the body
+    of is_noncrossing_t, and the tests run it over every output as a check.
+
     Raises ResourceLimitError when the closed counting formula predicts more
     output (or more intermediate classical partitions) than `max_objects`.
     """
@@ -303,18 +322,15 @@ def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[Set
             f"predicted {max(predicted, workload)} partitions for {p}, "
             f"more than the cap {max_objects}"
         )
-    # tilde_transform's relabelling i -> t+1-i (i <= t), as a lookup table.
-    label = [0] + [t + 1 - x if x <= t else x for x in range(1, m * n + 1)]
     found = []
-    for blocks, ids in _classical_shapes(m, m * n, 1):
-        # Block ids of the relabelled partition: label i <= t is point t+1-i.
-        bid = (0,) + ids[t - 1 :: -1] + ids[t:]
-        if len(set(bid[1 : t + 1])) < t:  # not a t-partition
-            continue
-        if _has_forbidden_quadruple(bid, t):
-            continue
+    for blocks in _classical_shapes(m, m * n, 1, {}):
         if t > 1:
-            blocks = tuple(tuple(label[x] for x in block) for block in blocks)
+            if len(blocks) < t or blocks[t - 1][0] != t:  # not a t-partition
+                continue
+            # Block i holds point i+1, which tilde_transform sends to t-i.
+            blocks = tuple(
+                (t - i,) + block[1:] for i, block in enumerate(blocks[:t])
+            ) + blocks[t:]
         found.append(SetPartition(blocks))
     found.sort(key=lambda sp: sp.blocks)
     return tuple(found)

@@ -3,10 +3,13 @@
 A long sweep builds one family per (m, n, t); if any entry point kept its
 result at module level, memory would grow with every triple.  Each check
 holds only a weak reference to one element of a result, drops the result
-and collects: the element must then be gone.
+and collects: the element must then be gone.  Nor may the enumeration keep
+its working tables: after a warm-up, repeated calls leave next to nothing
+traced behind.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -40,3 +43,19 @@ def test_result_dies_with_its_caller(name):
     ref = element_ref(RESULTS[name])
     gc.collect()
     assert ref() is None, f"{name} kept its result after the call"
+
+
+def test_enumeration_keeps_no_tables():
+    # The warm-up fills the imports and lazy state of a first call; the
+    # three triples after it need tables of their own, which must not stay.
+    assert enumerate_nc(P)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for triple in ((1, 9, 1), (2, 5, 2), (3, 4, 1)):
+            assert enumerate_nc(Params(*triple))
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 500_000, f"{retained} bytes stayed after the calls"

@@ -63,6 +63,20 @@ class TestSetPartition:
         with pytest.raises(DomainError, match="positive integers, got True"):
             SetPartition.from_blocks([[2], [True]])
 
+    def test_sorted_tuple_blocks_are_kept(self):
+        class Block(tuple):
+            pass
+
+        kept, unsorted, listed, sub = (1, 4), (3, 2), [6, 5], Block((7, 8))
+        part = SetPartition((sub, listed, unsorted, kept))
+        assert part.blocks == ((1, 4), (2, 3), (5, 6), (7, 8))
+        assert part.blocks[0] is kept
+        for block in part.blocks[1:]:
+            assert type(block) is tuple
+        assert part.blocks[3] is not sub
+        copy = SetPartition.from_blocks([[4, 1], [2, 3], [5, 6], [8, 7]])
+        assert part == copy and hash(part) == hash(copy)
+
     def test_json_round_trip(self):
         data = FIGURE_PARTITION.to_json_dict()
         assert data["n"] == 14
@@ -232,6 +246,16 @@ class TestEnumerate:
                     assert [sp.ground_size for sp in parts] == [
                         oracles.ground_size(blocks) for blocks in brute
                     ], (m, n, t)
+
+    def test_outputs_pass_literal_scan(self):
+        # The generator filters by the t-partition test alone, on the lemma in
+        # its docstring; the literal forbidden-quadruple scan checks every
+        # output for every (m, n, t) with mn <= 10.
+        for m in range(1, 11):
+            for n in range(1, 10 // m + 1):
+                for t in range(1, n + 1):
+                    for part in enumerate_nc(Params(m, n, t)):
+                        assert is_noncrossing_t(part, t), (m, n, t, str(part))
 
     def test_cardinality_formula_all_m(self):
         # the formula match holds for every m with mn <= 10, not only m <= 3
