@@ -122,33 +122,25 @@ def cmd_enumerate(args) -> int:
 
 
 def _count_rows(p: Params, by: str, cap: int) -> List[dict]:
-    partitions = ncpart.enumerate_nc(p, max_objects=cap)
+    tally = ncpart.census(p, by, max_objects=cap)
     rows = []
     if by == "total":
         formula = closedform.total_count(p)
-        brute = len(partitions)
+        brute = tally["total"]
         rows.append(
             {"key": "total", "formula": str(formula), "brute": str(brute), "match": formula == brute}
         )
     elif by == "rank":
-        census: Dict[int, int] = {}
-        for part in partitions:
-            rank = ncpart.rank_of(part, p)
-            census[rank] = census.get(rank, 0) + 1
         for s in range(p.max_rank + 1):
             formula = closedform.count_by_rank(p, s)
-            brute = census.get(s, 0)
+            brute = tally[s]
             rows.append(
                 {"s": s, "formula": str(formula), "brute": str(brute), "match": formula == brute}
             )
     else:
-        census = {}
-        for part in partitions:
-            profile = ncpart.block_profile(part, p).counts
-            census[profile] = census.get(profile, 0) + 1
         for profile in closedform.profiles(p.n):
             formula = closedform.count_by_profile(p, profile)
-            brute = census.get(profile, 0)
+            brute = tally[profile]
             rows.append(
                 {
                     "profile": list(profile),

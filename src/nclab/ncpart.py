@@ -13,17 +13,20 @@ functions pure, so everything is safe under concurrent callers.  Only the
 first-block position sets behind the generator (keyed by size and m) are
 memoised.  Classical shapes are streamed: each enumeration keeps its gap
 tables in a dict of its own and frees them with its result, which the caller
-owns.
+owns.  `census` tallies the same stream without keeping the family, so it
+holds only the gap tables.  Generator outputs pass one exact shape check
+instead of the validating constructor.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Dict, Iterable, Iterator, Tuple
 
 from . import closedform
-from .errors import DomainError, ParameterError, ResourceLimitError
+from .errors import DomainError, InvariantViolation, ParameterError, ResourceLimitError
 from .params import Params
 
 #: Default guard against runaway enumerations; the CLI can override it.
@@ -44,15 +47,13 @@ class SetPartition:
     ground_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # A block that is already a sorted plain tuple is kept as it is, so
-        # partitions built from shared tuples share them.
-        canon = tuple(sorted(
-            block if type(block) is tuple and list(block) == sorted(block)
-            else tuple(sorted(block))
-            for block in self.blocks
-        ))
+        # Element types are checked before any sort, which could otherwise
+        # fail on mixed types with a bare TypeError.  tuple(block) is block
+        # for a plain tuple, so a block that is already a sorted plain tuple
+        # is kept as it is and partitions built from shared tuples share them.
+        blocks = [tuple(block) for block in self.blocks]
         seen = set()
-        for block in canon:
+        for block in blocks:
             if not block:
                 raise DomainError("blocks must be non-empty")
             for x in block:
@@ -64,8 +65,22 @@ class SetPartition:
         n = len(seen)
         if seen and seen != set(range(1, n + 1)):
             raise DomainError("blocks must cover an initial segment {1..N} exactly")
+        canon = tuple(sorted(
+            block if list(block) == sorted(block) else tuple(sorted(block))
+            for block in blocks
+        ))
         object.__setattr__(self, "blocks", canon)
         object.__setattr__(self, "ground_size", n)
+
+    @classmethod
+    def _trusted(cls, blocks: Tuple[Tuple[int, ...], ...], ground_size: int) -> "SetPartition":
+        # Wraps blocks already in canonical form over {1..ground_size} without
+        # re-validating them; only enumerate_nc calls it, on outputs of
+        # _nc_blocks, which has checked their shape exactly.
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "blocks", blocks)
+        object.__setattr__(partition, "ground_size", ground_size)
+        return partition
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
@@ -209,13 +224,16 @@ def block_profile(partition: SetPartition, p: Params) -> BlockProfile:
         raise DomainError(
             f"partition lives on {partition.ground_size} elements, expected {p.ground_size}"
         )
+    return BlockProfile(_profile_counts(map(len, partition.blocks), p))
+
+
+def _profile_counts(sizes: Iterable[int], p: Params) -> Tuple[int, ...]:
     counts = [0] * p.n
-    for block in partition.blocks:
-        size = len(block)
+    for size in sizes:
         if size % p.m:
             raise DomainError(f"block of size {size} is not divisible by m={p.m}")
         counts[size // p.m - 1] += 1
-    return BlockProfile(tuple(counts))
+    return tuple(counts)
 
 
 def weight_signature(partition: SetPartition, p: Params) -> Dict[int, int]:
@@ -284,15 +302,41 @@ def _classical_shapes(m: int, size: int, start: int, tables: dict) -> Iterator[t
             yield sum(combo, (members,))
 
 
-def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[SetPartition, ...]:
-    """All m-divisible non-crossing t-partitions of {1..mn}, canonically ordered.
+def _check_shape(blocks: tuple, size: int) -> None:
+    # Exact O(size) proof that a generator output is canonical over
+    # {1..size}: blocks non-empty and ascending, minima ascending, and each
+    # of 1..size present exactly once.
+    seen = [False] * (size + 1)
+    low = total = 0
+    for block in blocks:
+        if not block or block[0] <= low:
+            raise InvariantViolation(f"shape {blocks}: empty block or minima out of order")
+        low = block[0]
+        prev = low - 1
+        for x in block:
+            if x <= prev or x > size or seen[x]:
+                raise InvariantViolation(
+                    f"shape {blocks}: block {block} is not ascending or repeats or exceeds {size}"
+                )
+            seen[x] = True
+            prev = x
+        total += len(block)
+    if total != size:
+        raise InvariantViolation(f"shape {blocks} does not cover 1..{size}")
+
+
+def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
+    """Blocks of each m-divisible non-crossing t-partition of {1..mn}, canonical.
 
     Candidates are the classical m-divisible non-crossing partitions c, taken
     to b = tilde_transform(c, t), a bijection on all partitions of the ground
     set.  The only filter is that b be a t-partition, i.e. that 1..t lie in
     distinct blocks of c.  With the blocks of c sorted by minimum, that holds
     iff the first t minima are 1..t; those t blocks then hold one point <= t
-    each, their minimum, and only they are relabelled.
+    each, their minimum, and only they are relabelled.  Block i's minimum
+    i+1 goes to t-i and its other points, all above t, stay, so the
+    relabelled first t blocks in reverse order are ascending with minima
+    1..t, below every later minimum: each output is in canonical form.
 
     Lemma.  If c is classically non-crossing and b is a t-partition, then b
     is non-crossing of order t.  Proof: take i < j < k < l in b.
@@ -311,8 +355,10 @@ def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[Set
     literal forbidden-quadruple scan never rejects one; it stays the body
     of is_noncrossing_t, and the tests run it over every output as a check.
 
-    Raises ResourceLimitError when the closed counting formula predicts more
-    output (or more intermediate classical partitions) than `max_objects`.
+    Every output passes _check_shape, whose failure raises
+    InvariantViolation.  Raises ResourceLimitError when the closed counting
+    formula predicts more output (or more intermediate classical partitions)
+    than `max_objects`.
     """
     m, n, t = p.m, p.n, p.t
     predicted = closedform.total_count(p)
@@ -322,15 +368,67 @@ def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[Set
             f"predicted {max(predicted, workload)} partitions for {p}, "
             f"more than the cap {max_objects}"
         )
-    found = []
-    for blocks in _classical_shapes(m, m * n, 1, {}):
+    size = m * n
+    for blocks in _classical_shapes(m, size, 1, {}):
         if t > 1:
             if len(blocks) < t or blocks[t - 1][0] != t:  # not a t-partition
                 continue
             # Block i holds point i+1, which tilde_transform sends to t-i.
             blocks = tuple(
-                (t - i,) + block[1:] for i, block in enumerate(blocks[:t])
+                (t - i,) + blocks[i][1:] for i in reversed(range(t))
             ) + blocks[t:]
-        found.append(SetPartition(blocks))
-    found.sort(key=lambda sp: sp.blocks)
-    return tuple(found)
+        _check_shape(blocks, size)
+        yield blocks
+
+
+def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[SetPartition, ...]:
+    """All m-divisible non-crossing t-partitions of {1..mn}, canonically ordered.
+
+    The outputs of _nc_blocks (see there for why they are exactly the
+    family, in canonical form) are wrapped without re-validation.  For t > 1
+    the relabelling reorders them, so they are sorted.  At t = 1 they are
+    the classical shapes as generated, which already come in increasing
+    order.
+
+    Lemma.  _classical_shapes(m, size, start) yields its shapes in strictly
+    increasing lexicographic order.  Proof, by induction on size; size 0
+    yields the single shape ().  The first block, `members`, runs through
+    _first_block_position_sets in the order its depth-first search appends
+    them: each position set before its extensions, extensions by ascending
+    next position.  That is strictly increasing tuple order, since a proper
+    prefix sorts first.  So shapes with different first blocks come out in
+    order.  For fixed members, a shape is (members,) followed by one shape
+    of each gap, and product() runs through the gap shapes in lexicographic
+    order of their index tuple; each gap table lists the shapes of a smaller
+    size, so it is in increasing order by induction.  Two shapes of the same gap partition
+    the same points, so neither is a proper prefix of the other, and the
+    first gap where two combinations differ decides the comparison of the
+    concatenations the same way.  Hence the final sort would be a no-op.
+
+    Raises ResourceLimitError when the closed counting formula predicts more
+    output (or more intermediate classical partitions) than `max_objects`.
+    """
+    shapes = _nc_blocks(p, max_objects)
+    if p.t > 1:
+        shapes = sorted(shapes)
+    trusted, size = SetPartition._trusted, p.ground_size
+    return tuple(trusted(blocks, size) for blocks in shapes)
+
+
+def census(p: Params, by: str, max_objects: int = DEFAULT_MAX_OBJECTS) -> Counter:
+    """Tally the family of enumerate_nc(p) without keeping it.
+
+    by="rank" counts the partitions of each rank n - #blocks, by="profile"
+    those of each BlockProfile.counts tuple, and by="total" counts them all
+    under the key "total".  The tallies read the stream behind enumerate_nc,
+    so only its gap tables are held.  Raises what enumerate_nc raises, and
+    DomainError for a block size not divisible by m.
+    """
+    shapes = _nc_blocks(p, max_objects)
+    if by == "rank":
+        return Counter(p.n - len(blocks) for blocks in shapes)
+    if by == "profile":
+        return Counter(_profile_counts(map(len, blocks), p) for blocks in shapes)
+    if by == "total":
+        return Counter(total=sum(1 for _ in shapes))
+    raise ParameterError(f"census by must be rank, profile or total, got {by!r}")

@@ -5,7 +5,7 @@ result at module level, memory would grow with every triple.  Each check
 holds only a weak reference to one element of a result, drops the result
 and collects: the element must then be gone.  Nor may the enumeration keep
 its working tables: after a warm-up, repeated calls leave next to nothing
-traced behind.
+traced behind, and a census holds only those tables, never the family.
 """
 
 import gc
@@ -15,7 +15,7 @@ import weakref
 import pytest
 
 from nclab.dyckmodel import enumerate_tdyck
-from nclab.ncpart import enumerate_nc
+from nclab.ncpart import census, enumerate_nc
 from nclab.nonnest import enumerate_nn, nn_poset
 from nclab.params import Params
 from nclab.posetcore import build_refinement_poset
@@ -59,3 +59,19 @@ def test_enumeration_keeps_no_tables():
     finally:
         tracemalloc.stop()
     assert retained < 500_000, f"{retained} bytes stayed after the calls"
+
+
+def test_census_holds_only_the_gap_tables():
+    # Measured under tracemalloc at (1,11,1) on CPython 3.11: the census
+    # peaks at 3.4 MB, its shapes kept in a list at 8.9 MB and enumerate_nc
+    # at 14.1 MB.  The 6 MB bound leaves the census 2.6 MB of margin and
+    # sits 2.9 MB below any census that materialises the family.
+    assert census(P, "rank")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert census(Params(1, 11, 1), "rank")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, f"the census peaked at {peak} bytes"

@@ -1,12 +1,16 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nclab.errors import DomainError, ParameterError, ResourceLimitError
+from nclab import ncpart
+from nclab.errors import DomainError, InvariantViolation, ParameterError, ResourceLimitError
 from nclab.ncpart import (
     SetPartition,
     block_profile,
+    census,
     enumerate_nc,
     is_noncrossing_t,
     is_t_partition,
@@ -27,6 +31,14 @@ FIGURE_CROSSING = SetPartition.from_blocks(
 
 def from_oracle(blocks):
     return SetPartition.from_blocks(blocks)
+
+
+def triples(max_size):
+    """Every (m, n, t) with mn <= max_size."""
+    for m in range(1, max_size + 1):
+        for n in range(1, max_size // m + 1):
+            for t in range(1, n + 1):
+                yield m, n, t
 
 
 @st.composite
@@ -62,6 +74,12 @@ class TestSetPartition:
             SetPartition.from_json_dict({"n": 1, "blocks": [[True]]})
         with pytest.raises(DomainError, match="positive integers, got True"):
             SetPartition.from_blocks([[2], [True]])
+
+    def test_rejects_non_int_elements_before_sorting(self):
+        # Sorting a block of mixed types would raise a bare TypeError.
+        for blocks in ([[1, "a"]], [[2], [1, None]]):
+            with pytest.raises(DomainError, match="positive integers"):
+                SetPartition.from_json_dict({"blocks": blocks})
 
     def test_sorted_tuple_blocks_are_kept(self):
         class Block(tuple):
@@ -249,13 +267,21 @@ class TestEnumerate:
 
     def test_outputs_pass_literal_scan(self):
         # The generator filters by the t-partition test alone, on the lemma in
-        # its docstring; the literal forbidden-quadruple scan checks every
-        # output for every (m, n, t) with mn <= 10.
-        for m in range(1, 11):
-            for n in range(1, 10 // m + 1):
-                for t in range(1, n + 1):
-                    for part in enumerate_nc(Params(m, n, t)):
-                        assert is_noncrossing_t(part, t), (m, n, t, str(part))
+        # the docstring of _nc_blocks; the literal forbidden-quadruple scan
+        # checks every output for every (m, n, t) with mn <= 10.
+        for triple in triples(10):
+            for part in enumerate_nc(Params(*triple)):
+                assert is_noncrossing_t(part, triple[2]), (triple, str(part))
+
+    def test_outputs_match_validating_constructor(self):
+        # Outputs skip the validating constructor; rebuilding each through it
+        # must give the same blocks and ground size.
+        for triple in triples(10):
+            p = Params(*triple)
+            for part in enumerate_nc(p):
+                rebuilt = SetPartition(part.blocks)
+                assert part.blocks == rebuilt.blocks, (triple, str(part))
+                assert part.ground_size == rebuilt.ground_size == p.ground_size
 
     def test_cardinality_formula_all_m(self):
         # the formula match holds for every m with mn <= 10, not only m <= 3
@@ -268,9 +294,11 @@ class TestEnumerate:
                     assert len(enumerate_nc(p)) == total_count(p)
 
     def test_output_sorted_and_deterministic(self):
-        parts = enumerate_nc(Params(2, 3, 2))
-        assert list(parts) == sorted(parts, key=lambda sp: sp.blocks)
-        assert parts == enumerate_nc(Params(2, 3, 2))
+        # At t = 1 the order rests on the lemma in enumerate_nc's docstring.
+        for triple in triples(10):
+            parts = enumerate_nc(Params(*triple))
+            assert list(parts) == sorted(parts, key=lambda sp: sp.blocks), triple
+            assert parts == enumerate_nc(Params(*triple)), triple
 
     def test_rank_bounds_and_top_level(self):
         for m, n, t in ((1, 5, 2), (2, 3, 2), (2, 2, 1), (3, 2, 1)):
@@ -286,3 +314,42 @@ class TestEnumerate:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_nc(Params(1, 6, 1), max_objects=10)
+
+
+class TestCensus:
+    def test_matches_tallies_over_enumeration(self):
+        for triple in triples(10):
+            p = Params(*triple)
+            parts = enumerate_nc(p)
+            assert census(p, "rank") == Counter(rank_of(sp, p) for sp in parts), triple
+            assert census(p, "profile") == Counter(
+                block_profile(sp, p).counts for sp in parts
+            ), triple
+            assert census(p, "total") == Counter(total=len(parts)), triple
+
+    def test_rejects_unknown_key_and_guards(self):
+        with pytest.raises(ParameterError):
+            census(Params(1, 3, 1), "blocks")
+        with pytest.raises(ResourceLimitError):
+            census(Params(1, 6, 1), "total", max_objects=10)
+
+
+# One broken shape per clause of the generator's exact shape check, on the
+# ground set {1, 2, 3}.
+BROKEN_SHAPES = {
+    "repeated element": ((1, 2), (2,)),
+    "missing element": ((1, 2),),
+    "element above mn": ((1, 2, 4),),
+    "descending block": ((1, 3, 2),),
+    "blocks out of minimum order": ((2, 3), (1,)),
+    "empty block": ((1, 2, 3), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_SHAPES))
+def test_shape_check_rejects(monkeypatch, name):
+    monkeypatch.setattr(ncpart, "_classical_shapes", lambda *args: iter([BROKEN_SHAPES[name]]))
+    with pytest.raises(InvariantViolation):
+        enumerate_nc(Params(1, 3, 1))
+    with pytest.raises(InvariantViolation):
+        census(Params(1, 3, 1), "total")
