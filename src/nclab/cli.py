@@ -251,7 +251,7 @@ def _conj_h_row(p: Params, variant: str, cap: int) -> dict:
 def _bijection_row(p: Params, variant: str, cap: int) -> dict:
     if p.m != 1:
         raise ParameterError("the bijection suite runs at m=1 only")
-    objects = len(nonnest.all_t_filters(p.n, p.t))
+    objects = len(nonnest._tfilter_masks(p.n, p.t))
     ok = dyckmodel.bijection_holds(p.n, p.t)
     return {"m": 1, "n": p.n, "t": p.t, "objects": objects, "pass": ok}
 

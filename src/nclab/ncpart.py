@@ -106,7 +106,10 @@ class SetPartition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SetPartition":
-        partition = cls.from_blocks(data["blocks"])
+        try:
+            partition = cls.from_blocks(data["blocks"])
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"a partition record needs a list of blocks: {exc!r}") from exc
         if partition.ground_size != data.get("n", partition.ground_size):
             raise DomainError("declared ground size does not match the blocks")
         return partition

@@ -26,7 +26,7 @@ from .errors import (
 from .ncpart import DEFAULT_MAX_OBJECTS
 from .params import Params
 from .polyalg import BivariatePolynomial, h_triangle_closed
-from .posetcore import FinitePoset, _bits
+from .posetcore import FinitePoset, _bits, _columns
 
 Pair = Tuple[int, int]
 
@@ -375,11 +375,7 @@ def _certify(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
     packed = [sum(mask << (p * u.stride) for p, mask in enumerate(masks)) for masks in family]
     index = {pc: c for c, pc in enumerate(packed)}
     everything = (1 << len(packed)) - 1
-    backwards = packed[::-1]  # the binary literal of has[k] lists the last chain first
-    has = {
-        1 << k: int("".join(["1" if pc >> k & 1 else "0" for pc in backwards]), 2)
-        for k in _bits(reduce(or_, packed))
-    }
+    has = _columns(packed)
 
     @lru_cache(maxsize=None)
     def inside(p: int, mask: int) -> int:  # the chains whose component p lies in mask

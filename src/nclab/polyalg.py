@@ -35,7 +35,9 @@ def _exact(coeff):
 def _wrap(data: dict) -> "BivariatePolynomial":
     """Polynomial over freshly computed terms, zeros dropped."""
     result = BivariatePolynomial.zero()
-    result._terms = {key: _exact(coeff) for key, coeff in data.items() if coeff}
+    result._terms = {
+        key: coeff if type(coeff) is int else _exact(coeff) for key, coeff in data.items() if coeff
+    }
     return result
 
 
@@ -386,9 +388,8 @@ class IdentityReport:
         return out
 
 
-def _identity_holds(lhs, prefactor, source, u, v, degree_bound) -> bool:
-    rhs = RationalExpr(prefactor) * substitute(source, u, v, degree_bound)
-    return RationalExpr(lhs).equals(rhs)
+def _identity_holds(lhs, prefactor, image: RationalExpr) -> bool:
+    return RationalExpr(lhs).equals(RationalExpr(prefactor) * image)
 
 
 def verify_transformation_identities(p: Params) -> IdentityReport:
@@ -424,16 +425,10 @@ def verify_transformation_identities(p: Params) -> IdentityReport:
         ("m_from_f", m_tri, xy_minus_1**d, f_tri, expr(one_minus_y, xy_minus_1), expr(ONE, xy_minus_1)),
         ("m_from_h", m_tri, one_minus_y**d, h_tri, expr(Y * x_minus_1, one_minus_y), expr(X, x_minus_1)),
     )
-    results = tuple(
-        (name, _identity_holds(lhs, prefactor, source, u, v, d))
-        for name, lhs, prefactor, source, u, v in checks
-    )
-    alt_variant = _identity_holds(
-        h_tri,
-        (X * y_plus_1 + ONE) ** d,
-        m_tri,
-        expr(Y, y_minus_1),
-        expr(X * y_minus_1, x_ym1_plus_1),
-        d,
-    )
-    return IdentityReport(p, results, alt_variant)
+    results = []
+    for name, lhs, prefactor, source, u, v in checks:
+        image = substitute(source, u, v, d)
+        results.append((name, _identity_holds(lhs, prefactor, image)))
+        if name == "h_from_m":  # the alternative prefactor is checked on the same image
+            alt_variant = _identity_holds(lhs, (X * y_plus_1 + ONE) ** d, image)
+    return IdentityReport(p, tuple(results), alt_variant)

@@ -6,6 +6,7 @@ import oracles
 from nclab.closedform import total_count
 from nclab.dyckmodel import (
     DyckPath,
+    _order_isomorphic,
     ddom_leq,
     enumerate_tdyck,
     h_via_paths,
@@ -182,6 +183,46 @@ class TestDominance:
                 for a, fa in enumerate(filters):
                     for b, fb in enumerate(filters):
                         assert (fa.pairs <= fb.pairs) == ddom_leq(images[a], images[b])
+
+
+def _families(n, t):
+    """Filter masks and the area masks of their theta images, in filter order."""
+    filters = all_t_filters(n, t)
+    return [f.mask for f in filters], [theta(f)._area for f in filters]
+
+
+def _disagreeing(masks, areas):
+    """The literal all-pairs loop: every (a, b) where inclusion and dominance differ."""
+    return [
+        (a, b)
+        for a, (fa, aa) in enumerate(zip(masks, areas))
+        for b, (fb, ab) in enumerate(zip(masks, areas))
+        if (not fa & ~fb) != (not ab & ~aa)
+    ]
+
+
+class TestOrderColumns:
+    def test_agrees_with_literal_loop(self):
+        for n in range(1, 8):
+            for t in range(1, n + 1):
+                masks, areas = _families(n, t)
+                assert not _disagreeing(masks, areas), (n, t)
+                assert _order_isomorphic(masks, areas), (n, t)
+                # Swapping the images of the empty and the full filter breaks the order.
+                areas[0], areas[-1] = areas[-1], areas[0]
+                assert bool(_disagreeing(masks, areas)) is (len(areas) > 1), (n, t)
+                assert _order_isomorphic(masks, areas) is (len(areas) == 1), (n, t)
+
+    def test_one_disagreeing_pair_is_caught(self):
+        for n in range(2, 8):
+            for t in range(1, n):
+                masks, areas = _families(n, t)
+                # The single-pair filter {(1, n)} lies above the empty filter only;
+                # a bit no other area holds makes exactly that pair disagree.
+                atom = next(i for i, mask in enumerate(masks) if mask.bit_count() == 1)
+                areas[atom] |= 1 << max(areas).bit_length()
+                assert _disagreeing(masks, areas) == [(masks.index(0), atom)], (n, t)
+                assert not _order_isomorphic(masks, areas), (n, t)
 
 
 class TestHViaPaths:

@@ -81,6 +81,18 @@ class TestSetPartition:
             with pytest.raises(DomainError, match="positive integers"):
                 SetPartition.from_json_dict({"blocks": blocks})
 
+    def test_record_with_int_blocks_is_domain_error(self):
+        with pytest.raises(DomainError, match="list of blocks"):
+            SetPartition.from_json_dict({"blocks": [1, 2]})
+
+    def test_record_with_null_blocks_is_domain_error(self):
+        with pytest.raises(DomainError, match="list of blocks"):
+            SetPartition.from_json_dict({"blocks": None})
+
+    def test_record_without_blocks_is_domain_error(self):
+        with pytest.raises(DomainError, match="list of blocks"):
+            SetPartition.from_json_dict({})
+
     def test_sorted_tuple_blocks_are_kept(self):
         class Block(tuple):
             pass
