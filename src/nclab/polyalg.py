@@ -6,9 +6,10 @@ rational arithmetic and nothing is ever rounded.  Exponents may go negative
 inside intermediate computations, but every public triangle constructor
 returns an honest polynomial with exponents in [0, n - t] and asserts
 integrality (and, where promised, non-negativity) of all coefficients.  The
-substitution identities are verified by clearing denominators symbolically:
-each identity has a small fixed factor set, so equality of the cleared
-numerators is an exact, proof-grade check rather than a sampling argument.
+substitution identities are verified by clearing denominators: each identity
+has a small fixed factor set, and the two cleared sides are compared at one
+integer point chosen so that equality there is equality as polynomials, an
+exact, proof-grade check rather than a sampling argument.
 """
 
 import json
@@ -231,12 +232,15 @@ class RationalExpr:
         return self.num * other.den == other.num * self.den
 
 
-def _power_weights(expr: RationalExpr, d: int):
-    """[expr.num^k * expr.den^(d - k) for k = 0..d], powers by running products."""
-    num_pows, den_pows = [ONE], [ONE]
+def _power_weights(num, den, d: int):
+    """[num^k * den^(d - k) for k = 0..d], powers by running products.
+
+    num and den are both polynomials or both ints.
+    """
+    num_pows, den_pows = [num**0], [den**0]
     for _ in range(d):
-        num_pows.append(num_pows[-1] * expr.num)
-        den_pows.append(den_pows[-1] * expr.den)
+        num_pows.append(num_pows[-1] * num)
+        den_pows.append(den_pows[-1] * den)
     return [num_pows[k] * den_pows[d - k] for k in range(d + 1)]
 
 
@@ -262,8 +266,8 @@ def substitute(
     d = max(dx, dy, 0) if degree_bound is None else degree_bound
     if d < max(dx, dy, 0):
         raise ParameterError(f"degree bound {d} is below the actual degree {max(dx, dy)}")
-    u_weights = _power_weights(u, d)
-    v_weights = _power_weights(v, d)
+    u_weights = _power_weights(u.num, u.den, d)
+    v_weights = _power_weights(v.num, v.den, d)
     rows: Dict[int, dict] = {}
     for (ex, ey), coeff in poly._terms.items():
         row = rows.setdefault(ex, {})
@@ -275,11 +279,19 @@ def substitute(
     return RationalExpr(numerator, u_weights[0] * v_weights[0])
 
 
-def _assert_integral(poly: BivariatePolynomial, context: str, nonnegative: bool = False):
-    for key, coeff in poly.terms().items():
-        if coeff.denominator != 1:
-            raise InvariantViolation(f"{context}: non-integral coefficient {coeff} at {key}")
-        if nonnegative and coeff < 0:
+def _exact_quotient(numerator: int, denominator: int, key, context: str) -> int:
+    """numerator / denominator, which must be an integer: else InvariantViolation at key."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise InvariantViolation(
+            f"{context}: non-integral coefficient {Fraction(numerator, denominator)} at {key}"
+        )
+    return quotient
+
+
+def _assert_nonnegative(poly: BivariatePolynomial, context: str) -> BivariatePolynomial:
+    for key, coeff in poly._terms.items():
+        if coeff < 0:
             raise InvariantViolation(f"{context}: negative coefficient {coeff} at {key}")
     return poly
 
@@ -313,22 +325,26 @@ def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Bivar
 
 
 def m_triangle_closed(p: Params) -> BivariatePolynomial:
-    """Closed double sum for the Moebius rank triangle; coefficients integral."""
+    """Closed double sum for the Moebius rank triangle, in integer arithmetic.
+
+    Each coefficient is an integer numerator over n(mn - t + 1); a quotient
+    that is not an integer raises InvariantViolation naming its (r, s).
+    """
     m, n, t = p.m, p.n, p.t
     d = n - t
-    coeffs: Dict[Tuple[int, int], Rational] = {}
+    denominator = n * (m * n - t + 1)
+    coeffs: Dict[Tuple[int, int], int] = {}
     for r in range(d + 1):
         for s in range(r, d + 1):
-            value = Fraction(
-                t * (m * n - t + 1) - (n - t - s) * (t - 1), n * (m * n - t + 1)
+            numerator = (
+                (-1) ** (s - r)
+                * (t * (m * n - t + 1) - (n - t - s) * (t - 1))
+                * binomial(n, r)
+                * binomial(m * n - t + 1, n - t - s)
+                * binomial(m * n + s - r - 1, s - r)
             )
-            value *= (-1) ** (s - r)
-            value *= binomial(n, r)
-            value *= binomial(m * n - t + 1, n - t - s)
-            value *= binomial(m * n + s - r - 1, s - r)
-            if value:
-                coeffs[(r, s)] = coeffs.get((r, s), 0) + value
-    return _assert_integral(BivariatePolynomial(coeffs), "closed rank triangle")
+            coeffs[(r, s)] = _exact_quotient(numerator, denominator, (r, s), "closed rank triangle")
+    return _wrap(coeffs)
 
 
 def h_triangle_closed(p: Params) -> BivariatePolynomial:
@@ -345,22 +361,23 @@ def h_triangle_closed(p: Params) -> BivariatePolynomial:
             key = (d - k, d - k - h)
             if value:
                 coeffs[key] = coeffs.get(key, 0) + value
-    return _assert_integral(BivariatePolynomial(coeffs), "closed H-triangle", nonnegative=True)
+    return _assert_nonnegative(_wrap(coeffs), "closed H-triangle")
 
 
 def f_triangle_closed(p: Params) -> BivariatePolynomial:
-    """Closed form of the F-triangle; coefficients are non-negative integers."""
+    """Closed form of the F-triangle in integer arithmetic; coefficients are non-negative.
+
+    Each coefficient is an integer numerator over n; a quotient that is not
+    an integer raises InvariantViolation naming its (a, b).
+    """
     m, n, t = p.m, p.n, p.t
     d = n - t
-    coeffs: Dict[Tuple[int, int], Rational] = {}
+    coeffs: Dict[Tuple[int, int], int] = {}
     for a in range(d + 1):
         for b in range(d - a + 1):
-            value = Fraction(t + b, n)
-            value *= binomial(m * n + a - 1, a)
-            value *= binomial(n, t + a + b)
-            if value:
-                coeffs[(a, b)] = coeffs.get((a, b), 0) + value
-    return _assert_integral(BivariatePolynomial(coeffs), "closed F-triangle", nonnegative=True)
+            numerator = (t + b) * binomial(m * n + a - 1, a) * binomial(n, t + a + b)
+            coeffs[(a, b)] = _exact_quotient(numerator, n, (a, b), "closed F-triangle")
+    return _assert_nonnegative(_wrap(coeffs), "closed F-triangle")
 
 
 @dataclass(frozen=True)
@@ -388,47 +405,129 @@ class IdentityReport:
         return out
 
 
-def _identity_holds(lhs, prefactor, image: RationalExpr) -> bool:
-    return RationalExpr(lhs).equals(RationalExpr(prefactor) * image)
+# Chapoton's substitutions, one row per identity: (name, lhs, prefactor base,
+# source, u, v, alternative base).  A row claims lhs = base^d * source(u, v)
+# with d = n - t, naming the triangles "m", "f" and "h".  Only the H-from-M
+# row has an alternative base, 1 + x(y + 1), checked on the same image for
+# information; the normative base 1 + x(y - 1) is the one consistent with the
+# closed H form.
+_IDENTITIES = (
+    ("f_from_m", "f", Y, "m", RationalExpr(Y + ONE, Y - X), RationalExpr(Y - X, Y), None),
+    ("f_from_h", "f", X, "h", RationalExpr(X + ONE, X), RationalExpr(Y + ONE, X + ONE), None),
+    (
+        "h_from_m",
+        "h",
+        X * (Y - ONE) + ONE,
+        "m",
+        RationalExpr(Y, Y - ONE),
+        RationalExpr(X * (Y - ONE), X * (Y - ONE) + ONE),
+        X * (Y + ONE) + ONE,
+    ),
+    ("h_from_f", "h", X - ONE, "f", RationalExpr(ONE, X - ONE), RationalExpr(X * (Y - ONE) + ONE, X - ONE), None),
+    ("m_from_f", "m", X * Y - ONE, "f", RationalExpr(ONE - Y, X * Y - ONE), RationalExpr(ONE, X * Y - ONE), None),
+    ("m_from_h", "m", ONE - Y, "h", RationalExpr(Y * (X - ONE), ONE - Y), RationalExpr(X, X - ONE), None),
+)
+
+
+def _l1(poly: BivariatePolynomial) -> int:
+    return sum(abs(c) for c in poly._terms.values())
+
+
+def _layout(lhs, bases, source, u, v, d: int) -> Tuple[int, int]:
+    """(w, Dx) for lhs * u.den^d v.den^d - base^d * sum c_rs U_r V_s, any base in bases.
+
+    Dx bounds the x-degree of that difference and every |coefficient| of it
+    is below 2^(w - 1); see `verify_transformation_identities`.
+    """
+
+    def deg(poly):
+        return poly.max_exponents()[0]
+
+    dx = max(
+        deg(lhs) + d * (deg(u.den) + deg(v.den)),
+        d * (max(map(deg, bases)) + max(deg(u.num), deg(u.den)) + max(deg(v.num), deg(v.den))),
+    )
+    un, ud, vn, vd = map(_l1, (u.num, u.den, v.num, v.den))
+    image = sum(
+        abs(c) * un**r * ud ** (d - r) * vn**s * vd ** (d - s) for (r, s), c in source._terms.items()
+    )
+    bound = _l1(lhs) * ud**d * vd**d + max(map(_l1, bases)) ** d * image
+    return (2 * bound).bit_length() + 1, dx
+
+
+def _pack(poly: BivariatePolynomial, w: int, stride: int) -> int:
+    """poly at x = 2^w, y = 2^stride, by shifts: rows sum c << w*a, joined by Horner in y."""
+    rows: Dict[int, int] = {}
+    for (a, b), c in poly._terms.items():
+        rows[b] = rows.get(b, 0) + (c << (w * a))
+    value = 0
+    for b in range(max(rows, default=-1), -1, -1):
+        value = (value << stride) + rows.get(b, 0)
+    return value
 
 
 def verify_transformation_identities(p: Params) -> IdentityReport:
-    """Check the six triangle substitution identities by denominator clearing.
+    """Check the six triangle substitution identities in exact integer arithmetic.
 
-    Each source triangle is substituted over the common denominator built
-    from the identity's fixed factors (see `substitute`), and the cleared
-    numerator is compared against the prefactor times the target side as
-    exact polynomials.
+    Each row of `_IDENTITIES` claims lhs = base^d * source(u, v), d = n - t.
+    Over the common denominator of `substitute` this is
+
+        lhs * u.den^d * v.den^d == base^d * sum c_rs U_r V_s,
+        U_r = u.num^r u.den^(d - r),  V_s = v.num^s v.den^(d - s),
+
+    with c_rs the coefficients of source (r, s <= d, as in every closed
+    triangle).  Both sides are integer polynomials; the identity holds iff
+    their difference D is zero.  Instead of expanding D, each side is
+    evaluated at the Kronecker point x0 = 2^w, y0 = 2^(w (Dx + 1)) and the
+    two integers are compared, with (w, Dx) from `_layout`:
+
+    * Dx bounds the x-degree of D: deg_x lhs + d (deg_x u.den + deg_x v.den)
+      bounds the left side, and d (deg_x base + max(deg_x u.num, deg_x u.den)
+      + max(deg_x v.num, deg_x v.den)) every term of the right.
+    * C bounds every |coefficient| of D, since a coefficient is at most the
+      l1 norm (sum of |coefficients|) and |PQ|_1 <= |P|_1 |Q|_1:
+      C = |lhs|_1 |u.den|_1^d |v.den|_1^d + |base|_1^d sum |c_rs|
+      |u.num|_1^r |u.den|_1^(d - r) |v.num|_1^s |v.den|_1^(d - s).
+      w = bit_length(2C) + 1, so C < 2^(w - 1).
+
+    Then D(x0, y0) = sum d_ab 2^(w (a + (Dx + 1) b)).  As 0 <= a <= Dx, each
+    monomial has its own exponent k = a + (Dx + 1) b, a w-bit slot.  If D is
+    nonzero, let k0 be its lowest occupied slot: D(x0, y0) =
+    2^(w k0) (d_k0 + 2^w R) for an integer R, and that is nonzero because
+    0 < |d_k0| < 2^w.  So D(x0, y0) == 0 iff D == 0: the verdict is exact
+    and assumes no lemma.
+
+    Packed values are built by shifts (`_pack`); only products of packed
+    factors are big-int multiplications.  The H-from-M row also checks its
+    alternative base on the same image, with (w, Dx) chosen for both bases.
+    The closed triangles must hold int coefficients; any other raises
+    InvariantViolation.  `substitute` and `RationalExpr` give the same
+    check on polynomials (the test oracle).
     """
     d = p.max_rank
-    m_tri = m_triangle_closed(p)
-    h_tri = h_triangle_closed(p)
-    f_tri = f_triangle_closed(p)
-
-    def expr(num, den=ONE):
-        return RationalExpr(num, den)
-
-    y_minus_x = Y - X
-    y_minus_1 = Y - ONE
-    x_minus_1 = X - ONE
-    x_plus_1 = X + ONE
-    y_plus_1 = Y + ONE
-    xy_minus_1 = X * Y - ONE
-    one_minus_y = ONE - Y
-    x_ym1_plus_1 = X * y_minus_1 + ONE
-
-    checks = (
-        ("f_from_m", f_tri, Y**d, m_tri, expr(y_plus_1, y_minus_x), expr(y_minus_x, Y)),
-        ("f_from_h", f_tri, X**d, h_tri, expr(x_plus_1, X), expr(y_plus_1, x_plus_1)),
-        ("h_from_m", h_tri, x_ym1_plus_1**d, m_tri, expr(Y, y_minus_1), expr(X * y_minus_1, x_ym1_plus_1)),
-        ("h_from_f", h_tri, x_minus_1**d, f_tri, expr(ONE, x_minus_1), expr(x_ym1_plus_1, x_minus_1)),
-        ("m_from_f", m_tri, xy_minus_1**d, f_tri, expr(one_minus_y, xy_minus_1), expr(ONE, xy_minus_1)),
-        ("m_from_h", m_tri, one_minus_y**d, h_tri, expr(Y * x_minus_1, one_minus_y), expr(X, x_minus_1)),
-    )
+    triangles = {"m": m_triangle_closed(p), "h": h_triangle_closed(p), "f": f_triangle_closed(p)}
+    for name, tri in triangles.items():
+        for key, c in tri._terms.items():
+            if type(c) is not int:
+                raise InvariantViolation(
+                    f"closed {name.upper()}-triangle: non-integer coefficient {c} at {key}"
+                )
     results = []
-    for name, lhs, prefactor, source, u, v in checks:
-        image = substitute(source, u, v, d)
-        results.append((name, _identity_holds(lhs, prefactor, image)))
-        if name == "h_from_m":  # the alternative prefactor is checked on the same image
-            alt_variant = _identity_holds(lhs, (X * y_plus_1 + ONE) ** d, image)
-    return IdentityReport(p, tuple(results), alt_variant)
+    for name, lhs_name, base, source_name, u, v, alt_base in _IDENTITIES:
+        lhs, source = triangles[lhs_name], triangles[source_name]
+        bases = (base,) if alt_base is None else (base, alt_base)
+        w, dx = _layout(lhs, bases, source, u, v, d)
+        stride = w * (dx + 1)
+        un, ud, vn, vd = (_pack(f, w, stride) for f in (u.num, u.den, v.num, v.den))
+        u_weights = _power_weights(un, ud, d)
+        v_weights = _power_weights(vn, vd, d)
+        rows: Dict[int, int] = {}
+        for (r, s), c in source._terms.items():
+            rows[r] = rows.get(r, 0) + c * v_weights[s]
+        image = sum(u_weights[r] * row for r, row in rows.items())
+        left = _pack(lhs, w, stride) * u_weights[0] * v_weights[0]
+        holds = [left == _pack(b, w, stride) ** d * image for b in bases]
+        results.append((name, holds[0]))
+        if alt_base is not None:
+            alt_holds = holds[1]
+    return IdentityReport(p, tuple(results), alt_holds)

@@ -1,12 +1,18 @@
 """Independent brute-force reference implementations.
 
-Nothing here imports the package under test: partitions are plain tuples of
-tuples and every predicate is coded directly from the defining patterns, so
-these routines can serve as oracles for the library.
+Nothing here imports the package under test at module level: partitions are
+plain tuples of tuples, every predicate is coded directly from the defining
+patterns and the closed triangles are summed in `Fraction`, so these
+routines can serve as oracles for the library.  `identities_literal` is the
+one exception: it runs the library's literal polynomial path (`substitute`,
+`RationalExpr`) over the library's identity table, the path that the
+integer check in `verify_transformation_identities` replaced.
 """
 
 import json
+from fractions import Fraction
 from itertools import combinations, compress
+from math import comb
 
 
 def all_set_partitions(n):
@@ -212,3 +218,56 @@ def dominates(heights_a, heights_b):
     return len(heights_a) == len(heights_b) and all(
         b <= a for a, b in zip(heights_a, heights_b)
     )
+
+
+def m_triangle_fraction(m, n, t):
+    """Terms {(r, s): value} of the closed M-triangle double sum, in Fraction, zeros dropped."""
+    d = n - t
+    terms = {}
+    for r in range(d + 1):
+        for s in range(r, d + 1):
+            value = Fraction(t * (m * n - t + 1) - (n - t - s) * (t - 1), n * (m * n - t + 1))
+            value *= (-1) ** (s - r) * comb(n, r) * comb(m * n - t + 1, n - t - s)
+            value *= comb(m * n + s - r - 1, s - r)
+            if value:
+                terms[(r, s)] = value
+    return terms
+
+
+def f_triangle_fraction(m, n, t):
+    """Terms {(a, b): value} of the closed F-triangle, in Fraction, zeros dropped."""
+    d = n - t
+    terms = {}
+    for a in range(d + 1):
+        for b in range(d - a + 1):
+            value = Fraction(t + b, n) * comb(m * n + a - 1, a) * comb(n, t + a + b)
+            if value:
+                terms[(a, b)] = value
+    return terms
+
+
+def identities_literal(p):
+    """(results, alt_prefactor_holds) of the six identities, by polynomial algebra.
+
+    Each row of `polyalg._IDENTITIES` is checked as lhs * image.den ==
+    base^d * image.num with image = substitute(source, u, v, d), expanding
+    both sides as polynomials.  The triangles are looked up on the module at
+    call time, so a monkeypatched triangle reaches this check too.
+    """
+    from nclab import polyalg
+
+    d = p.max_rank
+    triangles = {
+        "m": polyalg.m_triangle_closed(p),
+        "h": polyalg.h_triangle_closed(p),
+        "f": polyalg.f_triangle_closed(p),
+    }
+    results = []
+    alt = None
+    for name, lhs, base, source, u, v, alt_base in polyalg._IDENTITIES:
+        image = polyalg.substitute(triangles[source], u, v, d)
+        left = polyalg.RationalExpr(triangles[lhs])
+        results.append((name, left.equals(polyalg.RationalExpr(base**d) * image)))
+        if alt_base is not None:
+            alt = left.equals(polyalg.RationalExpr(alt_base**d) * image)
+    return tuple(results), alt

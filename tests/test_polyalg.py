@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from nclab import cli, polyalg
 from nclab.closedform import total_count
-from nclab.errors import ParameterError
+from nclab.errors import InvariantViolation, ParameterError
 from nclab.params import Params
 from nclab.polyalg import (
     ONE,
@@ -178,6 +180,25 @@ class TestMTriangle:
                 assert closed.coefficient(r, r) == count_by_rank(p, r)
 
 
+class TestClosedIntegerArithmetic:
+    def test_terms_equal_fraction_formulas(self):
+        for m in range(1, 5):
+            for n in range(1, 9):
+                for t in range(1, n + 1):
+                    p = Params(m, n, t)
+                    assert m_triangle_closed(p).terms() == oracles.m_triangle_fraction(m, n, t), p
+                    assert f_triangle_closed(p).terms() == oracles.f_triangle_fraction(m, n, t), p
+
+    def test_non_integral_quotient_names_its_term(self, monkeypatch):
+        # With every binomial 1, the (0, 0) numerators at (1, 2, 1) are 2 over 4 and 1 over 2.
+        monkeypatch.setattr(polyalg, "binomial", lambda r, k: 1)
+        message = r"non-integral coefficient 1/2 at \(0, 0\)"
+        with pytest.raises(InvariantViolation, match="closed rank triangle: " + message):
+            m_triangle_closed(Params(1, 2, 1))
+        with pytest.raises(InvariantViolation, match="closed F-triangle: " + message):
+            f_triangle_closed(Params(1, 2, 1))
+
+
 class TestHFTriangles:
     def test_h_golden(self):
         assert h_triangle_closed(Params(2, 3, 2)) == X * Y + X + 3 * ONE
@@ -308,3 +329,55 @@ class TestIdentities:
     def test_alt_prefactor_fails_generically(self):
         assert not verify_transformation_identities(Params(1, 2, 1)).alt_prefactor_holds
         assert not verify_transformation_identities(Params(2, 3, 2)).alt_prefactor_holds
+
+    def test_fast_path_equals_literal_oracle(self):
+        triples = [Params(m, n, t) for m in (1, 2, 3) for n in range(1, 7) for t in range(1, n + 1)]
+        triples += [Params(2, 10, t) for t in range(1, 11)] + [Params(4, 8, t) for t in range(1, 9)]
+        for p in triples:
+            report = verify_transformation_identities(p)
+            assert oracles.identities_literal(p) == (report.results, report.alt_prefactor_holds), p
+
+    @pytest.mark.parametrize("triangle", ["m", "f", "h"])
+    def test_bumped_coefficient_fails_same_identities(self, monkeypatch, triangle):
+        # +1 on one coefficient breaks the four identities that read that triangle.
+        original = getattr(polyalg, f"{triangle}_triangle_closed")
+        involved = {name for name, lhs, _, source, *_ in polyalg._IDENTITIES if triangle in (lhs, source)}
+        for p in (Params(1, 2, 2), Params(1, 4, 1), Params(2, 3, 2), Params(3, 5, 2)):
+            for pick in (min, max):
+
+                def bumped(q):
+                    terms = original(q).terms()
+                    terms[pick(terms)] += 1
+                    return BivariatePolynomial(terms)
+
+                monkeypatch.setattr(polyalg, f"{triangle}_triangle_closed", bumped)
+                report = verify_transformation_identities(p)
+                assert oracles.identities_literal(p) == (report.results, report.alt_prefactor_holds), (p, pick)
+                assert {name for name, ok in report.results if not ok} == involved, (p, pick)
+
+    def test_layout_bounds_the_literal_difference(self):
+        # Besides the true lhs, a constant one (the right side sets the degree) and
+        # one with a large high x-power (the left side sets degree and size).
+        for p in (Params(1, 1, 1), Params(1, 5, 1), Params(2, 6, 3), Params(4, 7, 1), Params(3, 8, 8)):
+            d = p.max_rank
+            triangles = {"m": m_triangle_closed(p), "h": h_triangle_closed(p), "f": f_triangle_closed(p)}
+            for name, lhs, base, source, u, v, alt_base in polyalg._IDENTITIES:
+                bases = (base,) if alt_base is None else (base, alt_base)
+                image = substitute(triangles[source], u, v, d)
+                for left in (triangles[lhs], ONE, triangles[lhs] + 2**80 * X ** (d + 2)):
+                    w, dx = polyalg._layout(left, bases, triangles[source], u, v, d)
+                    for b in bases:
+                        difference = left * image.den - b**d * image.num
+                        largest = max(map(abs, difference.terms().values()), default=0)
+                        assert largest < 2 ** (w - 1), (p, name, left)
+                        assert difference.max_exponents()[0] <= dx, (p, name, left)
+
+    def test_non_integer_coefficient_is_an_invariant_violation(self, monkeypatch):
+        def halved(q):
+            return BivariatePolynomial({(0, 0): Fraction(1, 2)})
+
+        monkeypatch.setattr(polyalg, "h_triangle_closed", halved)
+        with pytest.raises(InvariantViolation, match="closed H-triangle: non-integer coefficient 1/2 at"):
+            verify_transformation_identities(Params(1, 3, 1))
+        row = cli._identities_row(Params(1, 3, 1), "paper", 10)
+        assert row["pass"] is False and "non-integer coefficient" in row["error"]
