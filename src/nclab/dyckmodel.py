@@ -179,7 +179,7 @@ def theta_inverse(path: DyckPath, t: int) -> TFilter:
         index = universe.index.get(pair)
         if index is None or pair[1] <= t:
             raise DomainError(f"valley ({x}, {y}) maps outside the pair poset")
-        mask |= universe.up_masks[index]
+        mask |= universe.above[index]
     return TFilter(n, t, universe.pairs_of(mask))
 
 
@@ -220,14 +220,16 @@ def _order_isomorphic(filter_masks: Sequence[int], areas: Sequence[int]) -> bool
 def bijection_holds(n: int, t: int) -> bool:
     """True iff theta is an order isomorphism from the t-filters onto the paths.
 
-    Checks both family sizes against the closed total count, both round trips,
-    that the images are exactly the paths, and that filter inclusion is
-    reverse dominance of the images.  The order is checked from inclusion
-    columns (_order_isomorphic): per filter one AND of filter columns and one
-    OR of area columns, with the verdict of the all-pairs comparison and no
-    lemma assumed.  At (n, t) = (9, 1), 4862 filters, that replaces 23.6M
-    `ddom_leq` calls, and the whole check takes 0.8 s instead of 10 s
-    (2 cores, Python 3.11).
+    Checks both family sizes against the closed total count, the round trip
+    theta_inverse(theta(f)) == f, that the images are exactly the paths, and
+    that filter inclusion is reverse dominance of the images.  These imply
+    the other round trip: every path is some theta(f), so
+    theta(theta_inverse(path)) == theta(f) == path.
+    The order is checked from inclusion columns (_order_isomorphic): per
+    filter one AND of filter columns and one OR of area columns, with the
+    verdict of the all-pairs comparison and no lemma assumed.  At
+    (n, t) = (9, 1), 4862 filters, that replaces 23.6M `ddom_leq` calls,
+    and the whole check takes 0.5-0.7 s instead of 10 s (2 cores, Python 3.11).
     """
     filters = all_t_filters(n, t)
     paths = enumerate_tdyck(n, t)
@@ -237,7 +239,6 @@ def bijection_holds(n: int, t: int) -> bool:
         and all(theta_inverse(path, t) == filt for filt, path in zip(filters, images))
         and len(set(images)) == len(filters)
         and set(images) == set(paths)
-        and all(theta(theta_inverse(path, t)) == path for path in paths)
         and _order_isomorphic([filt.mask for filt in filters], [path._area for path in images])
     )
 

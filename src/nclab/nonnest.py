@@ -67,7 +67,7 @@ class _Universe:
         self.index = {(i, j): i * self.width + j for (i, j) in self.pairs}
         self._pair_at = {k: pair for pair, k in self.index.items()}
         self.full_mask = sum(1 << k for k in self.index.values())
-        self.up_masks = {
+        self.above = {
             k: sum(1 << self.index[other] for other in self.pairs if pair_leq(pair, other))
             for pair, k in self.index.items()
         }

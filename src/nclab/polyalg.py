@@ -302,17 +302,18 @@ def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Bivar
     The coefficient of x^r y^s sums v_r[b] = sum over a of rank r of
     mu(a, b) over the b of rank s.  Moebius inversion gives each v_r in one
     triangular solve, v_r[b] = [rk b = r] - sum over a < b of v_r[a], taken
-    level by level (rank r, r + 1, ...) over the up-set of rank r, outside
-    which v_r vanishes; each a < b lies on a lower level than b.  One solve
-    per rank replaces one Moebius row per element.
+    level by level (rank r, r + 1, ...) over the support of levels r..top;
+    each a < b lies on a lower level than b.  One solve per rank replaces
+    one Moebius row per element.  The support is exact with no lemma: an
+    element of rank >= r above no rank-r element has only such elements
+    below it at ranks >= r, so by induction on rank each of them gets
+    v_r = 0 and the sums of the others do not change.
     """
     poset = build_refinement_poset(p, max_objects=max_objects)
     levels = [poset.level_mask(s) for s in range(poset.max_rank + 1)]
     coeffs: Dict[Tuple[int, int], int] = {}
-    for r, level in enumerate(levels):
-        support = 0
-        for a in _bits(level):
-            support |= poset.up_mask(a)
+    for r in range(len(levels)):
+        support = sum(levels[r:])  # the levels are disjoint, so this is their OR
         v = [0] * len(poset)
         for s in range(r, len(levels)):
             total = 0

@@ -3,9 +3,10 @@
 The order relation is stored as one bitmask per element (an arbitrary-size
 Python int), which makes interval extraction, cover detection and the chain
 dynamic programs cheap at desk scale.  A poset is built one way, from its
-elements, its covers and its ranks, and every table (down-masks, up-masks,
-covers) is filled in the constructor, so posets are immutable afterwards
-and concurrent readers are safe.  No poset is kept at module level: each
+elements, its covers and its ranks.  The down-masks are its one order
+table; up-sets are read off them or off the covers when needed.  Both are
+filled in the constructor, so posets are immutable afterwards and
+concurrent readers are safe.  No poset is kept at module level: each
 build_refinement_poset call builds its own.
 """
 
@@ -40,15 +41,14 @@ def _columns(masks: Sequence[int]) -> Dict[int, int]:
 class FinitePoset:
     """Finite graded poset over an indexed element list, generated by its covers.
 
-    `down[i]` is the bitmask of indices j with j <= i (including i itself)
-    and `up[i]` the mask of j >= i.  Each cover (a, b) must step rank by
-    exactly one, which makes it irredundant: the given covers are the Hasse
-    diagram, and down-masks are OR-ed along them in ascending rank order and
-    up-masks in descending rank order, so index order need not be a linear
-    extension.
+    `down[i]` is the bitmask of indices j with j <= i (including i itself);
+    it is the only order table.  Each cover (a, b) must step rank by exactly
+    one, which makes it irredundant: the given covers are the Hasse diagram,
+    and down-masks are OR-ed along them in ascending rank order, so index
+    order need not be a linear extension.
     """
 
-    __slots__ = ("elements", "ranks", "_index", "_down", "_up", "_covers")
+    __slots__ = ("elements", "ranks", "_index", "_down", "_covers")
 
     def __init__(
         self,
@@ -73,17 +73,11 @@ class FinitePoset:
                     f"cover ({a}, {b}) steps rank {self.ranks[a]} -> {self.ranks[b]}, not by one"
                 )
             lower[b].append(a)
-        order = sorted(range(n), key=self.ranks.__getitem__)
         down = [1 << i for i in range(n)]
-        for b in order:
+        for b in sorted(range(n), key=self.ranks.__getitem__):
             for a in lower[b]:
                 down[b] |= down[a]
-        up = [1 << i for i in range(n)]
-        for b in reversed(order):
-            for a in lower[b]:
-                up[a] |= up[b]
         self._down = down
-        self._up = up
         self._covers = tuple(sorted(covers))
 
     def __len__(self) -> int:
@@ -101,9 +95,6 @@ class FinitePoset:
     def down_mask(self, b: int) -> int:
         return self._down[b]
 
-    def up_mask(self, a: int) -> int:
-        return self._up[a]
-
     def rank(self, i: int) -> int:
         return self.ranks[i]
 
@@ -119,17 +110,15 @@ class FinitePoset:
         return mask
 
     def validate_partial_order(self) -> None:
-        """Assert reflexivity, antisymmetry and transitivity (test support)."""
-        n = len(self.elements)
-        up = self._up
-        for i in range(n):
-            if not self.leq(i, i):
+        """Assert reflexivity, antisymmetry and transitivity of the down-masks (test support)."""
+        down = self._down
+        for i, mask in enumerate(down):
+            if not mask >> i & 1:
                 raise InvariantViolation("order is not reflexive")
-            if up[i] & self._down[i] != 1 << i:
-                raise InvariantViolation("order is not antisymmetric")
-        for i in range(n):
-            for j in _bits(up[i]):
-                if up[j] & ~up[i]:
+            for j in _bits(mask & ~(1 << i)):
+                if down[j] >> i & 1:
+                    raise InvariantViolation("order is not antisymmetric")
+                if down[j] & ~mask:
                     raise InvariantViolation("order is not transitive")
 
     def covers(self) -> Tuple[Tuple[int, int], ...]:
@@ -139,19 +128,21 @@ class FinitePoset:
     def assert_graded(self, expected_max_rank: Optional[int] = None) -> None:
         """Check rank 0 minima and the top rank; the constructor checks the covers."""
         top = self.max_rank
-        for i, up in enumerate(self._up):
-            if self._down[i] == 1 << i and self.ranks[i] != 0:
-                raise InvariantViolation(f"minimal element {i} has rank {self.ranks[i]}")
-            if up == 1 << i and self.ranks[i] != top:
-                raise InvariantViolation(f"maximal element {i} has rank {self.ranks[i]}")
+        covered = {a for a, _ in self._covers}  # maximal: the lower end of no cover
+        for i, rk in enumerate(self.ranks):
+            if self._down[i] == 1 << i and rk != 0:
+                raise InvariantViolation(f"minimal element {i} has rank {rk}")
+            if i not in covered and rk != top:
+                raise InvariantViolation(f"maximal element {i} has rank {rk}")
         if expected_max_rank is not None and top != expected_max_rank:
             raise InvariantViolation(
                 f"top rank is {top}, expected {expected_max_rank}"
             )
 
     def _moebius_row(self, a: int) -> Dict[int, int]:
-        """mu(a, b) for every b >= a, recomputed on each call."""
-        up_a = self._up[a]
+        """mu(a, b) for every b >= a, recomputed on each call (test oracle)."""
+        # The up-set of a: every b whose down-mask holds a.
+        up_a = sum(1 << b for b, mask in enumerate(self._down) if mask >> a & 1)
         row = {a: 1}
         # Down-set size orders the up-set by a linear extension.
         above = sorted(_bits(up_a & ~(1 << a)), key=lambda b: self._down[b].bit_count())

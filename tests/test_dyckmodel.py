@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nclab import dyckmodel
 from nclab.closedform import total_count
 from nclab.dyckmodel import (
     DyckPath,
@@ -141,6 +142,19 @@ class TestTheta:
     @given(t_filters())
     def test_round_trip_random(self, filt):
         assert theta_inverse(theta(filt), filt.t) == filt
+
+    def test_one_wrong_inverse_fails_the_bijection(self, monkeypatch):
+        # bijection_holds checks one round trip; a theta_inverse that is wrong
+        # on a single path must still fail it.
+        n, t = 5, 2
+        paths = enumerate_tdyck(n, t)
+        real = dyckmodel.theta_inverse
+        wrong = real(paths[0], t)
+        assert dyckmodel.bijection_holds(n, t)
+        monkeypatch.setattr(
+            dyckmodel, "theta_inverse", lambda path, t: wrong if path == paths[-1] else real(path, t)
+        )
+        assert not dyckmodel.bijection_holds(n, t)
 
     def test_inverse_requires_t_path(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from nclab.errors import DomainError, ParameterError
+from nclab.errors import DomainError, InvariantViolation, ParameterError
 from nclab.ncpart import SetPartition, enumerate_nc, tilde_transform
 from nclab.params import Params
 from nclab.posetcore import FinitePoset, build_refinement_poset, verify_ideal_embedding
@@ -16,15 +16,6 @@ def chain_poset(k):
 
 def antichain_poset(k):
     return FinitePoset(tuple(range(k)), [], (0,) * k)
-
-
-def transpose(masks):
-    """up[i] = {j : i in masks[j]}, one bit at a time."""
-    up = [0] * len(masks)
-    for j, mask in enumerate(masks):
-        for i in oracles.set_bits(mask):
-            up[i] |= 1 << j
-    return up
 
 
 class TestConstruction:
@@ -56,6 +47,34 @@ class TestConstruction:
         for p in (Params(1, 5, 2), Params(2, 3, 1), Params(2, 2, 2)):
             build_refinement_poset(p).assert_graded(expected_max_rank=p.max_rank)
 
+    @pytest.mark.parametrize(
+        "down, message",
+        [
+            ([0b001, 0b001, 0b111], "not reflexive"),  # 1 is not below itself
+            ([0b011, 0b011, 0b111], "not antisymmetric"),  # 0 <= 1 and 1 <= 0
+            ([0b001, 0b011, 0b110], "not transitive"),  # 0 <= 1 <= 2 but not 0 <= 2
+        ],
+    )
+    def test_corrupted_down_masks_are_caught(self, down, message):
+        poset = chain_poset(3)
+        poset._down = down
+        with pytest.raises(InvariantViolation, match=message):
+            poset.validate_partial_order()
+
+    @pytest.mark.parametrize(
+        "elements, covers, ranks, message",
+        [
+            ("abc", [(0, 1)], (0, 1, 0), "maximal element 2 has rank 0"),
+            # Element 0 is maximal below the top and element 1 minimal above rank 0.
+            ("ab", [], (0, 1), "element"),
+            # Only the minimum check can fire: element 1 sits at the top rank.
+            ("abc", [(0, 2)], (0, 1, 1), "minimal element 1 has rank 1"),
+        ],
+    )
+    def test_ungraded_posets_are_caught(self, elements, covers, ranks, message):
+        with pytest.raises(InvariantViolation, match=message):
+            FinitePoset(elements, covers, ranks).assert_graded()
+
     def test_refinement_is_partial_order_exhaustive(self):
         # reflexive, antisymmetric, transitive on every family with mn <= 8
         for m in range(1, 9):
@@ -79,27 +98,14 @@ class TestCoverFirst:
                     assert [poset.down_mask(i) for i in range(len(poset))] == down, (m, n, t)
                     assert list(poset.covers()) == oracles.covers_of(down), (m, n, t)
 
-    def test_up_masks_match_down_mask_transpose(self):
-        # The constructor derives up-masks along the covers; the test
-        # transposes the down-masks.  Every family with mn <= 8.
-        for m in range(1, 9):
-            for n in range(1, 8 // m + 1):
-                for t in range(1, n + 1):
-                    poset = build_refinement_poset(Params(m, n, t))
-                    down = [poset.down_mask(i) for i in range(len(poset))]
-                    up = [poset.up_mask(i) for i in range(len(poset))]
-                    assert up == transpose(down), (m, n, t)
-
     def test_covers_close_transitively(self):
         poset = FinitePoset("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
         assert [poset.down_mask(i) for i in range(4)] == [0b0001, 0b0011, 0b0101, 0b1111]
-        assert [poset.up_mask(i) for i in range(4)] == [0b1111, 0b1010, 0b1100, 0b1000]
         assert poset.covers() == ((0, 1), (0, 2), (1, 3), (2, 3))
         poset.validate_partial_order()
         # The same order indexed top first: index order is no linear extension.
         poset = FinitePoset("dcba", [(2, 0), (3, 1), (1, 0), (3, 2)], (2, 1, 1, 0))
         assert [poset.down_mask(i) for i in range(4)] == [0b1111, 0b1010, 0b1100, 0b1000]
-        assert [poset.up_mask(i) for i in range(4)] == [0b0001, 0b0011, 0b0101, 0b1111]
         assert poset.covers() == ((1, 0), (2, 0), (3, 1), (3, 2))
         poset.validate_partial_order()
         poset.assert_graded(expected_max_rank=2)
