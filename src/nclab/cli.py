@@ -54,9 +54,10 @@ def _parse_range(spec: str) -> List[Params]:
 
     Each variable takes either a single value or an inclusive range a..b;
     the upper bound of t may be the literal 'n'.  Omitted variables default
-    to m=1, n=1..6, t=1..n.
+    to m=1, n=1..6, t=1..n; a variable given twice is an error.
     """
     bounds: Dict[str, Tuple[str, str]] = {"m": ("1", "1"), "n": ("1", "6"), "t": ("1", "n")}
+    given = set()
     if spec:
         for chunk in spec.split(","):
             if "=" not in chunk:
@@ -65,6 +66,9 @@ def _parse_range(spec: str) -> List[Params]:
             key = key.strip()
             if key not in bounds:
                 raise ParameterError(f"unknown range variable {key!r}")
+            if key in given:
+                raise ParameterError(f"range variable {key!r} is given more than once")
+            given.add(key)
             value = value.strip()
             if ".." in value:
                 low, _, high = value.partition("..")

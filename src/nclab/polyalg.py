@@ -1,21 +1,20 @@
-"""Exact bivariate (Laurent-capable) polynomial algebra and the triangles.
+"""Exact bivariate integer polynomial algebra and the triangles.
 
-Coefficients are exact rationals: an integral coefficient is held as a plain
-`int` and any other as a `Fraction`, so integer triangles never pay for
-rational arithmetic and nothing is ever rounded.  Exponents may go negative
-inside intermediate computations, but every public triangle constructor
-returns an honest polynomial with exponents in [0, n - t] and asserts
-integrality (and, where promised, non-negativity) of all coefficients.  The
-substitution identities are verified by clearing denominators: each identity
-has a small fixed factor set, and the two cleared sides are compared at one
-integer point chosen so that equality there is equality as polynomials, an
-exact, proof-grade check rather than a sampling argument.
+A polynomial holds `int` coefficients and exponents >= 0, checked once by
+its constructor: the M-, F- and H-triangles and the cleared sides of the
+substitutions between them are all integer polynomials, so nothing is ever
+rounded or held as a rational.  Every public triangle constructor returns
+exponents in [0, n - t] and asserts integrality (and, where promised,
+non-negativity) of all coefficients.  The substitution identities are
+verified by clearing denominators: each identity has a small fixed factor
+set, and the two cleared sides are compared at one integer point chosen so
+that equality there is equality as polynomials, an exact, proof-grade check
+rather than a sampling argument.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Dict, Tuple
 
 from .closedform import binomial
@@ -25,39 +24,31 @@ from .params import Params
 from .posetcore import _bits, build_refinement_poset
 
 
-def _exact(coeff):
-    """The exact value of `coeff`: an int when integral, else a Fraction."""
-    if type(coeff) is int:
-        return coeff
-    coeff = Fraction(coeff)
-    return coeff.numerator if coeff.denominator == 1 else coeff
-
-
 def _wrap(data: dict) -> "BivariatePolynomial":
-    """Polynomial over freshly computed terms, zeros dropped."""
+    """Polynomial over freshly computed int terms, zeros dropped, unchecked."""
     result = BivariatePolynomial.zero()
-    result._terms = {
-        key: coeff if type(coeff) is int else _exact(coeff) for key, coeff in data.items() if coeff
-    }
+    result._terms = {key: coeff for key, coeff in data.items() if coeff}
     return result
 
 
 class BivariatePolynomial:
-    """Sparse exact polynomial in two variables.
+    """Sparse polynomial in two variables with int coefficients and exponents >= 0.
 
-    An integral coefficient is stored as an `int`, any other as a `Fraction`.
+    Bools count as neither; any other coefficient or exponent raises
+    ParameterError.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data: Dict[Tuple[int, int], Rational] = {}
+        data: Dict[Tuple[int, int], int] = {}
         if terms:
             for (ex, ey), coeff in dict(terms).items():
                 for e in (ex, ey):
-                    if not isinstance(e, int) or isinstance(e, bool):
-                        raise ParameterError(f"exponents must be integers, got {e!r}")
-                coeff = _exact(coeff)
+                    if type(e) is not int or e < 0:
+                        raise ParameterError(f"exponents must be integers >= 0, got {e!r}")
+                if type(coeff) is not int:
+                    raise ParameterError(f"coefficients must be integers, got {coeff!r}")
                 if coeff:
                     data[(ex, ey)] = coeff
         self._terms = data
@@ -74,10 +65,10 @@ class BivariatePolynomial:
     def monomial(cls, ex: int, ey: int, coeff=1) -> "BivariatePolynomial":
         return cls({(ex, ey): coeff})
 
-    def terms(self) -> Dict[Tuple[int, int], Rational]:
+    def terms(self) -> Dict[Tuple[int, int], int]:
         return dict(self._terms)
 
-    def coefficient(self, ex: int, ey: int) -> Rational:
+    def coefficient(self, ex: int, ey: int) -> int:
         return self._terms.get((ex, ey), 0)
 
     def is_zero(self) -> bool:
@@ -89,17 +80,15 @@ class BivariatePolynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, BivariatePolynomial):
             return self._terms == other._terms
-        if isinstance(other, Rational):
-            return self._terms == BivariatePolynomial.constant(other)._terms
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> "BivariatePolynomial":
-        if isinstance(other, Rational):
+        if type(other) is int:
             other = BivariatePolynomial.constant(other)
-        if not isinstance(other, BivariatePolynomial):
+        elif not isinstance(other, BivariatePolynomial):
             return NotImplemented
         data = dict(self._terms)
         get = data.get
@@ -115,18 +104,19 @@ class BivariatePolynomial:
         return result
 
     def __sub__(self, other) -> "BivariatePolynomial":
-        return self + (-other if isinstance(other, BivariatePolynomial) else BivariatePolynomial.constant(-Fraction(other)))
+        if type(other) is int or isinstance(other, BivariatePolynomial):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> "BivariatePolynomial":
-        return BivariatePolynomial.constant(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other) -> "BivariatePolynomial":
-        if isinstance(other, Rational):
-            other = _exact(other)
+        if type(other) is int:
             return _wrap({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        data: Dict[Tuple[int, int], Rational] = {}
+        data: Dict[Tuple[int, int], int] = {}
         get = data.get
         for (ax, ay), ac in self._terms.items():
             for (bx, by), bc in other._terms.items():
@@ -144,30 +134,18 @@ class BivariatePolynomial:
             result = result * self
         return result
 
-    def scale(self, factor) -> "BivariatePolynomial":
-        return self * Fraction(factor)
-
     def eval_exact(self, x0, y0) -> Fraction:
-        """Exact value at (x0, y0); negative exponents divide (Laurent)."""
+        """Exact value at the rational point (x0, y0)."""
         x0, y0 = Fraction(x0), Fraction(y0)
         total = Fraction(0)
         for (ex, ey), coeff in self._terms.items():
             total += coeff * x0**ex * y0**ey
         return total
 
-    def min_exponents(self) -> Tuple[int, int]:
-        if not self._terms:
-            return (0, 0)
-        return (min(k[0] for k in self._terms), min(k[1] for k in self._terms))
-
     def max_exponents(self) -> Tuple[int, int]:
         if not self._terms:
             return (0, 0)
         return (max(k[0] for k in self._terms), max(k[1] for k in self._terms))
-
-    def is_laurent(self) -> bool:
-        mx, my = self.min_exponents()
-        return mx < 0 or my < 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,7 +160,13 @@ class BivariatePolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BivariatePolynomial":
-        return cls({(term["x"], term["y"]): Fraction(term["c"]) for term in data["terms"]})
+        """Inverse of `to_json_dict`; each "c" is a decimal integer string."""
+        terms = {(term["x"], term["y"]): term["c"] for term in data["terms"]}
+        try:
+            terms = {key: int(c) if type(c) is str else c for key, c in terms.items()}
+        except ValueError as exc:
+            raise ParameterError(f"coefficients must be integers: {exc}") from None
+        return cls(terms)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -259,13 +243,10 @@ def substitute(
     only), and the numerator is sum_r U[r] * row_r, where
     U[k] = u.num^k u.den^(d-k) and V[k] = v.num^k v.den^(d-k).
     """
-    mx, my = poly.min_exponents()
-    if mx < 0 or my < 0:
-        raise ParameterError("substitution requires a true polynomial, not a Laurent one")
-    dx, dy = poly.max_exponents()
-    d = max(dx, dy, 0) if degree_bound is None else degree_bound
-    if d < max(dx, dy, 0):
-        raise ParameterError(f"degree bound {d} is below the actual degree {max(dx, dy)}")
+    degree = max(poly.max_exponents())
+    d = degree if degree_bound is None else degree_bound
+    if d < degree:
+        raise ParameterError(f"degree bound {d} is below the actual degree {degree}")
     u_weights = _power_weights(u.num, u.den, d)
     v_weights = _power_weights(v.num, v.den, d)
     rows: Dict[int, dict] = {}
@@ -501,18 +482,12 @@ def verify_transformation_identities(p: Params) -> IdentityReport:
     Packed values are built by shifts (`_pack`); only products of packed
     factors are big-int multiplications.  The H-from-M row also checks its
     alternative base on the same image, with (w, Dx) chosen for both bases.
-    The closed triangles must hold int coefficients; any other raises
-    InvariantViolation.  `substitute` and `RationalExpr` give the same
-    check on polynomials (the test oracle).
+    `_pack` shifts coefficients, which `BivariatePolynomial` guarantees to
+    be ints.  `substitute` and `RationalExpr` give the same check on
+    polynomials (the test oracle).
     """
     d = p.max_rank
     triangles = {"m": m_triangle_closed(p), "h": h_triangle_closed(p), "f": f_triangle_closed(p)}
-    for name, tri in triangles.items():
-        for key, c in tri._terms.items():
-            if type(c) is not int:
-                raise InvariantViolation(
-                    f"closed {name.upper()}-triangle: non-integer coefficient {c} at {key}"
-                )
     results = []
     for name, lhs_name, base, source_name, u, v, alt_base in _IDENTITIES:
         lhs, source = triangles[lhs_name], triangles[source_name]

@@ -241,6 +241,14 @@ class TestErrors:
         code, _, err = run_cli(capsys, "count", "--m", "1", "--n", "3", "--t", "5")
         assert code == 2
 
+    def test_repeated_range_variable(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "conj-count", "--range", "m=3,n=2,m=2,t=1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: range variable 'm' is given more than once\n"
+
     def test_dead_sweep_worker(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_sweep_one", exit_worker)
         code, out, err = run_cli(
