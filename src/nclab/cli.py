@@ -10,7 +10,6 @@ on usage, parameter, or resource errors.
 """
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -345,6 +344,8 @@ def cmd_sweep(args) -> int:
         if row.get("match") is False or row.get("pass") is False:
             exit_code = 1
     if args.format == "csv":
+        import csv  # here, not at the top: only this branch pays for it at start-up
+
         buffer = io.StringIO()
         fields: List[str] = []
         for row in rows:

@@ -1,13 +1,13 @@
 """Exact evaluation of the closed counting formulas.
 
-Every formula is computed over exact rationals and asserted to be a
-non-negative integer before it is returned, so a transcription slip in a
-formula surfaces immediately instead of silently corrupting counts
-downstream.  All functions are pure and safe to call concurrently.
+Every formula is an integer numerator over a positive integer denominator,
+divided once and asserted to be a non-negative integer before it is
+returned, so a transcription slip in a formula surfaces immediately instead
+of silently corrupting counts downstream.  All functions are pure and safe
+to call concurrently.
 """
 
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import List, Sequence, Tuple
 
 from .errors import InvariantViolation, ParameterError
@@ -39,12 +39,22 @@ def multinomial(parts: Sequence[int]) -> int:
     return result
 
 
-def _as_count(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
-        raise InvariantViolation(f"{context} evaluated to the non-integer {value}")
-    if value < 0:
-        raise InvariantViolation(f"{context} evaluated to the negative value {value}")
-    return int(value)
+def _ratio(numerator: int, denominator: int) -> str:
+    """numerator/denominator in lowest terms, for a positive denominator; "a" when it divides."""
+    g = gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
+def _as_count(numerator: int, denominator: int, context: str) -> int:
+    """numerator / denominator (> 0), else InvariantViolation unless a non-negative integer."""
+    count, remainder = divmod(numerator, denominator)
+    if remainder:
+        fraction = _ratio(numerator, denominator)
+        raise InvariantViolation(f"{context} evaluated to the non-integer {fraction}")
+    if count < 0:
+        raise InvariantViolation(f"{context} evaluated to the negative value {count}")
+    return count
 
 
 def _check_increments(p: Params, l: int, s: Sequence[int]) -> None:
@@ -70,12 +80,11 @@ def multichain_count_formula(p: Params, l: int, s: Sequence[int]) -> int:
     """
     _check_increments(p, l, s)
     m, n, t = p.m, p.n, p.t
-    value = Fraction(t * (m * n - t + 1) - s[-1] * (t - 1), n * (m * n - t + 1))
-    value *= binomial(n, s[0])
+    value = (t * (m * n - t + 1) - s[-1] * (t - 1)) * binomial(n, s[0])
     for si in s[1:-1]:
         value *= binomial(m * n, si)
     value *= binomial(m * n - t + 1, s[-1])
-    return _as_count(value, "multichain count formula")
+    return _as_count(value, n * (m * n - t + 1), "multichain count formula")
 
 
 def profiles(n: int) -> List[Tuple[int, ...]]:
@@ -109,13 +118,12 @@ def count_by_profile(p: Params, b: Sequence[int]) -> int:
         )
     m, n, t = p.m, p.n, p.t
     total_blocks = sum(b)
-    value = Fraction(
-        (m * n - t + 1) * total_blocks - m * n * (total_blocks - t),
-        (m * n - t + 1) * total_blocks,
+    value = (
+        ((m * n - t + 1) * total_blocks - m * n * (total_blocks - t))
+        * binomial(m * n - t + 1, total_blocks - t)
+        * multinomial(b)
     )
-    value *= binomial(m * n - t + 1, total_blocks - t)
-    value *= multinomial(b)
-    return _as_count(value, "profile count formula")
+    return _as_count(value, (m * n - t + 1) * total_blocks, "profile count formula")
 
 
 def count_by_rank(p: Params, s: int) -> int:
@@ -123,17 +131,15 @@ def count_by_rank(p: Params, s: int) -> int:
     if not 0 <= s <= p.max_rank:
         raise ParameterError(f"rank must lie in [0, {p.max_rank}], got {s}")
     m, n, t = p.m, p.n, p.t
-    value = Fraction(m * n * t - (n - s) * (t - 1), n * (m * n - t + 1))
-    value *= binomial(m * n - t + 1, n - s - t)
-    value *= binomial(n, s)
-    return _as_count(value, "rank count formula")
+    value = (m * n * t - (n - s) * (t - 1)) * binomial(m * n - t + 1, n - s - t) * binomial(n, s)
+    return _as_count(value, n * (m * n - t + 1), "rank count formula")
 
 
 def total_count(p: Params) -> int:
     """Total number of m-divisible non-crossing t-partitions of {1..mn}."""
     m, n, t = p.m, p.n, p.t
-    value = Fraction(m * t + 1, m * n + 1) * binomial((m + 1) * n - t, n - t)
-    return _as_count(value, "total count formula")
+    value = (m * t + 1) * binomial((m + 1) * n - t, n - t)
+    return _as_count(value, m * n + 1, "total count formula")
 
 
 def chain_count_with_profile(
@@ -153,14 +159,11 @@ def chain_count_with_profile(
         return 0
     if s[0] + total_blocks != n:
         return 0
-    value = Fraction(
-        t * (m * n - t + 1) - s[-1] * (t - 1), (m * n - t + 1) * total_blocks
-    )
-    value *= multinomial(b)
+    value = (t * (m * n - t + 1) - s[-1] * (t - 1)) * multinomial(b)
     for si in s[1:-1]:
         value *= binomial(m * n, si)
     value *= binomial(m * n - t + 1, s[-1])
-    return _as_count(value, "profiled chain count formula")
+    return _as_count(value, (m * n - t + 1) * total_blocks, "profiled chain count formula")
 
 
 def max_chains_formula(p: Params) -> int:
@@ -182,6 +185,5 @@ def zeta_formula(p: Params, l: int) -> int:
     if l < 1:
         raise ParameterError(f"zeta argument l must be at least 1, got {l}")
     m, n, t = p.m, p.n, p.t
-    value = Fraction((l - 1) * m * t + 1, (l - 1) * m * n + 1)
-    value *= binomial(n + (l - 1) * m * n - t, n - t)
-    return _as_count(value, "zeta formula")
+    value = ((l - 1) * m * t + 1) * binomial(n + (l - 1) * m * n - t, n - t)
+    return _as_count(value, (l - 1) * m * n + 1, "zeta formula")

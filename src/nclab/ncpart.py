@@ -20,21 +20,19 @@ instead of the validating constructor.
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Dict, Iterable, Iterator, Tuple
 
 from . import closedform
 from .errors import DomainError, InvariantViolation, ParameterError, ResourceLimitError
-from .params import Params
+from .params import Params, Value
 
 #: Default guard against runaway enumerations; the CLI can override it.
 DEFAULT_MAX_OBJECTS = 10**7
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(Value):
     """Immutable set partition of {1..N} in canonical form.
 
     Canonical form sorts each block ascending and the blocks by their minimum
@@ -43,15 +41,14 @@ class SetPartition:
     the blocks cover {1..N}; it takes no part in equality or hashing.
     """
 
-    blocks: Tuple[Tuple[int, ...], ...]
-    ground_size: int = field(init=False, repr=False, compare=False)
+    _fields = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: Tuple[Tuple[int, ...], ...]):
         # Element types are checked before any sort, which could otherwise
         # fail on mixed types with a bare TypeError.  tuple(block) is block
         # for a plain tuple, so a block that is already a sorted plain tuple
         # is kept as it is and partitions built from shared tuples share them.
-        blocks = [tuple(block) for block in self.blocks]
+        blocks = [tuple(block) for block in blocks]
         seen = set()
         for block in blocks:
             if not block:
@@ -69,8 +66,7 @@ class SetPartition:
             block if list(block) == sorted(block) else tuple(sorted(block))
             for block in blocks
         ))
-        object.__setattr__(self, "blocks", canon)
-        object.__setattr__(self, "ground_size", n)
+        vars(self).update(blocks=canon, ground_size=n)
 
     @classmethod
     def _trusted(cls, blocks: Tuple[Tuple[int, ...], ...], ground_size: int) -> "SetPartition":
@@ -78,8 +74,7 @@ class SetPartition:
         # re-validating them; only enumerate_nc calls it, on outputs of
         # _nc_blocks, which has checked their shape exactly.
         partition = object.__new__(cls)
-        object.__setattr__(partition, "blocks", blocks)
-        object.__setattr__(partition, "ground_size", ground_size)
+        vars(partition).update(blocks=blocks, ground_size=ground_size)
         return partition
 
     @classmethod
@@ -118,11 +113,13 @@ class SetPartition:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
 
 
-@dataclass(frozen=True)
-class BlockProfile:
+class BlockProfile(Value):
     """Counts of blocks by size class: counts[i-1] blocks of size m*i."""
 
-    counts: Tuple[int, ...]
+    _fields = ("counts",)
+
+    def __init__(self, counts: Tuple[int, ...]):
+        vars(self).update(counts=counts)
 
     def weight_signature(self) -> Dict[int, int]:
         """Exponent map i -> multiplicity of the size-class variable x_i (zeros omitted)."""

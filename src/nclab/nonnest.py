@@ -11,7 +11,6 @@ multiplies, so the closure conditions on chains are cheap integer algebra.
 """
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, or_
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -24,7 +23,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .ncpart import DEFAULT_MAX_OBJECTS
-from .params import Params
+from .params import Params, Value
 from .polyalg import BivariatePolynomial, h_triangle_closed
 from .posetcore import FinitePoset, _bits, _columns
 
@@ -86,6 +85,12 @@ class _Universe:
     def pairs_of(self, mask: int) -> FrozenSet[Pair]:
         return frozenset([self._pair_at[k] for k in _bits(mask)])
 
+    def minimal(self, mask: int) -> int:
+        """The members of an up-closed mask with no other member below them."""
+        # The lower covers of (i, j), (i+1, j) and (i, j-1), sit at bits
+        # k + (n+1) and k - 1; a bit standing for no pair is never set.
+        return mask & ~(mask >> self.width) & ~(mask << 1)
+
     @lru_cache(maxsize=1 << 14)
     def sum_masks(self, first: int, second: int) -> int:
         """Every defined formal sum (i, j) + (j, l) = (i, l) of a pair in each mask.
@@ -133,27 +138,23 @@ def _tfilter_masks(n: int, t: int) -> Tuple[int, ...]:
     return tuple(mask for _, mask in vectors)
 
 
-@dataclass(frozen=True)
-class TFilter:
+class TFilter(Value):
     """Up-closed subset of the pairs (i, j) with i < j and j > t."""
 
-    n: int
-    t: int
-    pairs: FrozenSet[Pair]
+    _fields = ("n", "t", "pairs")
 
-    def __post_init__(self):
-        if not 1 <= self.t <= self.n:
-            raise ParameterError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
-        pairs = frozenset(tuple(pair) for pair in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        u = _universe(self.n)
+    def __init__(self, n: int, t: int, pairs: FrozenSet[Pair]):
+        if not 1 <= t <= n:
+            raise ParameterError(f"need 1 <= t <= n, got t={t}, n={n}")
+        pairs = frozenset(tuple(pair) for pair in pairs)
+        u = _universe(n)
         mask = u.mask_of(pairs)
-        if mask & ~_restricted_mask(self.n, self.t):
-            raise DomainError(f"a member has second coordinate <= t={self.t}")
+        if mask & ~_restricted_mask(n, t):
+            raise DomainError(f"a member has second coordinate <= t={t}")
         # The shifts move each pair to its upper covers (i-1, j) and (i, j+1).
         if ((mask >> u.width) | (mask << 1)) & u.full_mask & ~mask:
             raise DomainError("the member set is not up-closed")
-        object.__setattr__(self, "_mask", mask)
+        vars(self).update(n=n, t=t, pairs=pairs, _mask=mask)
 
     @property
     def mask(self) -> int:
@@ -161,11 +162,8 @@ class TFilter:
 
     def min_elements(self) -> FrozenSet[Pair]:
         """Members with no other member below them in the pair order."""
-        # The lower covers of (i, j), (i+1, j) and (i, j-1), sit at bits
-        # k + (n+1) and k - 1; a bit standing for no pair is never set.
         u = _universe(self.n)
-        mask = self._mask
-        return u.pairs_of(mask & ~(mask >> u.width) & ~(mask << 1))
+        return u.pairs_of(u.minimal(self._mask))
 
     def sorted_pairs(self) -> Tuple[Pair, ...]:
         return tuple(sorted(self.pairs))
@@ -186,17 +184,16 @@ def all_t_filters(n: int, t: int) -> Tuple[TFilter, ...]:
     return tuple(_filter_from_mask(n, t, mask) for mask in _tfilter_masks(n, t))
 
 
-@dataclass(frozen=True)
-class FilterChain:
+class FilterChain(Value):
     """Weakly nested tuple (V_m, ..., V_1) of t-filters, largest index first."""
 
-    filters: Tuple[TFilter, ...]
+    _fields = ("filters",)
 
-    def __post_init__(self):
-        if not self.filters:
+    def __init__(self, filters: Tuple[TFilter, ...]):
+        if not filters:
             raise ParameterError("a chain needs at least one component")
-        filters = tuple(self.filters)
-        object.__setattr__(self, "filters", filters)
+        filters = tuple(filters)
+        vars(self).update(filters=filters)
         n, t = filters[0].n, filters[0].t
         for f in filters:
             if (f.n, f.t) != (n, t):
@@ -340,8 +337,7 @@ def enumerate_nn(
     return tuple(chains)
 
 
-@dataclass(frozen=True)
-class FlooredPoset:
+class FlooredPoset(Value):
     """Inclusion poset of filter chains with floor labels on its covers.
 
     `cover_floor[(a, b)]` is the top-component difference across the cover
@@ -349,9 +345,10 @@ class FlooredPoset:
     covered by b.
     """
 
-    poset: FinitePoset
-    cover_floor: Tuple[Tuple[Tuple[int, int], FrozenSet[Pair]], ...]
-    floors: Tuple[FrozenSet[Pair], ...]
+    _fields = ("poset", "cover_floor", "floors")
+
+    def __init__(self, poset: FinitePoset, cover_floor: tuple, floors: Tuple[FrozenSet[Pair], ...]):
+        vars(self).update(poset=poset, cover_floor=cover_floor, floors=floors)
 
     def cover_floor_map(self) -> Dict[Tuple[int, int], FrozenSet[Pair]]:
         return dict(self.cover_floor)

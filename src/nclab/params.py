@@ -2,33 +2,72 @@
 
 m is the block-divisibility parameter, n the size parameter (the ground set
 is {1, ..., m*n}), and t the number of initially separated elements.
+
+`Value` is the base of the package's immutable value classes.
 """
 
-from dataclasses import dataclass
+from functools import total_ordering
+from operator import attrgetter
 
 from .errors import ParameterError
 
 
-@dataclass(frozen=True, order=True)
-class Params:
-    """Immutable, validated parameter triple with m >= 1 and 1 <= t <= n."""
+class Value:
+    """Immutable value compared by the fields named in `_fields`, like a frozen dataclass.
 
-    m: int
-    n: int
-    t: int
+    A subclass's __init__ stores its fields, and any state derived from them,
+    with `vars(self).update`.  Values are equal iff of one class with equal
+    fields; hash and repr read the same fields.  Assigning or deleting an
+    attribute raises AttributeError.  Pickling restores the instance dict.
+    """
 
-    def __post_init__(self):
-        for name, value in (("m", self.m), ("n", self.n), ("t", self.t)):
+    _fields = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)  # a tuple for two fields or more
+        cls._key = (lambda self: get(self)) if len(cls._fields) > 1 else (lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Params(Value):
+    """Immutable, validated parameter triple with m >= 1 and 1 <= t <= n, ordered as (m, n, t)."""
+
+    _fields = ("m", "n", "t")
+
+    def __init__(self, m: int, n: int, t: int):
+        for name, value in (("m", m), ("n", n), ("t", t)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.m < 1:
-            raise ParameterError(f"m must be at least 1, got {self.m}")
-        if self.n < 1:
-            raise ParameterError(f"n must be at least 1, got {self.n}")
-        if not 1 <= self.t <= self.n:
-            raise ParameterError(
-                f"t must satisfy 1 <= t <= n, got t={self.t} with n={self.n}"
-            )
+        if m < 1:
+            raise ParameterError(f"m must be at least 1, got {m}")
+        if n < 1:
+            raise ParameterError(f"n must be at least 1, got {n}")
+        if not 1 <= t <= n:
+            raise ParameterError(f"t must satisfy 1 <= t <= n, got t={t} with n={n}")
+        vars(self).update(m=m, n=n, t=t)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() < other._key()
+        return NotImplemented
 
     @property
     def ground_size(self) -> int:

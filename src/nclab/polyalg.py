@@ -13,14 +13,12 @@ rather than a sampling argument.
 """
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
-from .closedform import binomial
+from .closedform import _ratio, binomial
 from .errors import InvariantViolation, ParameterError
 from .ncpart import DEFAULT_MAX_OBJECTS
-from .params import Params
+from .params import Params, Value
 from .posetcore import _bits, build_refinement_poset
 
 
@@ -134,14 +132,6 @@ class BivariatePolynomial:
             result = result * self
         return result
 
-    def eval_exact(self, x0, y0) -> Fraction:
-        """Exact value at the rational point (x0, y0)."""
-        x0, y0 = Fraction(x0), Fraction(y0)
-        total = Fraction(0)
-        for (ex, ey), coeff in self._terms.items():
-            total += coeff * x0**ex * y0**ey
-        return total
-
     def max_exponents(self) -> Tuple[int, int]:
         if not self._terms:
             return (0, 0)
@@ -160,8 +150,10 @@ class BivariatePolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BivariatePolynomial":
-        """Inverse of `to_json_dict`; each "c" is a decimal integer string."""
+        """Inverse of `to_json_dict`; each "c" is a decimal integer string, each (x, y) unique."""
         terms = {(term["x"], term["y"]): term["c"] for term in data["terms"]}
+        if len(terms) != len(data["terms"]):
+            raise ParameterError("a polynomial record repeats an (x, y) term")
         try:
             terms = {key: int(c) if type(c) is str else c for key, c in terms.items()}
         except ValueError as exc:
@@ -193,16 +185,15 @@ X = BivariatePolynomial.monomial(1, 0)
 Y = BivariatePolynomial.monomial(0, 1)
 
 
-@dataclass(frozen=True)
-class RationalExpr:
-    """Quotient of two polynomials; equality is by cross-multiplication."""
+class RationalExpr(Value):
+    """Quotient of two polynomials; `equals` compares by cross-multiplication."""
 
-    num: BivariatePolynomial
-    den: BivariatePolynomial = ONE
+    _fields = ("num", "den")
 
-    def __post_init__(self):
-        if self.den.is_zero():
+    def __init__(self, num: BivariatePolynomial, den: BivariatePolynomial = ONE):
+        if den.is_zero():
             raise ParameterError("the denominator polynomial must be nonzero")
+        vars(self).update(num=num, den=den)
 
     def __mul__(self, other: "RationalExpr") -> "RationalExpr":
         return RationalExpr(self.num * other.num, self.den * other.den)
@@ -265,7 +256,7 @@ def _exact_quotient(numerator: int, denominator: int, key, context: str) -> int:
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise InvariantViolation(
-            f"{context}: non-integral coefficient {Fraction(numerator, denominator)} at {key}"
+            f"{context}: non-integral coefficient {_ratio(numerator, denominator)} at {key}"
         )
     return quotient
 
@@ -362,8 +353,7 @@ def f_triangle_closed(p: Params) -> BivariatePolynomial:
     return _assert_nonnegative(_wrap(coeffs), "closed F-triangle")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Value):
     """Outcome of the six substitution identities for one parameter triple.
 
     `alt_prefactor_holds` tracks the alternative H-from-M prefactor
@@ -371,9 +361,10 @@ class IdentityReport:
     consistent with the closed H form.
     """
 
-    params: Params
-    results: Tuple[Tuple[str, bool], ...]
-    alt_prefactor_holds: bool
+    _fields = ("params", "results", "alt_prefactor_holds")
+
+    def __init__(self, params: Params, results: tuple, alt_prefactor_holds: bool):
+        vars(self).update(params=params, results=results, alt_prefactor_holds=alt_prefactor_holds)
 
     @property
     def all_pass(self) -> bool:

@@ -3,10 +3,12 @@
 Nothing here imports the package under test at module level: partitions are
 plain tuples of tuples, every predicate is coded directly from the defining
 patterns and the closed triangles are summed in `Fraction`, so these
-routines can serve as oracles for the library.  `identities_literal` is the
-one exception: it runs the library's literal polynomial path (`substitute`,
-`RationalExpr`) over the library's identity table, the path that the
-integer check in `verify_transformation_identities` replaced.
+routines can serve as oracles for the library.  Two exceptions import it
+when called.  `identities_literal` runs the library's literal polynomial
+path (`substitute`, `RationalExpr`) over the library's identity table, the
+path that the integer check in `verify_transformation_identities` replaced.
+`bijection_literal` runs the bijection check on `TFilter` and `DyckPath`
+objects, the path that the mask-level `bijection_holds` replaced.
 """
 
 import json
@@ -271,3 +273,95 @@ def identities_literal(p):
         if alt_base is not None:
             alt = left.equals(polyalg.RationalExpr(alt_base**d) * image)
     return tuple(results), alt
+
+
+def eval_exact(poly, x0, y0):
+    """Exact value of a polynomial at the point (x0, y0) of int or Fraction coordinates.
+
+    Any other coordinate type, float and bool included, raises TypeError.
+    """
+    for value in (x0, y0):
+        if type(value) not in (int, Fraction):
+            raise TypeError(f"points must be int or Fraction, got {value!r}")
+    x0, y0 = Fraction(x0), Fraction(y0)
+    total = Fraction(0)
+    for (ex, ey), coeff in poly.terms().items():
+        total += coeff * x0**ex * y0**ey
+    return total
+
+
+def _binom(r, k):
+    """C(r, k) for r >= 0, and 0 for k < 0."""
+    return comb(r, k) if k >= 0 else 0
+
+
+def _multinomial(parts):
+    total, result = 0, 1
+    for part in parts:
+        total += part
+        result *= comb(total, part)
+    return result
+
+
+def multichain_count_fraction(m, n, t, s):
+    """Closed multichain count with rank increments s, in Fraction."""
+    value = Fraction(t * (m * n - t + 1) - s[-1] * (t - 1), n * (m * n - t + 1))
+    value *= _binom(n, s[0])
+    for si in s[1:-1]:
+        value *= _binom(m * n, si)
+    return value * _binom(m * n - t + 1, s[-1])
+
+
+def count_by_profile_fraction(m, n, t, b):
+    """Closed count of the partitions with b[i-1] blocks of size m*i, in Fraction."""
+    blocks = sum(b)
+    value = Fraction((m * n - t + 1) * blocks - m * n * (blocks - t), (m * n - t + 1) * blocks)
+    return value * _binom(m * n - t + 1, blocks - t) * _multinomial(b)
+
+
+def count_by_rank_fraction(m, n, t, s):
+    """Closed count of the partitions of rank s, in Fraction."""
+    value = Fraction(m * n * t - (n - s) * (t - 1), n * (m * n - t + 1))
+    return value * _binom(m * n - t + 1, n - s - t) * _binom(n, s)
+
+
+def total_count_fraction(m, n, t):
+    """Closed total count (mt+1)/(mn+1) C((m+1)n - t, n - t), in Fraction."""
+    return Fraction(m * t + 1, m * n + 1) * _binom((m + 1) * n - t, n - t)
+
+
+def chain_count_with_profile_fraction(m, n, t, s, b):
+    """Closed count of the multichains with increments s whose first element has profile b."""
+    blocks = sum(b)
+    if sum(i * bi for i, bi in enumerate(b, start=1)) != n or s[0] + blocks != n:
+        return Fraction(0)
+    value = Fraction(t * (m * n - t + 1) - s[-1] * (t - 1), (m * n - t + 1) * blocks)
+    value *= _multinomial(b)
+    for si in s[1:-1]:
+        value *= _binom(m * n, si)
+    return value * _binom(m * n - t + 1, s[-1])
+
+
+def zeta_fraction(m, n, t, l):
+    """Closed count of the multichains with l - 1 elements, in Fraction."""
+    value = Fraction((l - 1) * m * t + 1, (l - 1) * m * n + 1)
+    return value * _binom(n + (l - 1) * m * n - t, n - t)
+
+
+def bijection_literal(n, t):
+    """bijection_holds as it ran on TFilter and DyckPath objects, kept as its oracle."""
+    from nclab import closedform
+    from nclab.dyckmodel import _order_isomorphic, enumerate_tdyck, theta, theta_inverse
+    from nclab.nonnest import all_t_filters
+    from nclab.params import Params
+
+    filters = all_t_filters(n, t)
+    paths = enumerate_tdyck(n, t)
+    images = [theta(filt) for filt in filters]
+    return (
+        len(filters) == len(paths) == closedform.total_count(Params(1, n, t))
+        and all(theta_inverse(path, t) == filt for filt, path in zip(filters, images))
+        and len(set(images)) == len(filters)
+        and set(images) == set(paths)
+        and _order_isomorphic([filt.mask for filt in filters], [path._area for path in images])
+    )

@@ -342,3 +342,18 @@ class TestSubprocess:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_import_loads_no_unused_modules(self):
+        # The value classes use no dataclasses (which pulls in inspect), the
+        # closed formulas no fractions (which pulls in decimal), and only
+        # `--format csv` imports csv.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, nclab.cli; "
+             "print(sorted(set(sys.modules) & "
+             "{'dataclasses', 'inspect', 'fractions', 'decimal', 'csv'}))"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

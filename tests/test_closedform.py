@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from nclab import closedform
 from nclab.closedform import (
     binomial,
     chain_count_with_profile,
@@ -17,7 +19,7 @@ from nclab.closedform import (
     total_count,
     zeta_formula,
 )
-from nclab.errors import ParameterError
+from nclab.errors import InvariantViolation, ParameterError
 from nclab.ncpart import block_profile, enumerate_nc, rank_of
 from nclab.params import Params
 from nclab.posetcore import build_refinement_poset
@@ -251,3 +253,45 @@ class TestZetaFormula:
             poset = build_refinement_poset(p)
             for l in (1, 2, 3, 4):
                 assert zeta_formula(p, l) == poset.zeta_brute(l)
+
+
+class TestIntegerArithmetic:
+    def test_formulas_equal_fraction_oracles(self):
+        # Each formula divides an integer numerator once; the oracles keep
+        # the Fraction arithmetic of the printed formulas.
+        for m in range(1, 5):
+            for n in range(1, 11):
+                for t in range(1, n + 1):
+                    p, d = Params(m, n, t), n - t
+                    assert total_count(p) == oracles.total_count_fraction(m, n, t), p
+                    for s in range(d + 1):
+                        assert count_by_rank(p, s) == oracles.count_by_rank_fraction(m, n, t, s)
+                    for l in range(1, 5):
+                        assert zeta_formula(p, l) == oracles.zeta_fraction(m, n, t, l)
+                    increments = compositions(d, 2) + compositions(d, 3)
+                    for s in increments:
+                        l = len(s) - 1
+                        expected = oracles.multichain_count_fraction(m, n, t, s)
+                        assert multichain_count_formula(p, l, s) == expected, (p, s)
+                    for b in profiles(n):
+                        assert count_by_profile(p, b) == oracles.count_by_profile_fraction(m, n, t, b)
+                        for s in increments:
+                            if s[0] + sum(b) == n or s == increments[0]:
+                                expected = oracles.chain_count_with_profile_fraction(m, n, t, s, b)
+                                assert chain_count_with_profile(p, len(s) - 1, s, b) == expected
+
+    def test_non_integral_quotient_names_its_formula(self, monkeypatch):
+        # With every binomial 1: (1 + 1) / 3 and, reduced, (2 - 0) / 4 at (1, 2, 1).
+        monkeypatch.setattr(closedform, "binomial", lambda r, k: 1)
+        p = Params(1, 2, 1)
+        with pytest.raises(InvariantViolation, match="^total count formula evaluated to the non-integer 2/3$"):
+            total_count(p)
+        with pytest.raises(InvariantViolation, match="^rank count formula evaluated to the non-integer 1/2$"):
+            count_by_rank(p, 0)
+        with pytest.raises(InvariantViolation, match="^zeta formula evaluated to the non-integer 2/3$"):
+            zeta_formula(p, 2)
+
+    def test_negative_quotient_names_its_formula(self, monkeypatch):
+        monkeypatch.setattr(closedform, "binomial", lambda r, k: -1)
+        with pytest.raises(InvariantViolation, match="^total count formula evaluated to the negative value -1$"):
+            total_count(Params(1, 1, 1))

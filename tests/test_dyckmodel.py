@@ -144,17 +144,26 @@ class TestTheta:
         assert theta_inverse(theta(filt), filt.t) == filt
 
     def test_one_wrong_inverse_fails_the_bijection(self, monkeypatch):
-        # bijection_holds checks one round trip; a theta_inverse that is wrong
-        # on a single path must still fail it.
+        # bijection_holds checks one round trip, on masks through _theta_mask,
+        # the helper behind theta_inverse; an inverse that is wrong on a single
+        # path must still fail it.
         n, t = 5, 2
         paths = enumerate_tdyck(n, t)
-        real = dyckmodel.theta_inverse
-        wrong = real(paths[0], t)
+        real = dyckmodel._theta_mask
+        wrong = theta_inverse(paths[0], t).mask
         assert dyckmodel.bijection_holds(n, t)
         monkeypatch.setattr(
-            dyckmodel, "theta_inverse", lambda path, t: wrong if path == paths[-1] else real(path, t)
+            dyckmodel,
+            "_theta_mask",
+            lambda steps, heights, t: wrong if steps == paths[-1].steps else real(steps, heights, t),
         )
+        assert theta_inverse(paths[-1], t).mask == wrong
         assert not dyckmodel.bijection_holds(n, t)
+
+    def test_mask_level_check_equals_the_literal_one(self):
+        for n in range(1, 9):
+            for t in range(1, n + 1):
+                assert dyckmodel.bijection_holds(n, t) is oracles.bijection_literal(n, t) is True
 
     def test_inverse_requires_t_path(self):
         with pytest.raises(DomainError):

@@ -273,7 +273,7 @@ class TestHTilde:
 
     def test_value_at_one_one_is_count(self):
         for p in (Params(1, 5, 2), Params(2, 3, 1), Params(2, 4, 4), Params(3, 3, 2)):
-            assert h_tilde(p).eval_exact(1, 1) == len(enumerate_nn(p))
+            assert oracles.eval_exact(h_tilde(p), 1, 1) == len(enumerate_nn(p))
 
     def test_matches_floors_of_all_pairs_poset(self):
         # h_tilde and nn_poset both read floors off the certificate's covers;
