@@ -2,8 +2,8 @@
 
 The package enumerates m-divisible non-crossing t-partitions with their
 refinement poset, evaluates the associated closed counting formulas and
-triangle polynomials over exact rationals, builds the nested-filter and
-lattice-path models, and cross-checks everything pairwise.  All public
+triangle polynomials in exact integer arithmetic, builds the nested-filter
+and lattice-path models, and cross-checks everything pairwise.  All public
 objects are immutable values, and all operations are pure functions.
 """
 
@@ -18,12 +18,8 @@ from .ncpart import (
     SetPartition,
     block_profile,
     enumerate_nc,
-    is_noncrossing_t,
-    is_t_partition,
     rank_of,
-    refines,
     tilde_transform,
-    weight_signature,
 )
 from .params import Params
 from .polyalg import BivariatePolynomial, RationalExpr
@@ -45,10 +41,6 @@ __all__ = [
     "block_profile",
     "build_refinement_poset",
     "enumerate_nc",
-    "is_noncrossing_t",
-    "is_t_partition",
     "rank_of",
-    "refines",
     "tilde_transform",
-    "weight_signature",
 ]

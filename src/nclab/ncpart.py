@@ -8,14 +8,16 @@ realizes either forbidden pattern:
   * j > t  and i, k share a block while j, l share a different block.
 
 For t = 1 only the second pattern can occur, so the test degenerates to the
-classical non-crossing condition.  All values here are immutable and all
-functions pure, so everything is safe under concurrent callers.  Only the
-first-block position sets behind the generator (keyed by size and m) are
-memoised.  Classical shapes are streamed: each enumeration keeps its gap
-tables in a dict of its own and frees them with its result, which the caller
-owns.  `census` tallies the same stream without keeping the family, so it
-holds only the gap tables.  Generator outputs pass one exact shape check
-instead of the validating constructor.
+classical non-crossing condition.  The literal predicates live in
+tests/oracles.py; the generator needs none of them (_nc_blocks proves why).
+All values here are immutable and all functions pure, so everything is safe
+under concurrent callers.  Only the first-block position sets behind the
+generator (keyed by size and m) are memoised.  Classical shapes are
+streamed: each enumeration keeps its gap tables in a dict of its own and
+frees them with its result, which the caller owns.  `census` tallies the
+same stream without keeping the family, so it holds only the gap tables.
+Generator outputs pass one exact shape check instead of the validating
+constructor.
 """
 
 import json
@@ -37,13 +39,14 @@ class SetPartition(Value):
 
     Canonical form sorts each block ascending and the blocks by their minimum
     element, so equality and hashing are structural and enumeration output is
-    reproducible.  `ground_size` is N, stored by the validation that proves
-    the blocks cover {1..N}; it takes no part in equality or hashing.
+    reproducible.  The constructor takes any iterable of iterables of
+    elements.  `ground_size` is N, stored by the validation that proves the
+    blocks cover {1..N}; it takes no part in equality or hashing.
     """
 
     _fields = ("blocks",)
 
-    def __init__(self, blocks: Tuple[Tuple[int, ...], ...]):
+    def __init__(self, blocks: Iterable[Iterable[int]]):
         # Element types are checked before any sort, which could otherwise
         # fail on mixed types with a bare TypeError.  tuple(block) is block
         # for a plain tuple, so a block that is already a sorted plain tuple
@@ -77,37 +80,15 @@ class SetPartition(Value):
         vars(partition).update(blocks=blocks, ground_size=ground_size)
         return partition
 
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        return cls(tuple(tuple(block) for block in blocks))
-
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def block_ids(self) -> Tuple[int, ...]:
-        """Array mapping element x to its block index, at position x (entry 0 unused)."""
-        ids = [0] * (self.ground_size + 1)
-        for index, block in enumerate(self.blocks):
-            for x in block:
-                ids[x] = index
-        return tuple(ids)
 
     def to_json_dict(self) -> dict:
         return {"n": self.ground_size, "blocks": [list(block) for block in self.blocks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SetPartition":
-        try:
-            partition = cls.from_blocks(data["blocks"])
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"a partition record needs a list of blocks: {exc!r}") from exc
-        if partition.ground_size != data.get("n", partition.ground_size):
-            raise DomainError("declared ground size does not match the blocks")
-        return partition
 
     def __str__(self) -> str:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
@@ -130,83 +111,6 @@ class BlockProfile(Value):
         if not sig:
             return "1"
         return " ".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in sorted(sig.items()))
-
-
-def is_t_partition(partition: SetPartition, t: int) -> bool:
-    """True iff no block holds more than one element of {1..t}."""
-    if not 1 <= t <= partition.ground_size:
-        raise ParameterError(
-            f"t must lie in [1, {partition.ground_size}], got {t}"
-        )
-    for block in partition.blocks:
-        hits = 0
-        for x in block:
-            if x <= t:
-                hits += 1
-                if hits > 1:
-                    return False
-            else:
-                break
-    return True
-
-
-def _has_forbidden_quadruple(bid: Tuple[int, ...], t: int) -> bool:
-    # Literal scan of all index quadruples i < j < k < l against both
-    # patterns; at desk scale N <= ~14 the O(N^4) bound is irrelevant.
-    n = len(bid) - 1
-    # Pattern for j <= t: i, l together and j, k together in another block.
-    for j in range(2, min(t, n - 2) + 1):
-        bj = bid[j]
-        for k in range(j + 1, n):
-            if bid[k] != bj:
-                continue
-            for i in range(1, j):
-                bi = bid[i]
-                if bi == bj:
-                    continue
-                for l in range(k + 1, n + 1):
-                    if bid[l] == bi:
-                        return True
-    # Pattern for j > t: i, k together and j, l together in another block.
-    for j in range(max(t + 1, 2), n - 1):
-        bj = bid[j]
-        for l in range(j + 2, n + 1):
-            if bid[l] != bj:
-                continue
-            for i in range(1, j):
-                bi = bid[i]
-                if bi == bj:
-                    continue
-                for k in range(j + 1, l):
-                    if bid[k] == bi:
-                        return True
-    return False
-
-
-def is_noncrossing_t(partition: SetPartition, t: int) -> bool:
-    """True iff no quadruple realizes a forbidden pattern for this t.
-
-    The partition must be a t-partition; anything else is outside the domain
-    of the order-t crossing test.
-    """
-    if not is_t_partition(partition, t):
-        raise DomainError(f"partition {partition} is not a {t}-partition")
-    return not _has_forbidden_quadruple(partition.block_ids(), t)
-
-
-def refines(fine: SetPartition, coarse: SetPartition) -> bool:
-    """True iff every block of `fine` is contained in some block of `coarse`."""
-    if fine.ground_size != coarse.ground_size:
-        raise DomainError(
-            f"ground sizes differ: {fine.ground_size} vs {coarse.ground_size}"
-        )
-    ids = coarse.block_ids()
-    for block in fine.blocks:
-        target = ids[block[0]]
-        for x in block:
-            if ids[x] != target:
-                return False
-    return True
 
 
 def rank_of(partition: SetPartition, p: Params) -> int:
@@ -234,11 +138,6 @@ def _profile_counts(sizes: Iterable[int], p: Params) -> Tuple[int, ...]:
             raise DomainError(f"block of size {size} is not divisible by m={p.m}")
         counts[size // p.m - 1] += 1
     return tuple(counts)
-
-
-def weight_signature(partition: SetPartition, p: Params) -> Dict[int, int]:
-    """Monomial view of the block profile: exponent of x_i per size class."""
-    return block_profile(partition, p).weight_signature()
 
 
 def tilde_transform(partition: SetPartition, t: int) -> SetPartition:
@@ -352,8 +251,8 @@ def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
     images of w, x, y, z in b form pattern j > t; if x <= t, the points
     t+1-x < t+1-w <= t < y < z of b lie in Y, X, X, Y, which is pattern
     j <= t.  So the candidates that pass are exactly the family.  The
-    literal forbidden-quadruple scan never rejects one; it stays the body
-    of is_noncrossing_t, and the tests run it over every output as a check.
+    literal forbidden-quadruple scan, tests/oracles.py::is_noncrossing_t,
+    never rejects one; the tests run it over every output as a check.
 
     Every output passes _check_shape, whose failure raises
     InvariantViolation.  Raises ResourceLimitError when the closed counting
@@ -385,7 +284,9 @@ def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[Set
     """All m-divisible non-crossing t-partitions of {1..mn}, canonically ordered.
 
     The outputs of _nc_blocks (see there for why they are exactly the
-    family, in canonical form) are wrapped without re-validation.  For t > 1
+    family, in canonical form) are wrapped without re-validation; the tests
+    check each against the literal scan tests/oracles.py::is_noncrossing_t
+    and the validating constructor at every mn <= 10.  For t > 1
     the relabelling reorders them, so they are sorted.  At t = 1 they are
     the classical shapes as generated, which already come in increasing
     order.

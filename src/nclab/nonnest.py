@@ -44,17 +44,6 @@ def pair_leq(a: Pair, b: Pair) -> bool:
     return a[0] >= b[0] and a[1] <= b[1]
 
 
-def formal_sum(a: Pair, b: Pair) -> Optional[Pair]:
-    """(i, j) + (k, l) = (i, l) when j = k, undefined (None) otherwise.
-
-    The operation is applied exactly as written; it is not symmetric in its
-    arguments.
-    """
-    if a[1] == b[0]:
-        return (a[0], b[1])
-    return None
-
-
 class _Universe:
     """Grid layout for one n: pair (i, j) at bit i*(n+1) + j, all pairs below bit `stride`."""
 
@@ -203,22 +192,8 @@ class FilterChain(Value):
                 raise DomainError("chain components must be nested V_m <= ... <= V_1")
 
     @property
-    def m(self) -> int:
-        return len(self.filters)
-
-    @property
     def n(self) -> int:
         return self.filters[0].n
-
-    @property
-    def t(self) -> int:
-        return self.filters[0].t
-
-    def component(self, i: int) -> TFilter:
-        """V_i for 1 <= i <= m (the tuple stores V_m first)."""
-        if not 1 <= i <= self.m:
-            raise ParameterError(f"component index must lie in [1, {self.m}], got {i}")
-        return self.filters[self.m - i]
 
     def masks(self) -> Tuple[int, ...]:
         return tuple(f.mask for f in self.filters)
@@ -267,24 +242,6 @@ def _conditions_ok(u: _Universe, comp: List[int], ambient: int, m: int, k: int) 
             if k + j <= m and u.sum_masks(ambient & ~comp[a], ambient & ~comp[b]) & target:
                 return False
     return True
-
-
-def is_geometric(chain: FilterChain, variant: str = "paper") -> bool:
-    """Closure test for a nested filter chain.
-
-    The sum condition V_i + V_j <= V_{i+j} is checked for all i, j >= 1 using
-    the conventions V_0 = everything and V_k = V_m for k > m; ranging i and j
-    over [1, m] with the clamp covers every stated case because the sums
-    stabilise beyond m.  The complement condition applies for i + j <= m,
-    with complements taken in the full pair set ("paper") or in the
-    restricted one ("adapted").
-    """
-    _check_variant(variant)
-    u = _universe(chain.n)
-    m = chain.m
-    comp = [0] + [chain.component(i).mask for i in range(1, m + 1)]
-    ambient = u.full_mask if variant == "paper" else _restricted_mask(chain.n, chain.t)
-    return all(_conditions_ok(u, comp, ambient, m, k) for k in range(1, m + 1))
 
 
 def _generate_chains(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[int, ...], ...]:

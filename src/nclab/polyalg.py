@@ -125,7 +125,7 @@ class BivariatePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "BivariatePolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ParameterError(f"polynomial powers need an exponent >= 0, got {exponent}")
         result = BivariatePolynomial.constant(1)
         for _ in range(exponent):
@@ -147,18 +147,6 @@ class BivariatePolynomial:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BivariatePolynomial":
-        """Inverse of `to_json_dict`; each "c" is a decimal integer string, each (x, y) unique."""
-        terms = {(term["x"], term["y"]): term["c"] for term in data["terms"]}
-        if len(terms) != len(data["terms"]):
-            raise ParameterError("a polynomial record repeats an (x, y) term")
-        try:
-            terms = {key: int(c) if type(c) is str else c for key, c in terms.items()}
-        except ValueError as exc:
-            raise ParameterError(f"coefficients must be integers: {exc}") from None
-        return cls(terms)
 
     def __repr__(self) -> str:
         if not self._terms:

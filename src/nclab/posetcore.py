@@ -14,8 +14,8 @@ from functools import reduce
 from operator import or_
 from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
-from .errors import DomainError, InvariantViolation, ParameterError
-from .ncpart import DEFAULT_MAX_OBJECTS, enumerate_nc, rank_of, tilde_transform
+from .errors import InvariantViolation, ParameterError
+from .ncpart import DEFAULT_MAX_OBJECTS, enumerate_nc, rank_of
 from .params import Params
 
 
@@ -48,7 +48,7 @@ class FinitePoset:
     order need not be a linear extension.
     """
 
-    __slots__ = ("elements", "ranks", "_index", "_down", "_covers")
+    __slots__ = ("elements", "ranks", "_down", "_covers")
 
     def __init__(
         self,
@@ -61,8 +61,7 @@ class FinitePoset:
         n = len(self.elements)
         if len(self.ranks) != n:
             raise ParameterError("one rank per element is required")
-        self._index = {el: i for i, el in enumerate(self.elements)}
-        if len(self._index) != n:
+        if len(set(self.elements)) != n:
             raise ParameterError("elements must be pairwise distinct")
         lower = [[] for _ in range(n)]
         for a, b in covers:
@@ -83,20 +82,11 @@ class FinitePoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self, element: Hashable) -> int:
-        try:
-            return self._index[element]
-        except KeyError:
-            raise DomainError(f"{element!r} is not a poset element") from None
-
     def leq(self, a: int, b: int) -> bool:
         return bool((self._down[b] >> a) & 1)
 
     def down_mask(self, b: int) -> int:
         return self._down[b]
-
-    def rank(self, i: int) -> int:
-        return self.ranks[i]
 
     @property
     def max_rank(self) -> int:
@@ -108,18 +98,6 @@ class FinitePoset:
             if rk == r:
                 mask |= 1 << i
         return mask
-
-    def validate_partial_order(self) -> None:
-        """Assert reflexivity, antisymmetry and transitivity of the down-masks (test support)."""
-        down = self._down
-        for i, mask in enumerate(down):
-            if not mask >> i & 1:
-                raise InvariantViolation("order is not reflexive")
-            for j in _bits(mask & ~(1 << i)):
-                if down[j] >> i & 1:
-                    raise InvariantViolation("order is not antisymmetric")
-                if down[j] & ~mask:
-                    raise InvariantViolation("order is not transitive")
 
     def covers(self) -> Tuple[Tuple[int, int], ...]:
         """The Hasse diagram: the given covers (a, b), a below b, sorted."""
@@ -138,24 +116,6 @@ class FinitePoset:
             raise InvariantViolation(
                 f"top rank is {top}, expected {expected_max_rank}"
             )
-
-    def _moebius_row(self, a: int) -> Dict[int, int]:
-        """mu(a, b) for every b >= a, recomputed on each call (test oracle)."""
-        # The up-set of a: every b whose down-mask holds a.
-        up_a = sum(1 << b for b, mask in enumerate(self._down) if mask >> a & 1)
-        row = {a: 1}
-        # Down-set size orders the up-set by a linear extension.
-        above = sorted(_bits(up_a & ~(1 << a)), key=lambda b: self._down[b].bit_count())
-        for b in above:
-            interval = up_a & self._down[b] & ~(1 << b)
-            row[b] = -sum(row[c] for c in _bits(interval))
-        return row
-
-    def moebius(self, a: int, b: int) -> int:
-        """Moebius value of the interval [a, b]."""
-        if not self.leq(a, b):
-            raise DomainError(f"element {a} is not below element {b}")
-        return self._moebius_row(a)[b]
 
     def _count_multichains(self, levels: Sequence[int]) -> int:
         """Weakly increasing tuples (x_1 <= ... <= x_l) with x_i in the mask levels[i]."""
@@ -228,20 +188,3 @@ def build_refinement_poset(
     poset = FinitePoset(parts, covers, tuple(rank_of(sp, p) for sp in parts))
     poset.assert_graded(expected_max_rank=p.n - p.t)
     return poset
-
-
-def verify_ideal_embedding(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> bool:
-    """True iff the relabelled order-t family sits as a down-set in the classical one."""
-    classical = build_refinement_poset(Params(p.m, p.n, 1), max_objects=max_objects)
-    image = 0
-    for part in enumerate_nc(p, max_objects=max_objects):
-        moved = tilde_transform(part, p.t)
-        try:
-            idx = classical.index_of(moved)
-        except DomainError:
-            return False
-        image |= 1 << idx
-    for idx in _bits(image):
-        if classical.down_mask(idx) & ~image:
-            return False
-    return True

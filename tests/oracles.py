@@ -3,12 +3,14 @@
 Nothing here imports the package under test at module level: partitions are
 plain tuples of tuples, every predicate is coded directly from the defining
 patterns and the closed triangles are summed in `Fraction`, so these
-routines can serve as oracles for the library.  Two exceptions import it
+routines can serve as oracles for the library.  Three exceptions import it
 when called.  `identities_literal` runs the library's literal polynomial
 path (`substitute`, `RationalExpr`) over the library's identity table, the
 path that the integer check in `verify_transformation_identities` replaced.
 `bijection_literal` runs the bijection check on `TFilter` and `DyckPath`
 objects, the path that the mask-level `bijection_holds` replaced.
+`verify_ideal_embedding` reads the library's refinement poset and
+relabelling map.
 """
 
 import json
@@ -149,7 +151,58 @@ def covers_of(down):
 
 def set_bits(mask):
     """Positions of the set bits of a non-negative int, in increasing order."""
-    return [i for i, digit in enumerate(reversed(bin(mask))) if digit == "1"]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def validate_partial_order(down):
+    """Assert reflexivity, antisymmetry and transitivity of down-masks.
+
+    down[i] is the mask of the j <= i.  Raises AssertionError naming the
+    first law that fails.
+    """
+    for i, mask in enumerate(down):
+        if not mask >> i & 1:
+            raise AssertionError("order is not reflexive")
+        for j in set_bits(mask & ~(1 << i)):
+            if down[j] >> i & 1:
+                raise AssertionError("order is not antisymmetric")
+            if down[j] & ~mask:
+                raise AssertionError("order is not transitive")
+
+
+def moebius_row(down, a):
+    """{b: mu(a, b)} for every b >= a, by the recursion over the interval [a, b)."""
+    # The up-set of a: every b whose down-mask holds a.
+    up_a = sum(1 << b for b, mask in enumerate(down) if mask >> a & 1)
+    row = {a: 1}
+    # Down-set size orders the up-set by a linear extension.
+    above = sorted(set_bits(up_a & ~(1 << a)), key=lambda b: down[b].bit_count())
+    for b in above:
+        interval = up_a & down[b] & ~(1 << b)
+        row[b] = -sum(row[c] for c in set_bits(interval))
+    return row
+
+
+def verify_ideal_embedding(p):
+    """True iff the relabelled order-t family sits as a down-set in the classical one."""
+    from nclab.ncpart import enumerate_nc, tilde_transform
+    from nclab.params import Params
+    from nclab.posetcore import build_refinement_poset
+
+    classical = build_refinement_poset(Params(p.m, p.n, 1))
+    index = {part: i for i, part in enumerate(classical.elements)}
+    image = 0
+    for part in enumerate_nc(p):
+        moved = tilde_transform(part, p.t)
+        if moved not in index:
+            return False
+        image |= 1 << index[moved]
+    return all(not classical.down_mask(i) & ~image for i in set_bits(image))
 
 
 def floored_poset(chains):

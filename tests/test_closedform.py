@@ -197,10 +197,10 @@ class TestChainCountWithProfile:
             parts = poset.elements
             for a in range(len(poset)):
                 profile_a = block_profile(parts[a], p).counts
-                rank_a = poset.rank(a)
+                rank_a = poset.ranks[a]
                 for b_idx in range(len(poset)):
                     if poset.leq(a, b_idx):
-                        key = (profile_a, rank_a, poset.rank(b_idx))
+                        key = (profile_a, rank_a, poset.ranks[b_idx])
                         buckets[key] = buckets.get(key, 0) + 1
             for s in compositions(p.max_rank, 3):
                 for b in profiles(p.n):

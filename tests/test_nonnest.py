@@ -23,9 +23,7 @@ from nclab.nonnest import (
     chain_counts,
     enumerate_nn,
     floor_polynomial_matches,
-    formal_sum,
     h_tilde,
-    is_geometric,
     nn_poset,
     pair_leq,
     triangular_pairs,
@@ -64,16 +62,17 @@ class TestPairPoset:
 
 
 class TestFormalSum:
+    # Single pairs through the grid-mask product; an undefined sum adds nothing.
     def test_chaining(self):
-        assert formal_sum((1, 2), (2, 3)) == (1, 3)
+        assert sum_pairs(3, {(1, 2)}, {(2, 3)}) == {(1, 3)}
 
     def test_undefined_cases(self):
-        assert formal_sum((1, 3), (2, 3)) is None
-        assert formal_sum((2, 3), (2, 3)) is None
+        assert sum_pairs(3, {(1, 3)}, {(2, 3)}) == frozenset()
+        assert sum_pairs(3, {(2, 3)}, {(2, 3)}) == frozenset()
 
     def test_not_symmetric(self):
-        assert formal_sum((1, 2), (2, 3)) == (1, 3)
-        assert formal_sum((2, 3), (1, 2)) is None
+        assert sum_pairs(3, {(1, 2)}, {(2, 3)}) == {(1, 3)}
+        assert sum_pairs(3, {(2, 3)}, {(1, 2)}) == frozenset()
 
     def test_setwise(self):
         assert sum_pairs(3, {(1, 2)}, {(2, 3)}) == {(1, 3)}
@@ -134,20 +133,31 @@ class TestTFilter:
                                 assert other in filt.pairs
 
 
+def generated(p, variant):
+    return {tuple(f.pairs for f in c.filters) for c in enumerate_nn(p, variant=variant)}
+
+
 class TestGeometric:
+    # The closure test is tests/oracles.py::is_geometric_chain; the generator
+    # must agree with it.
     def test_example_fails_paper_variant(self):
-        bad = chain(3, 2, {(1, 3)}, {(1, 3)})
-        assert not is_geometric(bad, variant="paper")
-        assert is_geometric(bad, variant="adapted")
+        bad = (frozenset({(1, 3)}), frozenset({(1, 3)}))
+        assert not oracles.is_geometric_chain(bad, 3, 2, "paper")
+        assert oracles.is_geometric_chain(bad, 3, 2, "adapted")
+        assert bad not in generated(Params(2, 3, 2), "paper")
+        assert bad in generated(Params(2, 3, 2), "adapted")
 
     def test_empty_chain_geometric(self):
-        empty = chain(3, 2, set(), set())
-        assert is_geometric(empty, "paper")
-        assert is_geometric(empty, "adapted")
+        empty = (frozenset(), frozenset())
+        for variant in VARIANTS:
+            assert oracles.is_geometric_chain(empty, 3, 2, variant)
+            assert empty in generated(Params(2, 3, 2), variant)
 
     def test_unknown_variant(self):
-        with pytest.raises(ParameterError):
-            is_geometric(chain(3, 2, set(), set()), "other")
+        p = Params(2, 3, 2)
+        for entry in (enumerate_nn, certify_lemma54, h_tilde):
+            with pytest.raises(ParameterError, match="variant must be one of"):
+                entry(p, variant="other")
 
     def test_m1_vacuous(self):
         for n in range(1, 8):
@@ -156,7 +166,7 @@ class TestGeometric:
                 chains = enumerate_nn(Params(1, n, t))
                 assert len(chains) == len(filters)
                 for filt in filters:
-                    assert is_geometric(FilterChain((filt,)))
+                    assert oracles.is_geometric_chain((filt.pairs,), n, t, "paper")
 
 
 class TestEnumerate:

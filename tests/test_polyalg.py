@@ -67,8 +67,10 @@ class TestArithmetic:
         assert (X - X).is_zero()
 
     def test_negative_power_rejected(self):
-        with pytest.raises(ParameterError):
-            X ** (-1)
+        # Bools are refused as exponents, as everywhere else in the class.
+        for exponent in (-1, True, False, 2.0):
+            with pytest.raises(ParameterError):
+                X**exponent
 
     @settings(max_examples=60, deadline=None)
     @given(polynomials(), polynomials(), polynomials())
@@ -112,24 +114,20 @@ class TestJson:
         )
 
     def test_round_trip(self):
+        # The record lists every term once, with its coefficient as a decimal string.
         p = poly({(0, 1): -3, (2, 2): 4})
-        assert BivariatePolynomial.from_json_dict(p.to_json_dict()) == p
-
-    def test_repeated_term_rejected(self):
-        data = {"terms": [{"x": 0, "y": 0, "c": "1"}, {"x": 0, "y": 0, "c": "2"}]}
-        with pytest.raises(ParameterError, match="repeats an"):
-            BivariatePolynomial.from_json_dict(data)
+        terms = {(term["x"], term["y"]): int(term["c"]) for term in p.to_json_dict()["terms"]}
+        assert BivariatePolynomial(terms) == p
 
     def test_non_integer_coefficients_rejected(self):
-        for c in ("1/2", "0.5", 1.5, "x"):
+        for c in ("1/2", "0.5", 1.5, "x", "1"):
             with pytest.raises(ParameterError, match="coefficients must be integers"):
-                BivariatePolynomial.from_json_dict({"terms": [{"x": 0, "y": 0, "c": c}]})
+                BivariatePolynomial({(0, 0): c})
 
     def test_non_integer_exponents_rejected(self):
         # A truncated 1.5 would collide with x^1 and overwrite it.
-        data = {"terms": [{"x": 1.5, "y": 0, "c": "1"}, {"x": 1, "y": 0, "c": "2"}]}
         with pytest.raises(ParameterError, match="exponents must be integers >= 0, got 1.5"):
-            BivariatePolynomial.from_json_dict(data)
+            BivariatePolynomial({(1.5, 0): 1, (1, 0): 2})
         for key in ((True, 0), (0, "1"), (Fraction(1), 0), (-1, 0), (0, -2)):
             with pytest.raises(ParameterError):
                 BivariatePolynomial({key: 1})
@@ -160,10 +158,11 @@ class TestMTriangle:
                 for t in range(1, n + 1):
                     p = Params(m, n, t)
                     poset = build_refinement_poset(p)
+                    down = [poset.down_mask(i) for i in range(len(poset))]
                     coeffs = {}
                     for a in range(len(poset)):
-                        for b, mu in poset._moebius_row(a).items():
-                            key = (poset.rank(a), poset.rank(b))
+                        for b, mu in oracles.moebius_row(down, a).items():
+                            key = (poset.ranks[a], poset.ranks[b])
                             coeffs[key] = coeffs.get(key, 0) + mu
                     assert m_triangle_brute(p) == BivariatePolynomial(coeffs), (m, n, t)
 
