@@ -107,6 +107,12 @@ def _params_from_args(args) -> Params:
     return Params(args.m, args.n, args.t)
 
 
+def _check_path_cap(p: Params, cap: int) -> None:
+    """Guard a job over the paths of length 2n, counted by total_count at m = 1."""
+    predicted = closedform.total_count(Params(1, p.n, p.t))
+    ncpart.check_cap(predicted, cap, f"{predicted} paths for n={p.n}, t={p.t}")
+
+
 def cmd_enumerate(args) -> int:
     cap = _resolve_cap(args.max_objects)
     p = _params_from_args(args)
@@ -117,8 +123,7 @@ def cmd_enumerate(args) -> int:
         for chain in nonnest.enumerate_nn(p, variant=args.variant, max_objects=cap):
             print(chain.to_json())
     else:
-        if closedform.total_count(Params(1, p.n, p.t)) > cap:
-            raise ResourceLimitError("predicted path count exceeds the cap")
+        _check_path_cap(p, cap)
         for path in dyckmodel.enumerate_tdyck(p.n, p.t):
             print(path.to_json(p.t))
     return 0
@@ -228,13 +233,16 @@ def cmd_triangle(args) -> int:
 
 def _identities_row(p: Params, variant: str, cap: int) -> dict:
     try:
-        return polyalg.verify_transformation_identities(p).as_dict()
+        results, alt_holds = polyalg.verify_transformation_identities(p)
     except InvariantViolation as exc:
         return {"m": p.m, "n": p.n, "t": p.t, "error": str(exc), "pass": False}
+    row = {"m": p.m, "n": p.n, "t": p.t, **dict(results), "h_from_m_alt_prefactor": alt_holds}
+    return {**row, "pass": all(ok for _, ok in results)}
 
 
 def _conj_count_row(p: Params, variant: str, cap: int) -> dict:
-    enumerated, formula = nonnest.chain_counts(p, variant=variant, max_objects=cap)
+    enumerated = len(nonnest._raw_chains(p, variant, cap))
+    formula = closedform.total_count(p)
     return {
         "m": p.m,
         "n": p.n,
@@ -247,13 +255,14 @@ def _conj_count_row(p: Params, variant: str, cap: int) -> dict:
 
 
 def _conj_h_row(p: Params, variant: str, cap: int) -> dict:
-    ok = nonnest.floor_polynomial_matches(p, variant=variant, max_objects=cap)
+    ok = nonnest.h_tilde(p, variant=variant, max_objects=cap) == polyalg.h_triangle_closed(p)
     return {"m": p.m, "n": p.n, "t": p.t, "variant": variant, "pass": ok}
 
 
 def _bijection_row(p: Params, variant: str, cap: int) -> dict:
     if p.m != 1:
         raise ParameterError("the bijection suite runs at m=1 only")
+    _check_path_cap(p, cap)
     objects = len(nonnest._tfilter_masks(p.n, p.t))
     ok = dyckmodel.bijection_holds(p.n, p.t)
     return {"m": 1, "n": p.n, "t": p.t, "objects": objects, "pass": ok}

@@ -138,10 +138,6 @@ class DyckPath(Value):
     def n(self) -> int:
         return len(self.steps) // 2
 
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
     def heights(self) -> Tuple[int, ...]:
         """Heights after 0, 1, ..., 2n steps (stored by the validation walk)."""
         return self._heights
@@ -161,29 +157,6 @@ class DyckPath(Value):
 
     def __str__(self) -> str:
         return self.steps
-
-
-class PathStats(Value):
-    """Valley counts (all, and at height zero) and path length."""
-
-    _fields = ("valleys", "zero_valleys", "length")
-
-    def __init__(self, valleys: int, zero_valleys: int, length: int):
-        vars(self).update(valleys=valleys, zero_valleys=zero_valleys, length=length)
-
-
-def valley_coords(path: DyckPath) -> Tuple[Tuple[int, int], ...]:
-    """Coordinates preceded by a down-step and followed by an up-step."""
-    return tuple(_valleys(path.steps, path.heights()))
-
-
-def path_stats(path: DyckPath) -> PathStats:
-    valleys = valley_coords(path)
-    return PathStats(
-        valleys=len(valleys),
-        zero_valleys=sum(1 for _, y in valleys if y == 0),
-        length=path.length,
-    )
 
 
 def enumerate_tdyck(n: int, t: int) -> Tuple[DyckPath, ...]:
@@ -216,7 +189,7 @@ def ddom_leq(first: DyckPath, second: DyckPath) -> bool:
     """
     if len(first.steps) != len(second.steps):
         raise DomainError(
-            f"paths have different lengths: {first.length} vs {second.length}"
+            f"paths have different lengths: {len(first.steps)} vs {len(second.steps)}"
         )
     return not (second._area & ~first._area)
 
@@ -277,10 +250,15 @@ def bijection_holds(n: int, t: int) -> bool:
 
 
 def h_via_paths(n: int, t: int) -> BivariatePolynomial:
-    """Generating polynomial of (valleys, zero-height valleys) over the paths."""
+    """Generating polynomial of (valleys, zero-height valleys) over the paths.
+
+    Reads the step strings of `_tdyck_steps` with `_walk` and `_valleys`,
+    as `bijection_holds` does; builds no DyckPath.
+    """
     coeffs: Dict[Tuple[int, int], int] = {}
-    for path in enumerate_tdyck(n, t):
-        stats = path_stats(path)
-        key = (stats.valleys, stats.zero_valleys)
+    for steps in _tdyck_steps(n, t):
+        heights = _walk(steps)[0]
+        valleys = [y for _, y in _valleys(steps, heights)]
+        key = (len(valleys), valleys.count(0))
         coeffs[key] = coeffs.get(key, 0) + 1
     return BivariatePolynomial(coeffs)

@@ -34,6 +34,12 @@ from .params import Params, Value
 DEFAULT_MAX_OBJECTS = 10**7
 
 
+def check_cap(predicted: int, max_objects: int, what: str) -> None:
+    """The one size guard: ResourceLimitError, naming `what`, when `predicted` exceeds the cap."""
+    if predicted > max_objects:
+        raise ResourceLimitError(f"predicted {what}, more than the cap {max_objects}")
+
+
 class SetPartition(Value):
     """Immutable set partition of {1..N} in canonical form.
 
@@ -51,7 +57,10 @@ class SetPartition(Value):
         # fail on mixed types with a bare TypeError.  tuple(block) is block
         # for a plain tuple, so a block that is already a sorted plain tuple
         # is kept as it is and partitions built from shared tuples share them.
-        blocks = [tuple(block) for block in blocks]
+        try:
+            blocks = [tuple(block) for block in blocks]
+        except TypeError:
+            raise DomainError("each block must be an iterable of positive integers") from None
         seen = set()
         for block in blocks:
             if not block:
@@ -260,13 +269,8 @@ def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
     than `max_objects`.
     """
     m, n, t = p.m, p.n, p.t
-    predicted = closedform.total_count(p)
-    workload = closedform.total_count(Params(m, n, 1))
-    if max_objects is not None and max(predicted, workload) > max_objects:
-        raise ResourceLimitError(
-            f"predicted {max(predicted, workload)} partitions for {p}, "
-            f"more than the cap {max_objects}"
-        )
+    predicted = max(closedform.total_count(p), closedform.total_count(Params(m, n, 1)))
+    check_cap(predicted, max_objects, f"{predicted} partitions for {p}")
     size = m * n
     for blocks in _classical_shapes(m, size, 1, {}):
         if t > 1:

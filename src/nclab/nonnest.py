@@ -13,16 +13,11 @@ multiplies, so the closure conditions on chains are cheap integer algebra.
 import json
 from functools import lru_cache, reduce
 from operator import and_, or_
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from . import closedform
-from .errors import (
-    DomainError,
-    InvariantViolation,
-    ParameterError,
-    ResourceLimitError,
-)
-from .ncpart import DEFAULT_MAX_OBJECTS
+from .errors import DomainError, InvariantViolation, ParameterError
+from .ncpart import DEFAULT_MAX_OBJECTS, check_cap
 from .params import Params, Value
 from .polyalg import BivariatePolynomial, h_triangle_closed
 from .posetcore import FinitePoset, _bits, _columns
@@ -268,17 +263,14 @@ def _generate_chains(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[int, .
     return tuple(chains)
 
 
-def _raw_chains(p: Params, variant: str, max_objects: Optional[int]) -> Tuple[Tuple[int, ...], ...]:
+def _raw_chains(p: Params, variant: str, max_objects: int) -> Tuple[Tuple[int, ...], ...]:
     """The generator's chain masks, behind the variant check and the size guard.
 
     Every entry point that enumerates chains comes through here.
     """
     _check_variant(variant)
     predicted = closedform.total_count(p)
-    if max_objects is not None and predicted > max_objects:
-        raise ResourceLimitError(
-            f"predicted about {predicted} chains for {p}, more than the cap {max_objects}"
-        )
+    check_cap(predicted, max_objects, f"about {predicted} chains for {p}")
     return _generate_chains(p.m, p.n, p.t, variant)
 
 
@@ -438,29 +430,12 @@ def _floor_polynomial(p: Params, family: Sequence[Tuple[int, ...]]) -> Bivariate
     return BivariatePolynomial(coeffs)
 
 
-def chain_counts(
-    p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
-) -> Tuple[int, int]:
-    """|enumerate_nn(p)| and the closed total count it is conjectured to equal."""
-    return len(_raw_chains(p, variant, max_objects)), closedform.total_count(p)
-
-
-def floor_polynomial_matches(
-    p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
-) -> bool:
-    """True iff the floor polynomial h_tilde(p) equals the closed H-triangle.
-
-    h_tilde certifies Lemma 5.4 for p and raises InvariantViolation if it fails.
-    """
-    return h_tilde(p, variant=variant, max_objects=max_objects) == h_triangle_closed(p)
-
-
 def verify_conjectures(
     params_list: Sequence[Params],
     variant: str = "paper",
     max_objects: int = DEFAULT_MAX_OBJECTS,
 ) -> Tuple[dict, ...]:
-    """Per-triple rows of chain_counts and floor_polynomial_matches.
+    """Per-triple rows of the chain count and the floor polynomial against their closed forms.
 
     Each triple's chains are generated once and feed both checks.  Rows only
     report; no assertion is made here.

@@ -32,24 +32,25 @@ def _wrap(data: dict) -> "BivariatePolynomial":
 class BivariatePolynomial:
     """Sparse polynomial in two variables with int coefficients and exponents >= 0.
 
-    Bools count as neither; any other coefficient or exponent raises
-    ParameterError.
+    `terms` is a mapping or an iterable of ((x, y), coefficient) pairs.
+    Bools count as neither; any other coefficient or exponent, or an (x, y)
+    given twice, raises ParameterError.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         data: Dict[Tuple[int, int], int] = {}
-        if terms:
-            for (ex, ey), coeff in dict(terms).items():
-                for e in (ex, ey):
-                    if type(e) is not int or e < 0:
-                        raise ParameterError(f"exponents must be integers >= 0, got {e!r}")
-                if type(coeff) is not int:
-                    raise ParameterError(f"coefficients must be integers, got {coeff!r}")
-                if coeff:
-                    data[(ex, ey)] = coeff
-        self._terms = data
+        for (ex, ey), coeff in terms.items() if isinstance(terms, dict) else terms or ():
+            for e in (ex, ey):
+                if type(e) is not int or e < 0:
+                    raise ParameterError(f"exponents must be integers >= 0, got {e!r}")
+            if type(coeff) is not int:
+                raise ParameterError(f"coefficients must be integers, got {coeff!r}")
+            if (ex, ey) in data:
+                raise ParameterError(f"the term ({ex}, {ey}) is given more than once")
+            data[(ex, ey)] = coeff
+        self._terms = {key: coeff for key, coeff in data.items() if coeff}
 
     @classmethod
     def zero(cls) -> "BivariatePolynomial":
@@ -341,31 +342,6 @@ def f_triangle_closed(p: Params) -> BivariatePolynomial:
     return _assert_nonnegative(_wrap(coeffs), "closed F-triangle")
 
 
-class IdentityReport(Value):
-    """Outcome of the six substitution identities for one parameter triple.
-
-    `alt_prefactor_holds` tracks the alternative H-from-M prefactor
-    1 + x(y+1); the normative check uses 1 + x(y-1), which is the variant
-    consistent with the closed H form.
-    """
-
-    _fields = ("params", "results", "alt_prefactor_holds")
-
-    def __init__(self, params: Params, results: tuple, alt_prefactor_holds: bool):
-        vars(self).update(params=params, results=results, alt_prefactor_holds=alt_prefactor_holds)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok in self.results)
-
-    def as_dict(self) -> dict:
-        out = {"m": self.params.m, "n": self.params.n, "t": self.params.t}
-        out.update(self.results)
-        out["h_from_m_alt_prefactor"] = self.alt_prefactor_holds
-        out["pass"] = self.all_pass
-        return out
-
-
 # Chapoton's substitutions, one row per identity: (name, lhs, prefactor base,
 # source, u, v, alternative base).  A row claims lhs = base^d * source(u, v)
 # with d = n - t, naming the triangles "m", "f" and "h".  Only the H-from-M
@@ -427,8 +403,14 @@ def _pack(poly: BivariatePolynomial, w: int, stride: int) -> int:
     return value
 
 
-def verify_transformation_identities(p: Params) -> IdentityReport:
+def verify_transformation_identities(p: Params) -> Tuple[Tuple[Tuple[str, bool], ...], bool]:
     """Check the six triangle substitution identities in exact integer arithmetic.
+
+    Returns (results, alt_prefactor_holds): results holds one (name, holds)
+    pair per row of `_IDENTITIES`, in table order, and alt_prefactor_holds
+    the verdict of the H-from-M row's alternative base 1 + x(y + 1).  The
+    normative base 1 + x(y - 1) is the one consistent with the closed H form.
+    `tests/oracles.py::identities_literal` returns the same pair.
 
     Each row of `_IDENTITIES` claims lhs = base^d * source(u, v), d = n - t.
     Over the common denominator of `substitute` this is
@@ -485,4 +467,4 @@ def verify_transformation_identities(p: Params) -> IdentityReport:
         results.append((name, holds[0]))
         if alt_base is not None:
             alt_holds = holds[1]
-    return IdentityReport(p, tuple(results), alt_holds)
+    return tuple(results), alt_holds

@@ -17,23 +17,16 @@ from nclab.closedform import (
     total_count,
     zeta_formula,
 )
-from nclab.dyckmodel import DyckPath, bijection_holds, h_via_paths, theta
-from nclab.ncpart import SetPartition, block_profile, enumerate_nc, rank_of
-from nclab.nonnest import (
-    TFilter,
-    certify_lemma54,
-    enumerate_nn,
-    h_tilde,
-    nn_poset,
-    verify_conjectures,
-)
+from nclab import cli
+from nclab.dyckmodel import DyckPath, h_via_paths, theta
+from nclab.ncpart import DEFAULT_MAX_OBJECTS, SetPartition, block_profile, enumerate_nc, rank_of
+from nclab.nonnest import TFilter, enumerate_nn, h_tilde, nn_poset
 from nclab.params import Params
 from nclab.polyalg import (
     f_triangle_closed,
     h_triangle_closed,
     m_triangle_brute,
     m_triangle_closed,
-    verify_transformation_identities,
 )
 from nclab.posetcore import build_refinement_poset
 
@@ -64,6 +57,17 @@ def triples(max_product, ms=None, max_n=None):
             for t in range(1, n + 1):
                 out.append(Params(m, n, t))
     return out
+
+
+def suite_rows(suite, expected):
+    """(p, row) over the default range of `verify --suite <suite>`, which must be `expected`.
+
+    The rows come from the suite's own row function, the one the CLI runs.
+    """
+    default_range, make_row = cli._SUITES[suite]
+    params = cli._parse_range(default_range)
+    assert params == expected, suite
+    return [(p, make_row(p, "paper", DEFAULT_MAX_OBJECTS)) for p in params]
 
 
 def compositions(total, parts):
@@ -162,14 +166,10 @@ def test_criterion_5_m_triangle():
 @criterion(6, "six substitution identities and positivity, m<=3, n<=6")
 def test_criterion_6_identities():
     start = time.time()
-    for m in (1, 2, 3):
-        for n in range(1, 7):
-            for t in range(1, n + 1):
-                p = Params(m, n, t)
-                report = verify_transformation_identities(p)
-                assert report.all_pass, (p, report.as_dict())
-                assert all(c > 0 for c in h_triangle_closed(p).terms().values()), p
-                assert all(c > 0 for c in f_triangle_closed(p).terms().values()), p
+    for p, row in suite_rows("identities", triples(18, ms=(1, 2, 3), max_n=6)):
+        assert row["pass"], row
+        assert all(c > 0 for c in h_triangle_closed(p).terms().values()), p
+        assert all(c > 0 for c in f_triangle_closed(p).terms().values()), p
     assert time.time() - start < 30
 
 
@@ -192,18 +192,16 @@ def test_criterion_7_golden_values():
 
 @criterion(8, "chain-count evidence for m in {2,3}, n<=5 (findings reported)")
 def test_criterion_8_conjecture_count_evidence():
-    params = [Params(m, n, t) for m in (2, 3) for n in range(1, 6) for t in range(1, n + 1)]
-    rows = verify_conjectures(params, variant="paper")
-    assert len(rows) == len(params)
-    findings = [row for row in rows if not row["count_ok"]]
-    for row in findings:
-        print(
-            f"FINDING: chain count mismatch at (m={row['m']}, n={row['n']}, t={row['t']}): "
-            f"enumerated {row['count_enumerated']}, formula {row['count_formula']}"
-        )
-    attested = next(row for row in rows if (row["m"], row["n"], row["t"]) == (2, 3, 2))
-    assert attested["count_ok"], attested
-    assert attested["count_enumerated"] == 5
+    rows = dict(suite_rows("conj-count", triples(15, ms=(2, 3), max_n=5)))
+    for p, row in rows.items():
+        if not row["pass"]:
+            print(
+                f"FINDING: chain count mismatch at (m={p.m}, n={p.n}, t={p.t}): "
+                f"enumerated {row['enumerated']}, formula {row['formula']}"
+            )
+    attested = rows[Params(2, 3, 2)]
+    assert attested["pass"], attested
+    assert attested["enumerated"] == "5"
 
 
 # Golden 9-node picture at (1, 4, 2): filter -> (path, floor-label edges).
@@ -250,13 +248,13 @@ FIGURE_EDGES = {
 
 @criterion(9, "path model: three polynomials agree, bijection, golden poset")
 def test_criterion_9_path_model():
-    for n in range(1, 8):
-        for t in range(1, n + 1):
-            p = Params(1, n, t)
-            from_paths = h_via_paths(n, t)
-            assert from_paths == h_tilde(p), (n, t)
-            assert from_paths == h_triangle_closed(p), (n, t)
-            assert bijection_holds(n, t), (n, t)
+    # conj-h checks h_tilde against the closed H-triangle, so h_via_paths meets both.
+    m1 = triples(7, ms=(1,))
+    for suite in ("conj-h", "bijection"):
+        for p, row in suite_rows(suite, m1):
+            assert row["pass"], (suite, row)
+    for p in m1:
+        assert h_via_paths(p.n, p.t) == h_triangle_closed(p), p
 
     # Golden 9-node poset with its floor labels.
     decorated = nn_poset(Params(1, 4, 2))
@@ -276,8 +274,5 @@ def test_criterion_9_path_model():
 
 @criterion(10, "cover structure: one component, one element, m<=3, n<=5")
 def test_criterion_10_cover_structure():
-    for m in (1, 2, 3):
-        for n in range(1, 6):
-            for t in range(1, n + 1):
-                _, violations = certify_lemma54(Params(m, n, t))
-                assert violations == (), (m, n, t, violations)
+    for p, row in suite_rows("lemma54", triples(15, ms=(1, 2, 3), max_n=5)):
+        assert row["violations"] == 0 and row["pass"], row

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from nclab import cli, nonnest
 from nclab.cli import main
 
@@ -228,6 +230,24 @@ class TestErrors:
         )
         assert code == 2
         assert "error" in err
+
+    # Each enumerating suite at a triple whose predicted size is above 1:
+    # 12 partitions or chains at (2, 3, 1), 5 paths at (1, 3, 1).
+    @pytest.mark.parametrize(
+        "suite, triple",
+        [
+            ("conj-count", "m=2,n=3,t=1"),
+            ("conj-h", "m=2,n=3,t=1"),
+            ("lemma54", "m=2,n=3,t=1"),
+            ("bijection", "m=1,n=3,t=1"),
+        ],
+    )
+    def test_enumerating_suites_refuse_over_the_cap(self, capsys, suite, triple):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--range", triple, "--max-objects", "1"
+        )
+        assert (code, out) == (2, "")
+        assert "more than the cap 1" in err
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NC_LAB_MAX_OBJECTS", "10")

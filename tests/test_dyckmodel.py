@@ -11,10 +11,8 @@ from nclab.dyckmodel import (
     ddom_leq,
     enumerate_tdyck,
     h_via_paths,
-    path_stats,
     theta,
     theta_inverse,
-    valley_coords,
 )
 from nclab.errors import DomainError, ParameterError
 from nclab.nonnest import TFilter, all_t_filters, h_tilde
@@ -24,6 +22,11 @@ from nclab.polyalg import h_triangle_closed
 
 def tf(n, t, pairs):
     return TFilter(n, t, frozenset(pairs))
+
+
+def valleys(steps):
+    """The (x, height) of each valley of a path, by dyckmodel._valleys."""
+    return list(dyckmodel._valleys(steps, DyckPath(steps).heights()))
 
 
 @st.composite
@@ -88,26 +91,23 @@ class TestEnumerate:
 
 class TestStats:
     def test_single_mountain(self):
-        stats = path_stats(DyckPath("UUUDDD"))
-        assert (stats.valleys, stats.zero_valleys) == (0, 0)
+        assert valleys("UUUDDD") == []
 
     def test_figure_top_path(self):
-        path = DyckPath("UUDDUDUD")
-        stats = path_stats(path)
-        assert (stats.valleys, stats.zero_valleys) == (2, 2)
-        assert valley_coords(path) == ((4, 0), (6, 0))
+        assert valleys("UUDDUDUD") == [(4, 0), (6, 0)]
 
     def test_valleys_at_positive_height(self):
-        path = DyckPath("UUDUDUDD")
-        assert valley_coords(path) == ((3, 1), (5, 1))
-        stats = path_stats(path)
-        assert (stats.valleys, stats.zero_valleys) == (2, 0)
+        assert valleys("UUDUDUDD") == [(3, 1), (5, 1)]
 
     def test_peaks_one_more_than_valleys(self):
         for n in range(1, 7):
             for path in enumerate_tdyck(n, 1):
-                stats = path_stats(path)
-                assert stats.zero_valleys <= stats.valleys
+                steps, heights = path.steps, path.heights()
+                literal = [
+                    (x, heights[x]) for x in range(1, len(steps)) if steps[x - 1 : x + 1] == "DU"
+                ]
+                assert valleys(steps) == literal
+                assert steps.count("UD") == len(literal) + 1
 
 
 class TestTheta:
@@ -118,12 +118,12 @@ class TestTheta:
         full = tf(4, 2, {(1, 3), (2, 3), (1, 4), (2, 4), (3, 4)})
         path = theta(full)
         assert path == DyckPath("UUDDUDUD")
-        assert valley_coords(path) == ((4, 0), (6, 0))
+        assert valleys(path.steps) == [(4, 0), (6, 0)]
 
     def test_middle_filter(self):
         path = theta(tf(4, 2, {(1, 3), (1, 4), (2, 4)}))
         assert path == DyckPath("UUDUDUDD")
-        assert valley_coords(path) == ((3, 1), (5, 1))
+        assert valleys(path.steps) == [(3, 1), (5, 1)]
 
     def test_round_trip_exhaustive(self):
         for n in range(1, 7):

@@ -56,6 +56,12 @@ class TestSetPartition:
         with pytest.raises(DomainError, match="positive integers, got True"):
             SetPartition([[2], [True]])
 
+    def test_rejects_blocks_that_are_not_iterables(self):
+        # tuple(1) would raise a bare TypeError.
+        for blocks in ([1, 2], [[1], 2]):
+            with pytest.raises(DomainError, match="iterable of positive integers"):
+                SetPartition(blocks)
+
     def test_rejects_non_int_elements_before_sorting(self):
         # Sorting a block of mixed types would raise a bare TypeError.
         for blocks in ([[1, "a"]], [[2], [1, None]]):

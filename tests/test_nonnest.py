@@ -20,9 +20,7 @@ from nclab.nonnest import (
     _universe,
     all_t_filters,
     certify_lemma54,
-    chain_counts,
     enumerate_nn,
-    floor_polynomial_matches,
     h_tilde,
     nn_poset,
     pair_leq,
@@ -306,7 +304,7 @@ class TestHTilde:
 
     def test_size_guard_on_every_entry(self):
         p = Params(2, 4, 1)
-        for entry in (enumerate_nn, nn_poset, h_tilde):
+        for entry in (enumerate_nn, nn_poset, h_tilde, certify_lemma54):
             with pytest.raises(ResourceLimitError, match="predicted about 55 chains"):
                 entry(p, max_objects=54)
 
@@ -369,7 +367,7 @@ class TestCertificate:
         with pytest.raises(InvariantViolation, match=refusal):
             nn_poset(p)
         with pytest.raises(InvariantViolation, match=refusal):
-            floor_polynomial_matches(p)
+            h_tilde(p)
         assert cli.main(["verify", "--suite", "conj-h", "--range", f"m={m},n={n},t=1"]) == 1
         assert cli.main(["verify", "--suite", "lemma54", "--range", f"m={m},n={n},t=1"]) == 1
 
@@ -377,10 +375,11 @@ class TestCertificate:
 class TestConjectureReport:
     def test_chain_counts_builds_no_filters(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("chain_counts built a TFilter")
+            raise AssertionError("the conj-count row built a TFilter")
 
         monkeypatch.setattr(nonnest, "_filter_from_mask", refuse)
-        assert chain_counts(Params(2, 3, 2)) == (5, 5)
+        row = cli._conj_count_row(Params(2, 3, 2), "paper", 10)
+        assert (row["enumerated"], row["formula"], row["pass"]) == ("5", "5", True)
 
     def test_generates_each_family_once(self, monkeypatch):
         calls = []

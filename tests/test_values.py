@@ -4,11 +4,11 @@ import pickle
 
 import pytest
 
-from nclab.dyckmodel import DyckPath, PathStats
+from nclab.dyckmodel import DyckPath
 from nclab.ncpart import BlockProfile, SetPartition
 from nclab.nonnest import FilterChain, FlooredPoset, TFilter
 from nclab.params import Params
-from nclab.polyalg import ONE, X, Y, IdentityReport, RationalExpr
+from nclab.polyalg import ONE, X, Y, RationalExpr
 from nclab.posetcore import FinitePoset
 
 TOP = TFilter(3, 1, {(1, 3)})
@@ -28,15 +28,7 @@ CASES = [
         ("poset", "cover_floor", "floors"),
     ),
     (DyckPath("UUDD"), DyckPath("UU" + "DD"), DyckPath("UDUD"), ("steps",)),
-    (PathStats(1, 0, 4), PathStats(valleys=1, zero_valleys=0, length=4), PathStats(1, 1, 4),
-     ("valleys", "zero_valleys", "length")),
     (RationalExpr(X, Y), RationalExpr(X, Y), RationalExpr(X), ("num", "den")),
-    (
-        IdentityReport(Params(1, 2, 1), (("f_from_m", True),), True),
-        IdentityReport(Params(1, 2, 1), (("f_from_m", True),), True),
-        IdentityReport(Params(1, 2, 1), (("f_from_m", True),), False),
-        ("params", "results", "alt_prefactor_holds"),
-    ),
 ]
 IDS = [type(case[0]).__name__ for case in CASES]
 
