@@ -268,6 +268,11 @@ def _bijection_row(p: Params, variant: str, cap: int) -> dict:
     return {"m": 1, "n": p.n, "t": p.t, "objects": objects, "pass": ok}
 
 
+def _m_triangle_row(p: Params, variant: str, cap: int) -> dict:
+    ok = polyalg.m_triangle_brute(p, max_objects=cap) == polyalg.m_triangle_closed(p)
+    return {"m": p.m, "n": p.n, "t": p.t, "pass": ok}
+
+
 def _lemma54_row(p: Params, variant: str, cap: int) -> dict:
     covers, violations = nonnest.certify_lemma54(p, variant=variant, max_objects=cap)
     return {
@@ -288,6 +293,7 @@ _SUITES: Dict[str, Tuple[str, Callable[[Params, str, int], dict]]] = {
     "conj-h": ("m=1,n=1..7,t=1..n", _conj_h_row),
     "bijection": ("m=1,n=1..7,t=1..n", _bijection_row),
     "lemma54": ("m=1..3,n=1..5,t=1..n", _lemma54_row),
+    "m-triangle": ("m=1..3,n=1..5,t=1..n", _m_triangle_row),
 }
 
 

@@ -24,16 +24,23 @@ class Value:
     _fields = ()
 
     def __init_subclass__(cls):
+        # Eq and hash call the class's field getter directly; a bound
+        # helper method in between about doubled their cost.
         get = attrgetter(*cls._fields)  # a tuple for two fields or more
-        cls._key = (lambda self: get(self)) if len(cls._fields) > 1 else (lambda self: (get(self),))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._key())
+        if len(cls._fields) > 1:
+            def __hash__(self) -> int:
+                return hash(get(self))
+        else:  # still the hash of the field tuple
+            def __hash__(self) -> int:
+                return hash((get(self),))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -66,7 +73,7 @@ class Params(Value):
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() < other._key()
+            return (self.m, self.n, self.t) < (other.m, other.n, other.t)
         return NotImplemented
 
     @property

@@ -257,33 +257,67 @@ def _assert_nonnegative(poly: BivariatePolynomial, context: str) -> BivariatePol
     return poly
 
 
+def _slot_width(level_sizes) -> int:
+    """Bits per signed slot of the packed M-triangle solve.
+
+    bound = prod over s of (1 + |level s|) exceeds every coefficient's
+    absolute value (see m_triangle_brute), and bound < 2^(w - 1) for
+    w = bound.bit_length() + 1.
+    """
+    bound = 1
+    for size in level_sizes:
+        bound *= 1 + size
+    return bound.bit_length() + 1
+
+
 def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> BivariatePolynomial:
     """M(x, y) = sum over a <= b of mu(a, b) x^rk(a) y^rk(b), straight off the poset.
 
-    The coefficient of x^r y^s sums v_r[b] = sum over a of rank r of
-    mu(a, b) over the b of rank s.  Moebius inversion gives each v_r in one
-    triangular solve, v_r[b] = [rk b = r] - sum over a < b of v_r[a], taken
-    level by level (rank r, r + 1, ...) over the support of levels r..top;
-    each a < b lies on a lower level than b.  One solve per rank replaces
-    one Moebius row per element.  The support is exact with no lemma: an
-    element of rank >= r above no rank-r element has only such elements
-    below it at ranks >= r, so by induction on rank each of them gets
-    v_r = 0 and the sums of the others do not change.
+    The coefficient c(r, s) of x^r y^s sums v_r[b] = sum over a of rank r of
+    mu(a, b) over the b of rank s.  Moebius inversion gives
+    v_r[b] = [rk b = r] - sum over a < b of v_r[a] for every r at once, so
+    one pass solves all ranks: each b gets one int V[b], the sum over r of
+    v_r[b] 2^(w r), computed level by level as
+    V[b] = 2^(w rk b) - sum over a < b of V[a] (each a < b lies on a lower
+    level).  The recurrence is linear, so V[b] equals that sum exactly as an
+    integer, whatever w is, and each comparable pair costs one big-int add.
+    The sum of V over level s is the sum over r <= s of c(r, s) 2^(w r)
+    (v_r[b] = 0 for r > rk b).
+
+    Slot width, with no lemma: by Hall's theorem (Stanley, Enumerative
+    Combinatorics I, Prop. 3.8.5), mu(a, b) = sum over k of (-1)^k c_k with
+    c_k the number of chains a = x_0 < ... < x_k = b, so |mu(a, b)| is at
+    most the number of chains from a to b, and |v_r[b]| at most the number
+    of chains that end at b.  A chain holds at most one element of each
+    level, so the chains ending on level s number at most
+    |level s| * prod over s' < s of (1 + |level s'|), which is below
+    bound = prod over all s of (1 + |level s|).  Hence |c(r, s)| < bound <
+    2^(w - 1) for w = bound.bit_length() + 1 (`_slot_width`), and c(r, s)
+    is the signed w-bit digit r of the level total.  Anything left after
+    slots 0..s raises InvariantViolation.
     """
     poset = build_refinement_poset(p, max_objects=max_objects)
-    levels = [poset.level_mask(s) for s in range(poset.max_rank + 1)]
+    levels = [[] for _ in range(poset.max_rank + 1)]
+    for b, s in enumerate(poset.ranks):
+        levels[s].append(b)
+    w = _slot_width(map(len, levels))
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    packed = [0] * len(poset)
     coeffs: Dict[Tuple[int, int], int] = {}
-    for r in range(len(levels)):
-        support = sum(levels[r:])  # the levels are disjoint, so this is their OR
-        v = [0] * len(poset)
-        for s in range(r, len(levels)):
-            total = 0
-            for b in _bits(support & levels[s]):
-                below = poset.down_mask(b) & support & ~(1 << b)
-                v[b] = (s == r) - sum(v[a] for a in _bits(below))
-                total += v[b]
-            coeffs[(r, s)] = total
-    return BivariatePolynomial(coeffs)
+    for s, level in enumerate(levels):
+        total = 0
+        for b in level:
+            below = poset.down_mask(b) ^ (1 << b)
+            packed[b] = (1 << (w * s)) - sum(map(packed.__getitem__, _bits(below)))
+            total += packed[b]
+        for r in range(s + 1):
+            coeffs[(r, s)] = digit = ((total + half) & mask) - half
+            total = (total - digit) >> w
+        if total:
+            raise InvariantViolation(
+                f"M-triangle: the level {s} total overflows {s + 1} slots of {w} bits"
+            )
+    return _wrap(coeffs)
 
 
 def m_triangle_closed(p: Params) -> BivariatePolynomial:

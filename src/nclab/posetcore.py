@@ -169,20 +169,41 @@ def build_refinement_poset(
     tests/test_posetcore.py compares elements, ranks, down-masks and covers
     with the all-pairs oracle in tests/oracles.py for every (m, n, t) with
     mn <= 8.
+
+    Merges are looked up by an integer key.  With N = mn and
+    width = N.bit_length(), a partition's key is K = sum over x of
+    min(block of x) << (x * width).  Each minimum is at most N < 2^width,
+    so every x has its own width-bit field and K is injective: it lists
+    the block minimum of every element, which fixes the partition.  Merging
+    blocks a and b with min a < min b moves every x in b from min b to
+    min a, so the merged key is K - (min b - min a) * spread(b), where
+    spread(b) = sum over x in b of 1 << (x * width).  K itself is the sum
+    over blocks of min * spread.  One candidate merge then costs one
+    multiply, one subtract and one dict lookup on an int.  The spreads are
+    cached per block tuple, which many partitions share; nothing is kept
+    per partition beyond the key index.
     """
     parts = sorted(
         enumerate_nc(p, max_objects=max_objects), key=lambda sp: (rank_of(sp, p), sp.blocks)
     )
-    index = {sp.blocks: i for i, sp in enumerate(parts)}
+    width = p.ground_size.bit_length()
+    spreads: Dict[Tuple[int, ...], int] = {}
+
+    def spread(block: Tuple[int, ...]) -> int:
+        value = spreads.get(block)
+        if value is None:
+            value = spreads[block] = sum(1 << (x * width) for x in block)
+        return value
+
+    index = {sum(block[0] * spread(block) for block in sp.blocks): i for i, sp in enumerate(parts)}
     covers = []
-    for i, sp in enumerate(parts):
+    for (key, i), sp in zip(index.items(), parts):
         blocks = sp.blocks
-        # Merging blocks a < b keeps the canonical order: the merged block
-        # starts at blocks[a][0] and stays in place.
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                merged = tuple(sorted(blocks[a] + blocks[b]))
-                j = index.get(blocks[:a] + (merged,) + blocks[a + 1 : b] + blocks[b + 1 :])
+        for b in range(1, len(blocks)):
+            step = spread(blocks[b])
+            base = key - blocks[b][0] * step
+            for a in range(b):
+                j = index.get(base + blocks[a][0] * step)
                 if j is not None:
                     covers.append((i, j))
     poset = FinitePoset(parts, covers, tuple(rank_of(sp, p) for sp in parts))

@@ -10,7 +10,8 @@ path that the integer check in `verify_transformation_identities` replaced.
 `bijection_literal` runs the bijection check on `TFilter` and `DyckPath`
 objects, the path that the mask-level `bijection_holds` replaced.
 `verify_ideal_embedding` reads the library's refinement poset and
-relabelling map.
+relabelling map.  `m_triangle_rankwise` takes a poset object and uses only
+its ranks and down-masks.
 """
 
 import json
@@ -149,6 +150,26 @@ def covers_of(down):
     return sorted(out)
 
 
+def covers_by_merge(parts):
+    """Sorted covers (i, j) found by merging two blocks of parts[i] into parts[j].
+
+    `parts` is a list of canonical partitions (blocks sorted by minimum);
+    the merged partition is rebuilt as tuples and looked up by its blocks.
+    Merging blocks a < b keeps the canonical order: the merged block starts
+    at blocks[a][0] and stays in place.
+    """
+    index = {blocks: i for i, blocks in enumerate(parts)}
+    out = []
+    for i, blocks in enumerate(parts):
+        for a in range(len(blocks)):
+            for b in range(a + 1, len(blocks)):
+                merged = tuple(sorted(blocks[a] + blocks[b]))
+                j = index.get(blocks[:a] + (merged,) + blocks[a + 1 : b] + blocks[b + 1 :])
+                if j is not None:
+                    out.append((i, j))
+    return sorted(out)
+
+
 def set_bits(mask):
     """Positions of the set bits of a non-negative int, in increasing order."""
     out = []
@@ -186,6 +207,30 @@ def moebius_row(down, a):
         interval = up_a & down[b] & ~(1 << b)
         row[b] = -sum(row[c] for c in set_bits(interval))
     return row
+
+
+def m_triangle_rankwise(poset):
+    """Terms {(r, s): value} of the M-triangle of a graded poset, one solve per rank, zeros dropped.
+
+    v_r[b] = [rk b = r] - sum over a < b of v_r[a] is solved for each rank r
+    over the levels r..top (elements of rank >= r above no rank-r element get
+    v_r = 0 and change no sum), and (r, s) sums v_r over level s.
+    """
+    top = poset.max_rank
+    levels = [poset.level_mask(s) for s in range(top + 1)]
+    terms = {}
+    for r in range(top + 1):
+        support = sum(levels[r:])  # the levels are disjoint, so this is their OR
+        v = {}
+        for s in range(r, top + 1):
+            total = 0
+            for b in set_bits(support & levels[s]):
+                below = poset.down_mask(b) & support & ~(1 << b)
+                v[b] = (s == r) - sum(v[a] for a in set_bits(below))
+                total += v[b]
+            if total:
+                terms[(r, s)] = total
+    return terms
 
 
 def verify_ideal_embedding(p):

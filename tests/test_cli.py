@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nclab import cli, nonnest
+from nclab import cli, nonnest, polyalg
 from nclab.cli import main
 
 GOLDEN_H_232 = '{"terms":[{"x":0,"y":0,"c":"3"},{"x":1,"y":0,"c":"1"},{"x":1,"y":1,"c":"1"}]}'
@@ -185,6 +185,22 @@ class TestVerify:
         assert code == 0
         assert all(row["pass"] for row in json.loads(out)["rows"])
 
+    def test_m_triangle_small(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "m-triangle", "--range", "m=1..2,n=1..4,t=1..n"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["all_pass"] and len(data["rows"]) == 20
+
+    def test_m_triangle_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(polyalg, "m_triangle_closed", lambda p: polyalg.ONE)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "m-triangle", "--range", "m=1,n=1..2,t=1"
+        )
+        assert code == 1
+        assert [row["pass"] for row in json.loads(out)["rows"]] == [True, False]
+
 
 class TestSweep:
     def test_json_rows_ordered(self, capsys):
@@ -240,6 +256,7 @@ class TestErrors:
             ("conj-h", "m=2,n=3,t=1"),
             ("lemma54", "m=2,n=3,t=1"),
             ("bijection", "m=1,n=3,t=1"),
+            ("m-triangle", "m=2,n=3,t=1"),
         ],
     )
     def test_enumerating_suites_refuse_over_the_cap(self, capsys, suite, triple):

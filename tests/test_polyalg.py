@@ -173,6 +173,28 @@ class TestMTriangle:
                             coeffs[key] = coeffs.get(key, 0) + mu
                     assert m_triangle_brute(p) == BivariatePolynomial(coeffs), (m, n, t)
 
+    def test_one_pass_matches_rankwise_and_closed(self):
+        # The packed one-pass solve against one solve per rank, every mn <= 9.
+        for m in range(1, 10):
+            for n in range(1, 9 // m + 1):
+                for t in range(1, n + 1):
+                    p = Params(m, n, t)
+                    brute = m_triangle_brute(p)
+                    rankwise = oracles.m_triangle_rankwise(build_refinement_poset(p))
+                    assert brute.terms() == rankwise, p
+                    assert brute == m_triangle_closed(p), p
+
+    def test_slot_width_is_the_level_product_bound(self):
+        # bound = 2 * 4 * 2 = 16 has 5 bits, plus one sign bit.
+        assert polyalg._slot_width([1, 3, 1]) == 6
+        assert polyalg._slot_width([]) == 2
+
+    def test_narrow_slots_raise(self, monkeypatch):
+        # Level 1 of (1, 3, 1) has 3 elements, beyond the 2-bit signed digit 1.
+        monkeypatch.setattr(polyalg, "_slot_width", lambda sizes: 2)
+        with pytest.raises(InvariantViolation, match="level 1 total overflows 2 slots of 2 bits"):
+            m_triangle_brute(Params(1, 3, 1))
+
     def test_brute_equals_closed_small(self):
         for m, n in ((1, 4), (1, 5), (2, 2), (2, 3), (3, 2)):
             for t in range(1, n + 1):

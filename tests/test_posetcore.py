@@ -104,6 +104,18 @@ class TestCoverFirst:
                     assert down_masks(poset) == down, (m, n, t)
                     assert list(poset.covers()) == oracles.covers_of(down), (m, n, t)
 
+    def test_integer_keys_match_tuple_merges(self):
+        # The integer-keyed cover search against rebuilding each merge as
+        # tuples, every mn <= 9 and (1, 10, 1).
+        params = [Params(1, 10, 1)]
+        for m in range(1, 10):
+            for n in range(1, 9 // m + 1):
+                params += [Params(m, n, t) for t in range(1, n + 1)]
+        for p in params:
+            poset = build_refinement_poset(p)
+            parts = [sp.blocks for sp in poset.elements]
+            assert list(poset.covers()) == oracles.covers_by_merge(parts), p
+
     def test_covers_close_transitively(self):
         poset = FinitePoset("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
         assert down_masks(poset) == [0b0001, 0b0011, 0b0101, 0b1111]
