@@ -290,34 +290,14 @@ def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[Set
     The outputs of _nc_blocks (see there for why they are exactly the
     family, in canonical form) are wrapped without re-validation; the tests
     check each against the literal scan tests/oracles.py::is_noncrossing_t
-    and the validating constructor at every mn <= 10.  For t > 1
-    the relabelling reorders them, so they are sorted.  At t = 1 they are
-    the classical shapes as generated, which already come in increasing
-    order.
-
-    Lemma.  _classical_shapes(m, size, start) yields its shapes in strictly
-    increasing lexicographic order.  Proof, by induction on size; size 0
-    yields the single shape ().  The first block, `members`, runs through
-    _first_block_position_sets in the order its depth-first search appends
-    them: each position set before its extensions, extensions by ascending
-    next position.  That is strictly increasing tuple order, since a proper
-    prefix sorts first.  So shapes with different first blocks come out in
-    order.  For fixed members, a shape is (members,) followed by one shape
-    of each gap, and product() runs through the gap shapes in lexicographic
-    order of their index tuple; each gap table lists the shapes of a smaller
-    size, so it is in increasing order by induction.  Two shapes of the same gap partition
-    the same points, so neither is a proper prefix of the other, and the
-    first gap where two combinations differ decides the comparison of the
-    concatenations the same way.  Hence the final sort would be a no-op.
+    and the validating constructor at every mn <= 10.  They are sorted, as
+    the relabelling for t > 1 reorders them.
 
     Raises ResourceLimitError when the closed counting formula predicts more
     output (or more intermediate classical partitions) than `max_objects`.
     """
-    shapes = _nc_blocks(p, max_objects)
-    if p.t > 1:
-        shapes = sorted(shapes)
     trusted, size = SetPartition._trusted, p.ground_size
-    return tuple(trusted(blocks, size) for blocks in shapes)
+    return tuple(trusted(blocks, size) for blocks in sorted(_nc_blocks(p, max_objects)))
 
 
 def census(p: Params, by: str, max_objects: int = DEFAULT_MAX_OBJECTS) -> Counter:

@@ -239,7 +239,10 @@ def _conditions_ok(u: _Universe, comp: List[int], ambient: int, m: int, k: int) 
     return True
 
 
-def _generate_chains(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[int, ...], ...]:
+def _generate_chains(
+    m: int, n: int, t: int, variant: str, max_objects: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """The chain masks (V_m, ..., V_1); ResourceLimitError once they exceed `max_objects`."""
     u = _universe(n)
     filters = _tfilter_masks(n, t)
     ambient = u.full_mask if variant == "paper" else _restricted_mask(n, t)
@@ -253,6 +256,9 @@ def _generate_chains(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[int, .
     def descend(k: int):
         if k == 0:
             chains.append(tuple(comp[m:0:-1]))
+            if len(chains) > max_objects:
+                what = f"at least {len(chains)} {variant} chains for {Params(m, n, t)}"
+                check_cap(len(chains), max_objects, what)
             return
         for mask in supersets(comp[k + 1]):
             comp[k] = mask
@@ -264,14 +270,17 @@ def _generate_chains(m: int, n: int, t: int, variant: str) -> Tuple[Tuple[int, .
 
 
 def _raw_chains(p: Params, variant: str, max_objects: int) -> Tuple[Tuple[int, ...], ...]:
-    """The generator's chain masks, behind the variant check and the size guard.
+    """The generator's chain masks, behind the variant check and the size guards.
 
-    Every entry point that enumerates chains comes through here.
+    Every entry point that enumerates chains comes through here.  The closed
+    count refuses early; it is the conjectured count, which the adapted
+    variant exceeds, so the generator also stops once it holds more chains
+    than the cap.
     """
     _check_variant(variant)
     predicted = closedform.total_count(p)
     check_cap(predicted, max_objects, f"about {predicted} chains for {p}")
-    return _generate_chains(p.m, p.n, p.t, variant)
+    return _generate_chains(p.m, p.n, p.t, variant, max_objects)
 
 
 def enumerate_nn(

@@ -11,7 +11,7 @@ build_refinement_poset call builds its own.
 """
 
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, ParameterError
@@ -158,7 +158,8 @@ def build_refinement_poset(
 ) -> FinitePoset:
     """Refinement poset on enumerate_nc(p), graded by rank_of.
 
-    Elements are ordered by rank, then blocks.  The covers handed to
+    Elements are ordered by rank, then blocks: enumerate_nc returns them
+    sorted by blocks, and the sort by rank is stable.  The covers handed to
     FinitePoset are the single block merges that stay in the family, and the
     order is their transitive closure.  This rests on the family being
     graded by rank n - #blocks, so that every cover is one merge (Armstrong,
@@ -183,9 +184,8 @@ def build_refinement_poset(
     cached per block tuple, which many partitions share; nothing is kept
     per partition beyond the key index.
     """
-    parts = sorted(
-        enumerate_nc(p, max_objects=max_objects), key=lambda sp: (rank_of(sp, p), sp.blocks)
-    )
+    ranked = ((rank_of(sp, p), sp) for sp in enumerate_nc(p, max_objects=max_objects))
+    ranks, parts = zip(*sorted(ranked, key=itemgetter(0)))
     width = p.ground_size.bit_length()
     spreads: Dict[Tuple[int, ...], int] = {}
 
@@ -206,6 +206,6 @@ def build_refinement_poset(
                 j = index.get(base + blocks[a][0] * step)
                 if j is not None:
                     covers.append((i, j))
-    poset = FinitePoset(parts, covers, tuple(rank_of(sp, p) for sp in parts))
+    poset = FinitePoset(parts, covers, ranks)
     poset.assert_graded(expected_max_rank=p.n - p.t)
     return poset

@@ -447,9 +447,13 @@ def zeta_fraction(m, n, t, l):
 
 
 def bijection_literal(n, t):
-    """bijection_holds as it ran on TFilter and DyckPath objects, kept as its oracle."""
+    """bijection_holds as it ran on TFilter and DyckPath objects, with the all-pairs order check.
+
+    The order is compared pair by pair, TFilter inclusion against ddom_leq,
+    so no order code is shared with the area identity bijection_holds checks.
+    """
     from nclab import closedform
-    from nclab.dyckmodel import _order_isomorphic, enumerate_tdyck, theta, theta_inverse
+    from nclab.dyckmodel import ddom_leq, enumerate_tdyck, theta, theta_inverse
     from nclab.nonnest import all_t_filters
     from nclab.params import Params
 
@@ -461,5 +465,9 @@ def bijection_literal(n, t):
         and all(theta_inverse(path, t) == filt for filt, path in zip(filters, images))
         and len(set(images)) == len(filters)
         and set(images) == set(paths)
-        and _order_isomorphic([filt.mask for filt in filters], [path._area for path in images])
+        and all(
+            (fa <= fb) == ddom_leq(pa, pb)
+            for fa, pa in zip(filters, images)
+            for fb, pb in zip(filters, images)
+        )
     )

@@ -266,6 +266,20 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "more than the cap 1" in err
 
+    # 13 chains predicted at (3, 5, 4), 35 held by the adapted generator.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--kind", "nn", "--m", "3", "--n", "5", "--t", "4"),
+            ("verify", "--suite", "conj-count", "--range", "m=3,n=5,t=4"),
+        ],
+        ids=["enumerate", "conj-count"],
+    )
+    def test_adapted_chains_stop_at_the_cap(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--variant", "adapted", "--max-objects", "20")
+        assert (code, out) == (2, "")
+        assert "at least 21 adapted chains" in err and "more than the cap 20" in err
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NC_LAB_MAX_OBJECTS", "10")
         code, _, err = run_cli(capsys, "count", "--m", "1", "--n", "8", "--t", "1")

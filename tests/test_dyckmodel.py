@@ -7,7 +7,6 @@ from nclab import dyckmodel
 from nclab.closedform import total_count
 from nclab.dyckmodel import (
     DyckPath,
-    _order_isomorphic,
     ddom_leq,
     enumerate_tdyck,
     h_via_paths,
@@ -224,19 +223,37 @@ def _disagreeing(masks, areas):
     ]
 
 
+def _with_areas(monkeypatch, areas_by_steps):
+    """Make dyckmodel._walk report the given area for each listed step string."""
+    real = dyckmodel._walk
+
+    def walk(steps):
+        heights, area = real(steps)
+        return heights, areas_by_steps.get(steps, area)
+
+    monkeypatch.setattr(dyckmodel, "_walk", walk)
+
+
 class TestOrderColumns:
-    def test_agrees_with_literal_loop(self):
+    def test_agrees_with_literal_loop(self, monkeypatch):
         for n in range(1, 8):
             for t in range(1, n + 1):
                 masks, areas = _families(n, t)
                 assert not _disagreeing(masks, areas), (n, t)
-                assert _order_isomorphic(masks, areas), (n, t)
-                # Swapping the images of the empty and the full filter breaks the order.
-                areas[0], areas[-1] = areas[-1], areas[0]
-                assert bool(_disagreeing(masks, areas)) is (len(areas) > 1), (n, t)
-                assert _order_isomorphic(masks, areas) is (len(areas) == 1), (n, t)
+                if t > n - 2:  # the full filter is empty or a single pair
+                    continue
+                # Swapping the areas of an atom's and the full filter's images
+                # breaks the order, and with it the area identity.
+                a = next(i for i, mask in enumerate(masks) if mask.bit_count() == 1)
+                b = masks.index(max(masks, key=int.bit_count))
+                areas[a], areas[b] = areas[b], areas[a]
+                assert _disagreeing(masks, areas), (n, t)
+                steps = [theta(f).steps for f in all_t_filters(n, t)]
+                with monkeypatch.context() as patch:
+                    _with_areas(patch, {steps[a]: areas[a], steps[b]: areas[b]})
+                    assert not dyckmodel.bijection_holds(n, t), (n, t)
 
-    def test_one_disagreeing_pair_is_caught(self):
+    def test_one_disagreeing_pair_is_caught(self, monkeypatch):
         for n in range(2, 8):
             for t in range(1, n):
                 masks, areas = _families(n, t)
@@ -245,7 +262,28 @@ class TestOrderColumns:
                 atom = next(i for i, mask in enumerate(masks) if mask.bit_count() == 1)
                 areas[atom] |= 1 << max(areas).bit_length()
                 assert _disagreeing(masks, areas) == [(masks.index(0), atom)], (n, t)
-                assert not _order_isomorphic(masks, areas), (n, t)
+                steps = theta(all_t_filters(n, t)[atom]).steps
+                with monkeypatch.context() as patch:
+                    _with_areas(patch, {steps: areas[atom]})
+                    assert not dyckmodel.bijection_holds(n, t), (n, t)
+
+
+class TestAreaCells:
+    def test_cells_are_disjoint_inside_the_mountain_and_give_back_their_pair(self):
+        for n in range(1, 13):
+            width = n + 1
+            mountain = DyckPath("U" * n + "D" * n)._area
+            cells = dyckmodel._area_cells(n)
+            union = 0
+            for k, cell in cells.items():
+                low = cell.bit_length() - 2
+                assert cell == 0b11 << low and not cell & union, (n, k)
+                assert not cell & ~mountain, (n, k)
+                union |= cell
+                x, y = divmod(low, width)
+                assert ((x - y) // 2, (x + y) // 2 + 1) == divmod(k, width), (n, k)
+                assert (x - y) % 2 == 0, (n, k)
+            assert len(cells) == n * (n - 1) // 2
 
 
 class TestHViaPaths:

@@ -282,7 +282,6 @@ class TestEnumerate:
                     assert len(enumerate_nc(p)) == total_count(p)
 
     def test_output_sorted_and_deterministic(self):
-        # At t = 1 the order rests on the lemma in enumerate_nc's docstring.
         for triple in triples(10):
             parts = enumerate_nc(Params(*triple))
             assert list(parts) == sorted(parts, key=lambda sp: sp.blocks), triple

@@ -9,6 +9,7 @@ import oracles
 from nclab import cli, nonnest
 from nclab.closedform import total_count
 from nclab.errors import DomainError, InvariantViolation, ParameterError, ResourceLimitError
+from nclab.ncpart import DEFAULT_MAX_OBJECTS
 from nclab.params import Params
 from nclab.polyalg import ONE, BivariatePolynomial, X, Y
 from nclab.nonnest import (
@@ -307,6 +308,9 @@ class TestHTilde:
         for entry in (enumerate_nn, nn_poset, h_tilde, certify_lemma54):
             with pytest.raises(ResourceLimitError, match="predicted about 55 chains"):
                 entry(p, max_objects=54)
+            # The adapted generator holds 35 chains at (3, 5, 4); the closed count is 13.
+            with pytest.raises(ResourceLimitError, match="at least 21 adapted chains"):
+                entry(Params(3, 5, 4), variant="adapted", max_objects=20)
 
 
 class TestCertificate:
@@ -317,7 +321,7 @@ class TestCertificate:
                     for t in range(1, n + 1):
                         p = Params(m, n, t)
                         u = _universe(n)
-                        raw = nonnest._generate_chains(m, n, t, variant)
+                        raw = nonnest._generate_chains(m, n, t, variant, DEFAULT_MAX_OBJECTS)
                         elements, down, covers, cover_floor, floors, violations = (
                             oracles.floored_poset([tuple(map(u.pairs_of, c)) for c in raw])
                         )
@@ -392,7 +396,8 @@ class TestConjectureReport:
         monkeypatch.setattr(nonnest, "_generate_chains", counting)
         rows = verify_conjectures([Params(2, 4, 1), Params(3, 3, 2)])
         assert all(row["pass"] for row in rows)
-        assert calls == [(2, 4, 1, "paper"), (3, 3, 2, "paper")]
+        cap = DEFAULT_MAX_OBJECTS
+        assert calls == [(2, 4, 1, "paper", cap), (3, 3, 2, "paper", cap)]
 
     def test_332_row(self):
         rows = verify_conjectures([Params(3, 3, 2)])

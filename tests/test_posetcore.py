@@ -1,8 +1,9 @@
 import pytest
 
 import oracles
+from nclab import posetcore
 from nclab.errors import InvariantViolation, ParameterError
-from nclab.ncpart import SetPartition, enumerate_nc, tilde_transform
+from nclab.ncpart import SetPartition, enumerate_nc, rank_of, tilde_transform
 from nclab.params import Params
 from nclab.posetcore import FinitePoset, build_refinement_poset
 
@@ -115,6 +116,20 @@ class TestCoverFirst:
             poset = build_refinement_poset(p)
             parts = [sp.blocks for sp in poset.elements]
             assert list(poset.covers()) == oracles.covers_by_merge(parts), p
+
+    def test_ranks_each_partition_once(self, monkeypatch):
+        calls = []
+
+        def counting(partition, p):
+            calls.append(partition)
+            return rank_of(partition, p)
+
+        monkeypatch.setattr(posetcore, "rank_of", counting)
+        for p in (Params(1, 6, 1), Params(2, 4, 2)):
+            calls.clear()
+            poset = build_refinement_poset(p)
+            assert len(calls) == len(set(calls)) == len(poset), p
+            assert set(calls) == set(poset.elements), p
 
     def test_covers_close_transitively(self):
         poset = FinitePoset("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
