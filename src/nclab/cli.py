@@ -110,7 +110,7 @@ def _params_from_args(args) -> Params:
 def _check_path_cap(p: Params, cap: int) -> None:
     """Guard a job over the paths of length 2n, counted by total_count at m = 1."""
     predicted = closedform.total_count(Params(1, p.n, p.t))
-    ncpart.check_cap(predicted, cap, f"{predicted} paths for n={p.n}, t={p.t}")
+    ncpart.check_cap(predicted, cap, f"predicted {predicted} paths for n={p.n}, t={p.t}")
 
 
 def cmd_enumerate(args) -> int:

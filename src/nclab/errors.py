@@ -14,7 +14,7 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A predicted enumeration size exceeds the configured cap."""
+    """An enumeration size, predicted or reached, exceeds the configured cap."""
 
 
 class InvariantViolation(RuntimeError):

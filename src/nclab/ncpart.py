@@ -34,10 +34,10 @@ from .params import Params, Value
 DEFAULT_MAX_OBJECTS = 10**7
 
 
-def check_cap(predicted: int, max_objects: int, what: str) -> None:
-    """The one size guard: ResourceLimitError, naming `what`, when `predicted` exceeds the cap."""
-    if predicted > max_objects:
-        raise ResourceLimitError(f"predicted {what}, more than the cap {max_objects}")
+def check_cap(size: int, max_objects: int, what: str) -> None:
+    """The one size guard: ResourceLimitError, naming `what`, when `size` exceeds the cap."""
+    if size > max_objects:
+        raise ResourceLimitError(f"{what}, more than the cap {max_objects}")
 
 
 class SetPartition(Value):
@@ -270,7 +270,7 @@ def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
     """
     m, n, t = p.m, p.n, p.t
     predicted = max(closedform.total_count(p), closedform.total_count(Params(m, n, 1)))
-    check_cap(predicted, max_objects, f"{predicted} partitions for {p}")
+    check_cap(predicted, max_objects, f"predicted {predicted} partitions for {p}")
     size = m * n
     for blocks in _classical_shapes(m, size, 1, {}):
         if t > 1:

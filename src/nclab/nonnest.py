@@ -20,7 +20,7 @@ from .errors import DomainError, InvariantViolation, ParameterError
 from .ncpart import DEFAULT_MAX_OBJECTS, check_cap
 from .params import Params, Value
 from .polyalg import BivariatePolynomial, h_triangle_closed
-from .posetcore import FinitePoset, _bits, _columns
+from .posetcore import FinitePoset, _bits
 
 Pair = Tuple[int, int]
 
@@ -257,7 +257,7 @@ def _generate_chains(
         if k == 0:
             chains.append(tuple(comp[m:0:-1]))
             if len(chains) > max_objects:
-                what = f"at least {len(chains)} {variant} chains for {Params(m, n, t)}"
+                what = f"{variant} chains for {Params(m, n, t)} reached {len(chains)}"
                 check_cap(len(chains), max_objects, what)
             return
         for mask in supersets(comp[k + 1]):
@@ -279,7 +279,7 @@ def _raw_chains(p: Params, variant: str, max_objects: int) -> Tuple[Tuple[int, .
     """
     _check_variant(variant)
     predicted = closedform.total_count(p)
-    check_cap(predicted, max_objects, f"about {predicted} chains for {p}")
+    check_cap(predicted, max_objects, f"predicted about {predicted} chains for {p}")
     return _generate_chains(p.m, p.n, p.t, variant, max_objects)
 
 
@@ -310,6 +310,18 @@ class FlooredPoset(Value):
 
     def cover_floor_map(self) -> Dict[Tuple[int, int], FrozenSet[Pair]]:
         return dict(self.cover_floor)
+
+
+def _columns(masks: Sequence[int]) -> Dict[int, int]:
+    """Column of each bit that some mask holds, keyed by the bit (1 << k).
+
+    Column k holds bit j iff masks[j] holds bit k.
+    """
+    backwards = masks[::-1]  # the binary literal of a column lists the last mask first
+    return {
+        1 << k: int("".join(["1" if mask >> k & 1 else "0" for mask in backwards]), 2)
+        for k in _bits(reduce(or_, masks, 0))
+    }
 
 
 def _certify(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:

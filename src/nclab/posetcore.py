@@ -10,8 +10,7 @@ concurrent readers are safe.  No poset is kept at module level: each
 build_refinement_poset call builds its own.
 """
 
-from functools import reduce
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, ParameterError
@@ -24,18 +23,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _columns(masks: Sequence[int]) -> Dict[int, int]:
-    """Column of each bit that some mask holds, keyed by the bit (1 << k).
-
-    Column k holds bit j iff masks[j] holds bit k.
-    """
-    backwards = masks[::-1]  # the binary literal of a column lists the last mask first
-    return {
-        1 << k: int("".join(["1" if mask >> k & 1 else "0" for mask in backwards]), 2)
-        for k in _bits(reduce(or_, masks, 0))
-    }
 
 
 class FinitePoset:

@@ -278,7 +278,9 @@ class TestErrors:
     def test_adapted_chains_stop_at_the_cap(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--variant", "adapted", "--max-objects", "20")
         assert (code, out) == (2, "")
-        assert "at least 21 adapted chains" in err and "more than the cap 20" in err
+        assert err == (
+            "error: adapted chains for Params(m=3, n=5, t=4) reached 21, more than the cap 20\n"
+        )
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NC_LAB_MAX_OBJECTS", "10")

@@ -240,12 +240,12 @@ class TestOrderColumns:
             for t in range(1, n + 1):
                 masks, areas = _families(n, t)
                 assert not _disagreeing(masks, areas), (n, t)
-                if t > n - 2:  # the full filter is empty or a single pair
-                    continue
-                # Swapping the areas of an atom's and the full filter's images
-                # breaks the order, and with it the area identity.
-                a = next(i for i, mask in enumerate(masks) if mask.bit_count() == 1)
+                # Swapping the areas of an atom's and a larger full filter's
+                # images breaks the order, and with it the area identity.
+                a = next((i for i, mask in enumerate(masks) if mask.bit_count() == 1), None)
                 b = masks.index(max(masks, key=int.bit_count))
+                if a is None or a == b:  # no filter has two pairs: nothing to swap
+                    continue
                 areas[a], areas[b] = areas[b], areas[a]
                 assert _disagreeing(masks, areas), (n, t)
                 steps = [theta(f).steps for f in all_t_filters(n, t)]

@@ -309,7 +309,8 @@ class TestHTilde:
             with pytest.raises(ResourceLimitError, match="predicted about 55 chains"):
                 entry(p, max_objects=54)
             # The adapted generator holds 35 chains at (3, 5, 4); the closed count is 13.
-            with pytest.raises(ResourceLimitError, match="at least 21 adapted chains"):
+            held = r"^adapted chains for Params\(m=3, n=5, t=4\) reached 21, more than the cap 20$"
+            with pytest.raises(ResourceLimitError, match=held):
                 entry(Params(3, 5, 4), variant="adapted", max_objects=20)
 
 
