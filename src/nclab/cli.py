@@ -214,20 +214,20 @@ def cmd_chains(args) -> int:
     return 0 if match else 1
 
 
-def _triangle_poly(which: str, p: Params, cap: int) -> polyalg.BivariatePolynomial:
+def _triangle_poly(which: str, p: Params, variant: str, cap: int) -> polyalg.BivariatePolynomial:
     if which == "m":
         return polyalg.m_triangle_closed(p)
     if which == "f":
         return polyalg.f_triangle_closed(p)
     if which == "h":
         return polyalg.h_triangle_closed(p)
-    return nonnest.h_tilde(p, max_objects=cap)
+    return nonnest.h_tilde(p, variant=variant, max_objects=cap)
 
 
 def cmd_triangle(args) -> int:
     cap = _resolve_cap(args.max_objects)
     p = _params_from_args(args)
-    print(_triangle_poly(args.which, p, cap).to_json())
+    print(_triangle_poly(args.which, p, "paper", cap).to_json())
     return 0
 
 
@@ -324,7 +324,7 @@ def _sweep_one(task) -> List[dict]:
             row.update({"m": m, "n": n, "t": t})
         return rows
     if do == "triangle":
-        poly = _triangle_poly(which, p, cap)
+        poly = _triangle_poly(which, p, variant, cap)
         return [{"m": m, "n": n, "t": t, "which": which, "terms": poly.to_json()}]
     return [_SUITES[suite][1](p, variant, cap)]
 

@@ -19,7 +19,7 @@ from .closedform import _ratio, binomial
 from .errors import InvariantViolation, ParameterError
 from .ncpart import DEFAULT_MAX_OBJECTS
 from .params import Params, Value
-from .posetcore import _bits, build_refinement_poset
+from .posetcore import build_refinement_poset
 
 
 def _wrap(data: dict) -> "BivariatePolynomial":
@@ -279,8 +279,10 @@ def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Bivar
     one pass solves all ranks: each b gets one int V[b], the sum over r of
     v_r[b] 2^(w r), computed level by level as
     V[b] = 2^(w rk b) - sum over a < b of V[a] (each a < b lies on a lower
-    level).  The recurrence is linear, so V[b] equals that sum exactly as an
-    integer, whatever w is, and each comparable pair costs one big-int add.
+    level), the a read off poset.down(b), which also lists b while V[b]
+    still reads 0.  The recurrence is linear, so V[b] equals that sum
+    exactly as an integer, whatever w is, and each comparable pair costs one
+    big-int add.
     The sum of V over level s is the sum over r <= s of c(r, s) 2^(w r)
     (v_r[b] = 0 for r > rk b).
 
@@ -297,7 +299,7 @@ def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Bivar
     slots 0..s raises InvariantViolation.
     """
     poset = build_refinement_poset(p, max_objects=max_objects)
-    levels = [[] for _ in range(poset.max_rank + 1)]
+    levels = [[] for _ in range(p.max_rank + 1)]
     for b, s in enumerate(poset.ranks):
         levels[s].append(b)
     w = _slot_width(map(len, levels))
@@ -307,8 +309,7 @@ def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Bivar
     for s, level in enumerate(levels):
         total = 0
         for b in level:
-            below = poset.down_mask(b) ^ (1 << b)
-            packed[b] = (1 << (w * s)) - sum(map(packed.__getitem__, _bits(below)))
+            packed[b] = (1 << (w * s)) - sum(map(packed.__getitem__, poset.down(b)))
             total += packed[b]
         for r in range(s + 1):
             coeffs[(r, s)] = digit = ((total + half) & mask) - half

@@ -1,20 +1,15 @@
-"""Generic finite graded poset engine.
+"""Finite graded posets: a generic engine and the refinement poset.
 
-The order relation is stored as one bitmask per element (an arbitrary-size
-Python int), which makes interval extraction, cover detection and the chain
-dynamic programs cheap at desk scale.  A poset is built one way, from its
-elements, its covers and its ranks.  The down-masks are its one order
-table; up-sets are read off them or off the covers when needed.  Both are
-filled in the constructor, so posets are immutable afterwards and
-concurrent readers are safe.  No poset is kept at module level: each
-build_refinement_poset call builds its own.
+FinitePoset closes one down-mask per element along its covers; the
+refinement poset reads down(b) off b's blocks and stores no order table.
+Both count rank-selected multichains with one DP; no poset is module-level.
 """
 
 from operator import itemgetter
-from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import InvariantViolation, ParameterError
-from .ncpart import DEFAULT_MAX_OBJECTS, enumerate_nc, rank_of
+from .ncpart import DEFAULT_MAX_OBJECTS, _first_block_position_sets, enumerate_nc, rank_of
 from .params import Params
 
 
@@ -25,14 +20,34 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def count_rank_multichains(
+    ranks: Sequence[int], down: Callable[[int], Iterable[int]], targets: Sequence[int]
+) -> int:
+    """Weakly increasing tuples (x_1 <= ... <= x_l) with rank(x_i) = targets[i].
+
+    Element i has rank ranks[i] and down(b) lists every a <= b, b included.
+    ways[b] counts the tuples so far that end at b.
+    """
+    targets = tuple(targets)
+    if any(b < a for a, b in zip(targets, targets[1:])):
+        raise ParameterError(f"targets must be weakly increasing, got {targets}")
+    if not targets:
+        return 1
+    if not 0 <= targets[0] <= targets[-1] <= max(ranks):
+        raise ParameterError(f"targets must lie in [0, {max(ranks)}]")
+    ways = [int(rk == targets[0]) for rk in ranks]
+    for r in targets[1:]:
+        ways = [sum(map(ways.__getitem__, down(b))) if rk == r else 0 for b, rk in enumerate(ranks)]
+    return sum(ways)
+
+
 class FinitePoset:
     """Finite graded poset over an indexed element list, generated by its covers.
 
-    `down[i]` is the bitmask of indices j with j <= i (including i itself);
-    it is the only order table.  Each cover (a, b) must step rank by exactly
-    one, which makes it irredundant: the given covers are the Hasse diagram,
-    and down-masks are OR-ed along them in ascending rank order, so index
-    order need not be a linear extension.
+    Each cover (a, b) must step rank by exactly one, so the covers are the
+    Hasse diagram.  The one order table, down[i] with bit j set iff j <= i,
+    is OR-ed along them in ascending rank order, so index order need not be
+    a linear extension.  nonnest.nn_poset and the tests' oracles build one.
     """
 
     __slots__ = ("elements", "ranks", "_down", "_covers")
@@ -69,130 +84,110 @@ class FinitePoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def leq(self, a: int, b: int) -> bool:
-        return bool((self._down[b] >> a) & 1)
-
     def down_mask(self, b: int) -> int:
         return self._down[b]
-
-    @property
-    def max_rank(self) -> int:
-        return max(self.ranks)
-
-    def level_mask(self, r: int) -> int:
-        mask = 0
-        for i, rk in enumerate(self.ranks):
-            if rk == r:
-                mask |= 1 << i
-        return mask
 
     def covers(self) -> Tuple[Tuple[int, int], ...]:
         """The Hasse diagram: the given covers (a, b), a below b, sorted."""
         return self._covers
 
-    def assert_graded(self, expected_max_rank: Optional[int] = None) -> None:
-        """Check rank 0 minima and the top rank; the constructor checks the covers."""
-        top = self.max_rank
+    def assert_graded(self) -> None:
+        """Check rank 0 minima and top-rank maxima; the constructor checks the covers."""
+        top = max(self.ranks)
         covered = {a for a, _ in self._covers}  # maximal: the lower end of no cover
         for i, rk in enumerate(self.ranks):
             if self._down[i] == 1 << i and rk != 0:
                 raise InvariantViolation(f"minimal element {i} has rank {rk}")
             if i not in covered and rk != top:
                 raise InvariantViolation(f"maximal element {i} has rank {rk}")
-        if expected_max_rank is not None and top != expected_max_rank:
-            raise InvariantViolation(
-                f"top rank is {top}, expected {expected_max_rank}"
-            )
-
-    def _count_multichains(self, levels: Sequence[int]) -> int:
-        """Weakly increasing tuples (x_1 <= ... <= x_l) with x_i in the mask levels[i]."""
-        if not levels:
-            return 1
-        ways = dict.fromkeys(_bits(levels[0]), 1)
-        for prev, level in zip(levels, levels[1:]):
-            ways = {i: sum(ways[j] for j in _bits(self._down[i] & prev)) for i in _bits(level)}
-        return sum(ways.values())
 
     def count_rank_multichains(self, targets: Sequence[int]) -> int:
-        """Weakly increasing tuples (x_1 <= ... <= x_l) with rank(x_i) = targets[i]."""
-        targets = tuple(targets)
-        if any(b < a for a, b in zip(targets, targets[1:])):
-            raise ParameterError(f"targets must be weakly increasing, got {targets}")
-        if any(not 0 <= r <= self.max_rank for r in targets):
-            raise ParameterError(f"targets must lie in [0, {self.max_rank}]")
-        return self._count_multichains([self.level_mask(r) for r in targets])
-
-    def count_maximal_chains(self) -> int:
-        """Saturated chains from rank 0 to the top rank.
-
-        A poset whose elements all sit at rank 0 counts as having exactly one
-        (empty) chain.
-        """
-        top = self.max_rank
-        if top == 0:
-            return 1
-        return self.count_rank_multichains(range(top + 1))
-
-    def zeta_brute(self, l: int) -> int:
-        """Number of weakly increasing (l-1)-tuples; 1 for l = 1, |P| for l = 2."""
-        if l < 1:
-            raise ParameterError(f"zeta argument l must be at least 1, got {l}")
-        return self._count_multichains([(1 << len(self.elements)) - 1] * (l - 1))
+        return count_rank_multichains(self.ranks, lambda b: _bits(self._down[b]), targets)
 
 
-def build_refinement_poset(
-    p: Params, max_objects: int = DEFAULT_MAX_OBJECTS
-) -> FinitePoset:
+class RefinementPoset:
+    """Partitions, their ranks and down(b); see build_refinement_poset."""
+
+    __slots__ = ("elements", "ranks", "_m", "_bit", "_index", "_splits_of")
+
+    def __init__(self, p: Params, elements: Sequence, ranks: Sequence[int]):
+        self.elements, self.ranks, self._m = tuple(elements), tuple(ranks), p.m
+        width = p.ground_size.bit_length()
+        self._bit = [1 << (x * width) for x in range(p.ground_size + 1)]
+        self._index = {
+            sum(block[0] * sum(map(self._bit.__getitem__, block)) for block in sp.blocks): i
+            for i, sp in enumerate(self.elements)
+        }
+        self._splits_of: Dict[Tuple[int, ...], List[int]] = {(): [0]}
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def _splits(self, run: Tuple[int, ...]) -> List[int]:
+        # Partial keys of the splits of `run`, by first-block decomposition as
+        # in ncpart._classical_shapes; kept per run (racing readers agree).
+        keys = self._splits_of.get(run)
+        if keys is None:
+            keys = []
+            for offsets in _first_block_position_sets(len(run), self._m):
+                part = [run[0] * sum(self._bit[run[q]] for q in offsets)]
+                for low, high in zip(offsets, offsets[1:] + (len(run),)):
+                    if high > low + 1:
+                        part = [k + g for k in part for g in self._splits(run[low + 1 : high])]
+                keys += part
+            self._splits_of[run] = keys
+        return keys
+
+    def down(self, b: int) -> List[int]:
+        """The indices a <= b, b included: one split per block of b, in every combination."""
+        base, keys, known = 0, [0], self._splits_of
+        for block in self.elements[b].blocks:
+            splits = known.get(block) or self._splits(block)
+            if len(splits) == 1:
+                base += splits[0]
+            else:
+                keys = [k + g for g in splits for k in keys]
+        try:
+            return [self._index[base + k] for k in keys]
+        except KeyError:
+            raise InvariantViolation(f"a split of {self.elements[b]} is not in the family") from None
+
+    def count_rank_multichains(self, targets: Sequence[int]) -> int:
+        return count_rank_multichains(self.ranks, self.down, targets)
+
+
+def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> RefinementPoset:
     """Refinement poset on enumerate_nc(p), graded by rank_of.
 
-    Elements are ordered by rank, then blocks: enumerate_nc returns them
-    sorted by blocks, and the sort by rank is stable.  The covers handed to
-    FinitePoset are the single block merges that stay in the family, and the
-    order is their transitive closure.  This rests on the family being
-    graded by rank n - #blocks, so that every cover is one merge (Armstrong,
-    arXiv:math/0611106, for the classical case).  The build checks what it
-    can see of the grading: each merge steps rank by one (the constructor),
-    minima sit at rank 0 and maxima at rank n - t (assert_graded).  A
-    relation reachable only through a rank jump would be missed, so
-    tests/test_posetcore.py compares elements, ranks, down-masks and covers
-    with the all-pairs oracle in tests/oracles.py for every (m, n, t) with
-    mn <= 8.
+    Elements are ordered by rank, then blocks (enumerate_nc sorts by blocks
+    and the sort by rank is stable).  The order is read off the blocks by
+    the interval product lemma (Kreweras, Discrete Math. 1 (1972); Armstrong,
+    arXiv:math/0611106, for m-divisible partitions).
 
-    Merges are looked up by an integer key.  With N = mn and
-    width = N.bit_length(), a partition's key is K = sum over x of
-    min(block of x) << (x * width).  Each minimum is at most N < 2^width,
-    so every x has its own width-bit field and K is injective: it lists
-    the block minimum of every element, which fixes the partition.  Merging
-    blocks a and b with min a < min b moves every x in b from min b to
-    min a, so the merged key is K - (min b - min a) * spread(b), where
-    spread(b) = sum over x in b of 1 << (x * width).  K itself is the sum
-    over blocks of min * spread.  One candidate merge then costs one
-    multiply, one subtract and one dict lookup on an int.  The spreads are
-    cached per block tuple, which many partitions share; nothing is kept
-    per partition beyond the key index.
+    Lemma.  The a <= b in the family are exactly the partitions that split
+    each block B of b into an m-divisible partition of B, non-crossing in
+    B's increasing order.  Proof for t = 1 (all m-divisible non-crossing
+    partitions): if a refines b, its blocks inside B have sizes divisible by
+    m, and a crossing among them in B's order is one of a.  Conversely, glue
+    such splits into a, which refines b and is m-divisible.  If w < x < y < z
+    with w, y in a block X of a and x, z in another, Y, then X and Y lie
+    either in one block of b, whose split then crosses, or in two, and then
+    b crosses.  For t > 1, tilde_transform preserves refinement and carries
+    the family onto the classical partitions that keep 1..t apart
+    (ncpart._nc_blocks); their refinements keep 1..t apart too, so the
+    a <= b are the images of the classical refinements of tilde_transform(b).
+    Every block holds at most one point <= t, its minimum, which the
+    relabelling sends to the minimum of the image block, fixing the rest: it
+    keeps each block's order, and with it the splits.
+
+    Keys.  K = sum over x of min(block of x) << (x * width), with
+    width = (mn).bit_length(), holds each block minimum in its own field, so
+    it fixes the partition.  K sums over blocks, so down(b) adds one partial key
+    per block of b, in every combination, and looks each sum up in the key
+    index: one add and one lookup per comparable pair.  A miss would break
+    the lemma and raises InvariantViolation.  The tests compare down(b) with
+    the cover-first poset (mn <= 10) and with all pairs (mn <= 8).
     """
     ranked = ((rank_of(sp, p), sp) for sp in enumerate_nc(p, max_objects=max_objects))
     ranks, parts = zip(*sorted(ranked, key=itemgetter(0)))
-    width = p.ground_size.bit_length()
-    spreads: Dict[Tuple[int, ...], int] = {}
-
-    def spread(block: Tuple[int, ...]) -> int:
-        value = spreads.get(block)
-        if value is None:
-            value = spreads[block] = sum(1 << (x * width) for x in block)
-        return value
-
-    index = {sum(block[0] * spread(block) for block in sp.blocks): i for i, sp in enumerate(parts)}
-    covers = []
-    for (key, i), sp in zip(index.items(), parts):
-        blocks = sp.blocks
-        for b in range(1, len(blocks)):
-            step = spread(blocks[b])
-            base = key - blocks[b][0] * step
-            for a in range(b):
-                j = index.get(base + blocks[a][0] * step)
-                if j is not None:
-                    covers.append((i, j))
-    poset = FinitePoset(parts, covers, ranks)
-    poset.assert_graded(expected_max_rank=p.n - p.t)
-    return poset
+    return RefinementPoset(p, parts, ranks)

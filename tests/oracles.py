@@ -209,15 +209,16 @@ def moebius_row(down, a):
     return row
 
 
-def m_triangle_rankwise(poset):
+def m_triangle_rankwise(ranks, down):
     """Terms {(r, s): value} of the M-triangle of a graded poset, one solve per rank, zeros dropped.
 
-    v_r[b] = [rk b = r] - sum over a < b of v_r[a] is solved for each rank r
-    over the levels r..top (elements of rank >= r above no rank-r element get
-    v_r = 0 and change no sum), and (r, s) sums v_r over level s.
+    Element i has rank ranks[i] and down-mask down[i].  v_r[b] = [rk b = r]
+    - sum over a < b of v_r[a] is solved for each rank r over the levels
+    r..top (elements of rank >= r above no rank-r element get v_r = 0 and
+    change no sum), and (r, s) sums v_r over level s.
     """
-    top = poset.max_rank
-    levels = [poset.level_mask(s) for s in range(top + 1)]
+    top = max(ranks)
+    levels = [sum(1 << i for i, rk in enumerate(ranks) if rk == s) for s in range(top + 1)]
     terms = {}
     for r in range(top + 1):
         support = sum(levels[r:])  # the levels are disjoint, so this is their OR
@@ -225,7 +226,7 @@ def m_triangle_rankwise(poset):
         for s in range(r, top + 1):
             total = 0
             for b in set_bits(support & levels[s]):
-                below = poset.down_mask(b) & support & ~(1 << b)
+                below = down[b] & support & ~(1 << b)
                 v[b] = (s == r) - sum(v[a] for a in set_bits(below))
                 total += v[b]
             if total:
@@ -233,21 +234,54 @@ def m_triangle_rankwise(poset):
     return terms
 
 
-def verify_ideal_embedding(p):
-    """True iff the relabelled order-t family sits as a down-set in the classical one."""
-    from nclab.ncpart import enumerate_nc, tilde_transform
-    from nclab.params import Params
-    from nclab.posetcore import build_refinement_poset
+def cover_first_poset(p):
+    """The refinement poset closed from its covers: FinitePoset over merge covers.
 
-    classical = build_refinement_poset(Params(p.m, p.n, 1))
-    index = {part: i for i, part in enumerate(classical.elements)}
+    Elements are enumerate_nc(p) ordered by rank, then blocks, as in
+    build_refinement_poset; the covers are the single block merges that stay
+    in the family (covers_by_merge), and FinitePoset ORs the down-masks
+    along them.  This order rests on the family being graded, which
+    FinitePoset.assert_graded checks.
+    """
+    from nclab.ncpart import enumerate_nc
+    from nclab.posetcore import FinitePoset
+
+    parts = sorted(enumerate_nc(p), key=lambda sp: p.n - len(sp.blocks))
+    blocks = [sp.blocks for sp in parts]
+    return FinitePoset(parts, covers_by_merge(blocks), [p.n - len(b) for b in blocks])
+
+
+def down_masks(poset):
+    """Down-set bitmask of every element of a poset read off poset.down(b)."""
+    return [sum(1 << a for a in poset.down(b)) for b in range(len(poset))]
+
+
+def zeta_by_down(poset, l):
+    """Multichains x_1 <= ... <= x_{l-1} in a poset, by a DP over poset.down; 1 for l = 1."""
+    if l == 1:
+        return 1
+    ways = [1] * len(poset)
+    for _ in range(l - 2):
+        ways = [sum(ways[a] for a in poset.down(b)) for b in range(len(poset))]
+    return sum(ways)
+
+
+def verify_ideal_embedding(p, classical, down):
+    """True iff the relabelled order-t family sits as a down-set in the classical one.
+
+    `classical` lists the family of Params(p.m, p.n, 1) and down[i] is the
+    down-mask of classical[i] under refinement.
+    """
+    from nclab.ncpart import enumerate_nc, tilde_transform
+
+    index = {part: i for i, part in enumerate(classical)}
     image = 0
     for part in enumerate_nc(p):
         moved = tilde_transform(part, p.t)
         if moved not in index:
             return False
         image |= 1 << index[moved]
-    return all(not classical.down_mask(i) & ~image for i in set_bits(image))
+    return all(not down[i] & ~image for i in set_bits(image))
 
 
 def floored_poset(chains):

@@ -232,6 +232,18 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert rows[0]["terms"] == GOLDEN_H_232
 
+    def test_htilde_sweep_honours_variant(self, capsys):
+        # At (2,3,2) the adapted variant has two chains with one floor pair
+        # off the staircase, the paper variant one.
+        argv = ("sweep", "--do", "triangle", "--which", "htilde", "--range", "m=2,n=3,t=2")
+        coefficients = {}
+        for variant in ("paper", "adapted"):
+            code, out, _ = run_cli(capsys, *argv, "--variant", variant)
+            assert code == 0
+            terms = json.loads(json.loads(out)["rows"][0]["terms"])["terms"]
+            coefficients[variant] = {(d["x"], d["y"]): d["c"] for d in terms}[(1, 0)]
+        assert coefficients == {"paper": "1", "adapted": "2"}
+
 
 class TestErrors:
     def test_unknown_flag(self, capsys):

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from nclab import posetcore
+from nclab.closedform import zeta_formula
 from nclab.errors import InvariantViolation, ParameterError
 from nclab.ncpart import SetPartition, enumerate_nc, rank_of, tilde_transform
 from nclab.params import Params
@@ -20,11 +21,31 @@ def antichain_poset(k):
 
 
 def down_masks(poset):
-    return [poset.down_mask(i) for i in range(len(poset))]
+    if isinstance(poset, FinitePoset):
+        return [poset.down_mask(i) for i in range(len(poset))]
+    return oracles.down_masks(poset)
 
 
 def moebius(poset, a, b):
     return oracles.moebius_row(down_masks(poset), a)[b]
+
+
+def triples(limit):
+    """Every (m, n, t) with mn <= limit."""
+    return [
+        Params(m, n, t)
+        for m in range(1, limit + 1)
+        for n in range(1, limit // m + 1)
+        for t in range(1, n + 1)
+    ]
+
+
+def maximal_chains_by_covers(poset):
+    """Saturated chains from rank 0 to the top rank, walked along a FinitePoset's covers."""
+    ways = [int(rk == 0) for rk in poset.ranks]
+    for a, b in sorted(poset.covers(), key=lambda cover: poset.ranks[cover[0]]):
+        ways[b] += ways[a]
+    return sum(w for w, rk in zip(ways, poset.ranks) if rk == max(poset.ranks))
 
 
 class TestConstruction:
@@ -43,7 +64,7 @@ class TestConstruction:
     def test_single_element_poset(self):
         poset = build_refinement_poset(Params(1, 3, 3))
         assert len(poset) == 1
-        assert poset.max_rank == 0
+        assert poset.ranks == (0,)
 
     def test_232_levels(self):
         poset = build_refinement_poset(Params(2, 3, 2))
@@ -54,7 +75,9 @@ class TestConstruction:
 
     def test_gradedness_asserted(self):
         for p in (Params(1, 5, 2), Params(2, 3, 1), Params(2, 2, 2)):
-            build_refinement_poset(p).assert_graded(expected_max_rank=p.max_rank)
+            poset = oracles.cover_first_poset(p)
+            poset.assert_graded()
+            assert max(poset.ranks) == p.max_rank
 
     @pytest.mark.parametrize(
         "down, message",
@@ -84,38 +107,42 @@ class TestConstruction:
 
     def test_refinement_is_partial_order_exhaustive(self):
         # reflexive, antisymmetric, transitive on every family with mn <= 8
-        for m in range(1, 9):
-            for n in range(1, 8 // m + 1):
-                for t in range(1, n + 1):
-                    oracles.validate_partial_order(down_masks(build_refinement_poset(Params(m, n, t))))
+        for p in triples(8):
+            oracles.validate_partial_order(down_masks(build_refinement_poset(p)))
 
 
 class TestCoverFirst:
     def test_refinement_poset_matches_all_pairs_oracle(self):
-        # The cover-first build relies on gradedness; the oracle compares all
-        # pairs and relies on nothing, for every family with mn <= 8.
-        for m in range(1, 9):
-            for n in range(1, 8 // m + 1):
-                for t in range(1, n + 1):
-                    parts = sorted(oracles.brute_nc(m, n, t), key=lambda b: (n - len(b), b))
-                    down = oracles.refinement_down_masks(parts)
-                    poset = build_refinement_poset(Params(m, n, t))
-                    assert [sp.blocks for sp in poset.elements] == parts, (m, n, t)
-                    assert poset.ranks == tuple(n - len(b) for b in parts), (m, n, t)
-                    assert down_masks(poset) == down, (m, n, t)
-                    assert list(poset.covers()) == oracles.covers_of(down), (m, n, t)
-
-    def test_integer_keys_match_tuple_merges(self):
-        # The integer-keyed cover search against rebuilding each merge as
-        # tuples, every mn <= 9 and (1, 10, 1).
-        params = [Params(1, 10, 1)]
-        for m in range(1, 10):
-            for n in range(1, 9 // m + 1):
-                params += [Params(m, n, t) for t in range(1, n + 1)]
-        for p in params:
+        # The block-product down-sets and the cover-first poset against the
+        # oracle that compares all pairs and relies on nothing, mn <= 8.
+        for p in triples(8):
+            n = p.n
+            parts = sorted(oracles.brute_nc(p.m, n, p.t), key=lambda b: (n - len(b), b))
+            down = oracles.refinement_down_masks(parts)
             poset = build_refinement_poset(p)
-            parts = [sp.blocks for sp in poset.elements]
-            assert list(poset.covers()) == oracles.covers_by_merge(parts), p
+            assert [sp.blocks for sp in poset.elements] == parts, p
+            assert poset.ranks == tuple(n - len(b) for b in parts), p
+            assert down_masks(poset) == down, p
+            assert list(oracles.cover_first_poset(p).covers()) == oracles.covers_of(down), p
+
+    def test_down_matches_cover_first_poset(self):
+        # down(b) against the transitive closure of the merge covers, and the
+        # comparable pairs against the proven zeta(3), every mn <= 10.
+        for p in triples(10):
+            poset = build_refinement_poset(p)
+            oracle = oracles.cover_first_poset(p)
+            assert poset.elements == oracle.elements, p
+            assert down_masks(poset) == down_masks(oracle), p
+            assert sum(len(poset.down(b)) for b in range(len(poset))) == zeta_formula(p, 3), p
+
+    def test_split_outside_the_family_raises(self, monkeypatch):
+        # Position sets of m = 1 split an m = 2 block into odd blocks, which
+        # are not in the family: the key lookup must refuse them.
+        real = posetcore._first_block_position_sets
+        monkeypatch.setattr(posetcore, "_first_block_position_sets", lambda size, m: real(size, 1))
+        poset = build_refinement_poset(Params(2, 2, 1))
+        with pytest.raises(InvariantViolation, match="not in the family"):
+            poset.down(len(poset) - 1)
 
     def test_ranks_each_partition_once(self, monkeypatch):
         calls = []
@@ -141,7 +168,8 @@ class TestCoverFirst:
         assert down_masks(poset) == [0b1111, 0b1010, 0b1100, 0b1000]
         assert poset.covers() == ((1, 0), (2, 0), (3, 1), (3, 2))
         oracles.validate_partial_order(down_masks(poset))
-        poset.assert_graded(expected_max_rank=2)
+        poset.assert_graded()
+        assert max(poset.ranks) == 2
 
     def test_rejects_bad_input(self):
         ranks = (0, 1, 2)
@@ -162,7 +190,7 @@ class TestCovers:
         assert antichain_poset(3).covers() == ()
 
     def test_nc3_covers(self):
-        assert len(build_refinement_poset(NC3).covers()) == 6
+        assert len(oracles.cover_first_poset(NC3).covers()) == 6
 
 
 class TestMoebius:
@@ -187,20 +215,16 @@ class TestMoebius:
     def test_delta_sum_exhaustive(self):
         # sum of mu over every interval [a, b] vanishes unless a = b,
         # for every parameter triple with mn <= 8.
-        for m in range(1, 9):
-            for n in range(1, 8 // m + 1):
-                for t in range(1, n + 1):
-                    poset = build_refinement_poset(Params(m, n, t))
-                    down = down_masks(poset)
-                    for a in range(len(poset)):
-                        row = oracles.moebius_row(down, a)
-                        for b in range(len(poset)):
-                            if not poset.leq(a, b):
-                                continue
-                            total = sum(
-                                mu for c, mu in row.items() if poset.leq(c, b)
-                            )
-                            assert total == (1 if a == b else 0)
+        for p in triples(8):
+            poset = build_refinement_poset(p)
+            down = down_masks(poset)
+            for a in range(len(poset)):
+                row = oracles.moebius_row(down, a)
+                for b in range(len(poset)):
+                    if not down[b] >> a & 1:
+                        continue
+                    total = sum(mu for c, mu in row.items() if down[b] >> c & 1)
+                    assert total == (1 if a == b else 0)
 
 
 class TestChainCounts:
@@ -216,31 +240,36 @@ class TestChainCounts:
         with pytest.raises(ParameterError):
             build_refinement_poset(NC3).count_rank_multichains((2, 1))
 
+    def test_targets_out_of_range_rejected(self):
+        for targets in ((-1, 0), (1, 3)):
+            with pytest.raises(ParameterError, match=r"lie in \[0, 2\]"):
+                build_refinement_poset(NC3).count_rank_multichains(targets)
+
     def test_maximal_chains(self):
-        assert build_refinement_poset(NC3).count_maximal_chains() == 3
-        assert build_refinement_poset(Params(1, 3, 2)).count_maximal_chains() == 2
-        assert build_refinement_poset(Params(1, 3, 3)).count_maximal_chains() == 1
+        for p, count in ((NC3, 3), (Params(1, 3, 2), 2), (Params(1, 3, 3), 1)):
+            assert build_refinement_poset(p).count_rank_multichains(range(p.max_rank + 1)) == count
 
     def test_maximal_chains_equal_full_rank_multichains(self):
+        # The one chain DP on both posets against saturated chains walked
+        # along the merge covers.
         for p in (Params(1, 4, 1), Params(1, 5, 2), Params(2, 3, 1), Params(2, 3, 2)):
-            poset = build_refinement_poset(p)
+            oracle = oracles.cover_first_poset(p)
             targets = tuple(range(p.max_rank + 1))
-            assert poset.count_maximal_chains() == poset.count_rank_multichains(targets)
+            walked = maximal_chains_by_covers(oracle)
+            assert build_refinement_poset(p).count_rank_multichains(targets) == walked, p
+            assert oracle.count_rank_multichains(targets) == walked, p
 
 
 class TestZeta:
+    # zeta(l) counts multichains by a DP over down(b), in tests/oracles.py.
     def test_l1_is_one(self):
-        assert build_refinement_poset(NC3).zeta_brute(1) == 1
+        assert oracles.zeta_by_down(build_refinement_poset(NC3), 1) == 1
 
     def test_l2_is_size(self):
-        assert build_refinement_poset(NC3).zeta_brute(2) == 5
+        assert oracles.zeta_by_down(build_refinement_poset(NC3), 2) == 5
 
     def test_nc3_l3(self):
-        assert build_refinement_poset(NC3).zeta_brute(3) == 12
-
-    def test_l0_rejected(self):
-        with pytest.raises(ParameterError):
-            build_refinement_poset(NC3).zeta_brute(0)
+        assert oracles.zeta_by_down(build_refinement_poset(NC3), 3) == 12
 
     def test_zeta_decomposes_over_rank_vectors(self):
         from itertools import combinations_with_replacement
@@ -254,19 +283,24 @@ class TestZeta:
                         range(p.max_rank + 1), l - 1
                     )
                 )
-                assert total == poset.zeta_brute(l)
+                assert total == oracles.zeta_by_down(poset, l)
+
+
+def embedded(p):
+    classical = build_refinement_poset(Params(p.m, p.n, 1))
+    return oracles.verify_ideal_embedding(p, classical.elements, down_masks(classical))
 
 
 class TestIdealEmbedding:
     def test_examples(self):
-        assert oracles.verify_ideal_embedding(Params(1, 4, 2))
-        assert oracles.verify_ideal_embedding(Params(2, 3, 2))
-        assert oracles.verify_ideal_embedding(Params(1, 5, 1))
+        assert embedded(Params(1, 4, 2))
+        assert embedded(Params(2, 3, 2))
+        assert embedded(Params(1, 5, 1))
 
     def test_exhaustive_small(self):
         for m, n in ((1, 5), (1, 6), (2, 3), (3, 2)):
             for t in range(1, n + 1):
-                assert oracles.verify_ideal_embedding(Params(m, n, t))
+                assert embedded(Params(m, n, t))
 
     def test_image_matches_membership(self):
         # The relabelled family is exactly the set of classical partitions
