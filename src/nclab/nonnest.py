@@ -5,14 +5,15 @@ ordered by (i, j) <= (k, l) iff i >= k and j <= l (interval containment).
 T_{n,t} keeps the pairs with j > t; its up-closed subsets ("t-filters") are
 in bijection with monotone integer vectors, which is how they are enumerated
 here.  Filters and chains are exposed as immutable value objects; internally
-everything runs on grid bitmasks, pair (i, j) at bit i*(n+1) + j.  On that
-layout the setwise formal sum is a boolean matrix product done in n integer
-multiplies, so the closure conditions on chains are cheap integer algebra.
+everything runs on grid bitmasks, pair (i, j) at bit i*(n+1) + j.  The chain
+generator works on the filters' monotone vectors instead, where every closure
+condition on a chain becomes a comparison of column heights.
 """
 
 import json
+from bisect import bisect_left, bisect_right
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import gt, or_
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from . import closedform
@@ -54,8 +55,6 @@ class _Universe:
             k: sum(1 << self.index[other] for other in self.pairs if pair_leq(pair, other))
             for pair, k in self.index.items()
         }
-        self._col = sum(1 << (i * self.width) for i in range(1, n))
-        self._row = (1 << self.width) - 1
 
     def mask_of(self, pairs) -> int:
         mask = 0
@@ -74,22 +73,6 @@ class _Universe:
         # The lower covers of (i, j), (i+1, j) and (i, j-1), sit at bits
         # k + (n+1) and k - 1; a bit standing for no pair is never set.
         return mask & ~(mask >> self.width) & ~(mask << 1)
-
-    @lru_cache(maxsize=1 << 14)
-    def sum_masks(self, first: int, second: int) -> int:
-        """Every defined formal sum (i, j) + (j, l) = (i, l) of a pair in each mask.
-
-        Per middle index j: column j of `first`, at bits i*(n+1), times row j
-        of `second`, at bits l < n+1, sets each bit i*(n+1) + l exactly once,
-        so nothing carries.  The closure checks repeat a few sums (squares,
-        mostly) very often, hence the bounded memo.
-        """
-        out = 0
-        for j in range(2, self.n):
-            column = (first >> j) & self._col
-            if column:
-                out |= column * ((second >> (j * self.width)) & self._row)
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -120,6 +103,38 @@ def _tfilter_masks(n: int, t: int) -> Tuple[int, ...]:
     for j in range(t + 1, n + 1):
         vectors = [(a, mask | tops[a] << j) for last, mask in vectors for a in range(last, j)]
     return tuple(mask for _, mask in vectors)
+
+
+@lru_cache(maxsize=None)
+def _height_tables(n: int, t: int, variant: str) -> tuple:
+    """Column-height tables of the filters, in _tfilter_masks(n, t) order, for _generate_chains.
+
+    Per filter f, with a_l its column-l height (a_0 = a_1 = ... = a_t = 0):
+    heights[f] = (a_0, ..., a_n); below[f][v] is the largest column y with
+    a_y <= v, for 0 <= v < n; short[f][y] is the largest ambient column
+    x <= y with a_x < x - 1, else 0.  Filter positions: the filters with
+    given heights before column l and a_l = w come in one block of N_l(w)
+    positions, N_l(w) being the number of completions a_{l+1}, ..., a_n,
+    so f sits at the sum over l > t of rank[l][a_l] - rank[l][a_{l-1}],
+    where rank[l][a] is the sum of N_l(w) over w < a.
+    """
+    heights = [(0,) * (t + 1)]
+    for l in range(t + 1, n + 1):  # the vectors in _tfilter_masks order
+        heights = [h + (a,) for h in heights for a in range(h[-1], l)]
+    below = [tuple([bisect_right(h, v) - 1 for v in range(n)]) for h in heights]
+    first = 1 if variant == "paper" else t + 1
+    short = []
+    for h in heights:
+        row = [0] * (n + 1)
+        for x in range(1, n + 1):
+            row[x] = x if x >= first and h[x] < x - 1 else row[x - 1]
+        short.append(tuple(row))
+    rank: List[Tuple[int, ...]] = [()] * (n + 1)
+    ways = [1] * n  # N_n(w)
+    for l in range(n, t, -1):
+        rank[l] = tuple(sum(ways[:a]) for a in range(l))
+        ways = [sum(ways[w : l]) for w in range(l - 1)]  # N_{l-1}(w): a_l in [w, l-1]
+    return heights, below, short, rank
 
 
 class TFilter(Value):
@@ -218,54 +233,154 @@ def _check_variant(variant: str) -> None:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _conditions_ok(u: _Universe, comp: List[int], ambient: int, m: int, k: int) -> bool:
-    """Every closure condition whose smallest index is k, in both orders.
-
-    `comp[i]` is the mask of V_i for k <= i <= m.  Sum closure
-    V_i + V_j <= V_{i+j} is checked with indices above m clamped to m;
-    complement closure, with complements taken in `ambient`, for i + j <= m.
-    The conditions with smallest index k need only V_k, ..., V_m, so a
-    generator adding V_m first can prune after each component.
-    """
-    for j in range(k, m + 1):
-        target = comp[k + j] if k + j <= m else comp[m]
-        for a, b in ((k, j),) if j == k else ((k, j), (j, k)):
-            if u.sum_masks(comp[a], comp[b]) & ~target:
-                return False
-            # Sums of pairs in `ambient` stay in it, so this is inclusion in
-            # ambient - V_{i+j}.
-            if k + j <= m and u.sum_masks(ambient & ~comp[a], ambient & ~comp[b]) & target:
-                return False
-    return True
-
-
 def _generate_chains(
     m: int, n: int, t: int, variant: str, max_objects: int
 ) -> Tuple[Tuple[int, ...], ...]:
-    """The chain masks (V_m, ..., V_1); ResourceLimitError once they exceed `max_objects`."""
-    u = _universe(n)
+    """The chain masks (V_m, ..., V_1); ResourceLimitError once they exceed `max_objects`.
+
+    Each component is the very int object that _tfilter_masks(n, t) holds.
+    A filter V is its column-height vector: (i, l) is in V iff i <= a_l,
+    with a weakly increasing, a_l <= l - 1, and a_l = 0 for l <= t (and
+    a_0 = 0).  Let A, B, C be the vectors of filters V_a, V_b, W, and Amb
+    the ambient pair set: every pair ("paper") or those with l > t
+    ("adapted"); a column x is ambient when its pairs are.
+
+    Height lemma.  (1) V_a + V_b <= W iff A[B[l]] <= C[l] for every l.
+    Column l of V_a + V_b holds i iff some j has (j, l) in V_b, i.e.
+    j <= B[l], and (i, j) in V_a, i.e. i <= A[j] (then i < j holds by
+    itself).  A is monotone, so the largest such i is A[B[l]]: the column
+    is {1, ..., A[B[l]]}, inside W iff A[B[l]] <= C[l].  (2) (Amb - V_a) +
+    (Amb - V_b) misses W iff A[x] >= min(x - 1, C[l]) for every l and
+    every ambient x with B[l] < x < l.  The pairs (x, l) of Amb - V_b are
+    those with B[l] < x < l, column l ambient; the pairs (i, x) of
+    Amb - V_a are those with A[x] < i < x, column x ambient.  Their sums
+    (i, l) miss W iff no such i is at most C[l], i.e. A[x] >=
+    min(x - 1, C[l]).  Column l need not be ambient: where it is not,
+    l <= t and C[l] = 0.  By (1), every filter is sum-closed: A[l] < l, so
+    A[A[l]] <= A[l].
+
+    Generation (below_J, short_J and the positions: _height_tables).  V_m
+    runs over every filter; with V_m alone no condition is left, because
+    V_m + V_m <= V_m always holds.  With V_{k+1}, ..., V_m fixed, V_k is
+    built column by column, l = t+1, ..., n, and there meets every
+    condition whose smaller index is k.  Let K be its vector and T the
+    target of each condition, V_{min(k+j, m)} or V_{k+j}, already fixed
+    since its index exceeds k.  For j > k:
+    - nesting, V_{k+1} <= V_k: K[l] >= V_{k+1}[l];
+    - V_k + V_j <= T: K[J[l]] <= T[l], an upper bound at column J[l];
+    - V_j + V_k <= T: J[K[l]] <= T[l], i.e. K[l] <= below_J[T[l]];
+    - (Amb - V_k) + (Amb - V_j) misses T, for k + j <= m: K[x] >=
+      min(x - 1, T[l]) for ambient x with J[l] < x < l.  J and T are
+      monotone, so the largest of these at x comes from the last l with
+      J[l] < x, which is below_J[x - 1], when that exceeds x;
+    - (Amb - V_j) + (Amb - V_k) misses T, for k + j <= m: no ambient x
+      with K[l] < x < l may have J[x] < min(x - 1, T[l]).  Such x have
+      J[x] < T[l], i.e. x <= below_J[T[l] - 1], so K[l] >=
+      short_J[min(l - 1, below_J[T[l] - 1])].
+    Each is a bound on one column, set once per (V_{k+1}, ..., V_m).  The
+    upper bounds are closed downward (K[x] <= K[x+1] <= hi[x+1]).  Then
+    every value in [max(lo[l], K[l-1]), hi[l]] extends to some vector,
+    and the level has no candidate iff some lo[l] > hi[l].  The squares
+    (j = k, target S = V_{min(2k, m)}) bound K[l] by the columns before
+    it.  K[K[l]] <= S[l] iff K[l] is at most the last column x < l with
+    K[x] <= S[l].  For 2k <= m, the complement square needs K[l] >= every
+    ambient x < l with K[x] < min(x - 1, S[l]).  Those x come before the
+    first column where K reaches S[l], so the bound is the largest short
+    column there, kept as the prefix D.  So every condition of every
+    chain is checked, and no candidate is built and then dropped for the
+    bounds.  Only the squares can leave a prefix with no completion.
+
+    Order.  Values rise at each column, so each level meets its filters in
+    lexicographic vector order, which is _tfilter_masks order.  The levels
+    nest V_m outermost, so the chains come lexicographic in (V_m, ...,
+    V_1) by filter position, the order of the closure-testing generator
+    this one replaced (tests/oracles.py::chains_by_closure).
+    """
     filters = _tfilter_masks(n, t)
-    ambient = u.full_mask if variant == "paper" else _restricted_mask(n, t)
+    heights, below, short, rank = _height_tables(n, t, variant)
+    full = heights[-1]  # the last filter holds every pair: a_l = l - 1 for l > t
+    first = 1 if variant == "paper" else t + 1  # the first ambient column
     chains: List[Tuple[int, ...]] = []
-    comp = [0] * (m + 2)  # comp[m + 1] = 0 lies below every V_m
+    chosen = [0] * (m + 1)  # filter position of V_k
+    comp = [0] * (m + 1)  # its mask
+    columns = range(t + 1, n + 1)
+    lows: List[List[int]] = [[]] * m  # per level: the column bounds
+    highs: List[List[int]] = [[]] * m
+    square: List[Tuple[int, ...]] = [()] * m  # the squares' target, V_{min(2k, m)}
+    vector = [[0] * (n + 1) for _ in range(m)]  # K of level k, columns < l chosen
+    # The largest short column <= x of K; short[0] is the empty filter's row.
+    last_short = [list(short[0]) for _ in range(m)]
 
-    @lru_cache(maxsize=None)
-    def supersets(mask: int) -> Tuple[int, ...]:
-        return tuple(f for f in filters if not mask & ~f)
-
-    def descend(k: int):
-        if k == 0:
-            chains.append(tuple(comp[m:0:-1]))
-            if len(chains) > max_objects:
-                what = f"{variant} chains for {Params(m, n, t)} reached {len(chains)}"
-                check_cap(len(chains), max_objects, what)
+    def take(k: int, pos: int) -> None:
+        chosen[k], comp[k] = pos, filters[pos]
+        if k > 1:
+            level(k - 1)
             return
-        for mask in supersets(comp[k + 1]):
-            comp[k] = mask
-            if _conditions_ok(u, comp, ambient, m, k):
-                descend(k - 1)
+        chains.append(tuple(comp[m:0:-1]))
+        if len(chains) > max_objects:
+            check_cap(len(chains), max_objects, f"{variant} chains for {Params(m, n, t)} reached {len(chains)}")
 
-    descend(m)
+    def level(k: int) -> None:
+        lo, hi = list(heights[chosen[k + 1]]), list(full)
+        for j in range(k + 1, m + 1):
+            J, inv = heights[chosen[j]], below[chosen[j]]
+            T = heights[chosen[min(k + j, m)]]
+            for l in columns:
+                if T[l] < hi[J[l]]:
+                    hi[J[l]] = T[l]
+                if inv[T[l]] < hi[l]:
+                    hi[l] = inv[T[l]]
+            if k + j > m:
+                continue
+            for x in range(first, n + 1):
+                last = inv[x - 1]
+                if last > x:
+                    bound = x - 1 if T[last] > x - 1 else T[last]
+                    if bound > lo[x]:
+                        lo[x] = bound
+            J_short = short[chosen[j]]
+            for l in columns:
+                if T[l]:
+                    y = inv[T[l] - 1]
+                    bound = J_short[l - 1 if y > l - 1 else y]
+                    if bound > lo[l]:
+                        lo[l] = bound
+        for l in range(n - 1, t, -1):
+            if hi[l + 1] < hi[l]:
+                hi[l] = hi[l + 1]
+        if any(map(gt, lo, hi)):
+            return
+        lows[k], highs[k], square[k] = lo, hi, heights[chosen[min(2 * k, m)]]
+        if t < n:
+            fill(k, t + 1, 0)
+        else:
+            take(k, 0)
+
+    def fill(k: int, l: int, pos: int) -> None:
+        K, D, S = vector[k], last_short[k], square[k][l]
+        prev = K[l - 1]
+        low, high = lows[k][l], bisect_right(K, S, 0, l) - 1
+        if prev > low:
+            low = prev
+        if highs[k][l] < high:
+            high = highs[k][l]
+        if S and 2 * k <= m:
+            bound = D[bisect_left(K, S, 0, l) - 1]
+            if bound > low:
+                low = bound
+        ranks = rank[l]
+        base = pos - ranks[prev]
+        if l == n:
+            for a in range(low, high + 1):
+                take(k, base + ranks[a])
+            return
+        for a in range(low, high + 1):
+            K[l] = a
+            D[l] = l if a < l - 1 else D[l - 1]
+            fill(k, l + 1, base + ranks[a])
+
+    for pos in range(len(filters)):
+        take(m, pos)
     return tuple(chains)
 
 
@@ -312,16 +427,28 @@ class FlooredPoset(Value):
         return dict(self.cover_floor)
 
 
-def _columns(masks: Sequence[int]) -> Dict[int, int]:
-    """Column of each bit that some mask holds, keyed by the bit (1 << k).
+def _columns(n: int, family: Sequence[Tuple[int, ...]]) -> Dict[int, int]:
+    """has[1 << k]: the chains whose packed mask holds bit k, for each bit some chain holds.
 
-    Column k holds bit j iff masks[j] holds bit k.
+    Component p of a chain sits at bits p*stride of its packed mask.  Per
+    component, each distinct value gets one row, b"1" or b"0" per pair
+    bit.  The chains' rows, last chain first, are joined into one string,
+    in which every len(pairs)-th byte from offset s spells the binary
+    literal of pair bit s's column.
     """
-    backwards = masks[::-1]  # the binary literal of a column lists the last mask first
-    return {
-        1 << k: int("".join(["1" if mask >> k & 1 else "0" for mask in backwards]), 2)
-        for k in _bits(reduce(or_, masks, 0))
-    }
+    u = _universe(n)
+    spots = list(_bits(u.full_mask))
+    has: Dict[int, int] = {}
+    if not family or not spots:
+        return has
+    for p in range(len(family[0])):
+        rows = {v: bytes([48 + (v >> k & 1) for k in spots]) for v in {masks[p] for masks in family}}
+        joined = b"".join([rows[masks[p]] for masks in reversed(family)])
+        for s, k in enumerate(spots):
+            column = int(joined[s :: len(spots)], 2)
+            if column:
+                has[1 << (p * u.stride + k)] = column
+    return has
 
 
 def _certify(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
@@ -337,22 +464,36 @@ def _certify(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
     chains of that residue are b's other covers.  Yields, per b: b, the
     covers as (a, packed b & ~a), and {a: message} for the covers that
     break the lemma.
+
+    Only a minimal pair of some component V_i that the next smaller
+    component V_{i+1} lacks can be such a k.  Every chain the callers pass
+    is a weakly nested tuple of filters, so b - k is one when it is in the
+    family.  Removing a pair x from the filter V_i leaves an up-closed set
+    iff no other member of V_i lies below x (that member's up-set holds
+    x), i.e. iff x is minimal in V_i.  V_{i+1} must still lie inside
+    V_i - x, so it lacks x.  The loop over k thus runs over
+    minimal(V_i) & ~V_{i+1} for each i (V_{m+1} empty), not over every
+    bit of b.
     """
     u = _universe(n)
     packed = [sum(mask << (p * u.stride) for p, mask in enumerate(masks)) for masks in family]
     index = {pc: c for c, pc in enumerate(packed)}
     everything = (1 << len(packed)) - 1
-    has = _columns(packed)
+    has = _columns(n, family)
 
     @lru_cache(maxsize=None)
     def inside(p: int, mask: int) -> int:  # the chains whose component p lies in mask
         lacking = (u.full_mask & ~mask) << (p * u.stride)
         return everything & ~reduce(or_, (hs for bit, hs in has.items() if bit & lacking), 0)
 
-    for b, pb in enumerate(packed):
-        down = reduce(and_, (inside(p, mask) for p, mask in enumerate(family[b])))
-        covers, common = [], down & ~(1 << b)
-        for k in _bits(pb):
+    for b, (pb, masks) in enumerate(zip(packed, family)):
+        down, removable, smaller = everything, 0, 0
+        for p, mask in enumerate(masks):
+            down &= inside(p, mask)
+            removable |= (u.minimal(mask) & ~smaller) << (p * u.stride)
+            smaller = mask
+        covers, common = [], down ^ 1 << b  # b lies in its own down-set
+        for k in _bits(removable):
             c = index.get(pb ^ 1 << k)
             if c is not None:
                 covers.append((c, 1 << k))

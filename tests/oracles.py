@@ -3,12 +3,15 @@
 Nothing here imports the package under test at module level: partitions are
 plain tuples of tuples, every predicate is coded directly from the defining
 patterns and the closed triangles are summed in `Fraction`, so these
-routines can serve as oracles for the library.  Three exceptions import it
+routines can serve as oracles for the library.  Four exceptions import it
 when called.  `identities_literal` runs the library's literal polynomial
 path (`substitute`, `RationalExpr`) over the library's identity table, the
 path that the integer check in `verify_transformation_identities` replaced.
 `bijection_literal` runs the bijection check on `TFilter` and `DyckPath`
 objects, the path that the mask-level `bijection_holds` replaced.
+`chains_by_closure` is the filter-chain generator that the column-height
+generator `nonnest._generate_chains` replaced: it reads the library's filter
+masks and tests every closure condition on whole grid masks.
 `verify_ideal_embedding` reads the library's refinement poset and
 relabelling map.  `m_triangle_rankwise` takes a poset object and uses only
 its ranks and down-masks.
@@ -16,6 +19,7 @@ its ranks and down-masks.
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, compress
 from math import comb
 
@@ -345,6 +349,84 @@ def is_geometric_chain(components, n, t, variant):
             if i + j <= m and not setwise_sum(ambient - V[i], ambient - V[j]) <= ambient - V[i + j]:
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _grid(n):
+    """Row width, column-1 bits and row-0 bits of the grid layout, pair (i, j) at bit i*(n+1) + j."""
+    width = n + 1
+    return width, sum(1 << (i * width) for i in range(1, n)), (1 << width) - 1
+
+
+@lru_cache(maxsize=1 << 14)
+def sum_masks(n, first, second):
+    """Every defined formal sum (i, j) + (j, l) = (i, l) of a pair in each grid mask.
+
+    Per middle index j: column j of `first`, at bits i*(n+1), times row j
+    of `second`, at bits l < n+1, sets each bit i*(n+1) + l exactly once,
+    so nothing carries.  The closure checks repeat a few sums (squares,
+    mostly) very often, hence the bounded memo.
+    """
+    width, col, row = _grid(n)
+    out = 0
+    for j in range(2, n):
+        column = (first >> j) & col
+        if column:
+            out |= column * ((second >> (j * width)) & row)
+    return out
+
+
+def _conditions_ok(n, comp, ambient, m, k):
+    """Every closure condition whose smallest index is k, in both orders.
+
+    `comp[i]` is the mask of V_i for k <= i <= m.  Sum closure
+    V_i + V_j <= V_{i+j} is checked with indices above m clamped to m;
+    complement closure, with complements taken in `ambient`, for i + j <= m.
+    The conditions with smallest index k need only V_k, ..., V_m, so a
+    generator adding V_m first can prune after each component.
+    """
+    for j in range(k, m + 1):
+        target = comp[k + j] if k + j <= m else comp[m]
+        for a, b in ((k, j),) if j == k else ((k, j), (j, k)):
+            if sum_masks(n, comp[a], comp[b]) & ~target:
+                return False
+            # Sums of pairs in `ambient` stay in it, so this is inclusion in
+            # ambient - V_{i+j}.
+            if k + j <= m and sum_masks(n, ambient & ~comp[a], ambient & ~comp[b]) & target:
+                return False
+    return True
+
+
+def chains_by_closure(m, n, t, variant):
+    """The chain masks (V_m, ..., V_1), each candidate tested on whole masks.
+
+    V_m first, each V_k drawn from the filters containing V_{k+1} in filter
+    order, and kept when _conditions_ok holds, so the chains come
+    lexicographic in (V_m, ..., V_1) by filter position.
+    """
+    from nclab.nonnest import _restricted_mask, _tfilter_masks, _universe
+
+    u = _universe(n)
+    filters = _tfilter_masks(n, t)
+    ambient = u.full_mask if variant == "paper" else _restricted_mask(n, t)
+    chains = []
+    comp = [0] * (m + 2)  # comp[m + 1] = 0 lies below every V_m
+
+    @lru_cache(maxsize=None)
+    def supersets(mask):
+        return tuple(f for f in filters if not mask & ~f)
+
+    def descend(k):
+        if k == 0:
+            chains.append(tuple(comp[m:0:-1]))
+            return
+        for mask in supersets(comp[k + 1]):
+            comp[k] = mask
+            if _conditions_ok(n, comp, ambient, m, k):
+                descend(k - 1)
+
+    descend(m)
+    return tuple(chains)
 
 
 def dominates(heights_a, heights_b):

@@ -39,9 +39,9 @@ def chain(n, t, *filter_sets):
 
 
 def sum_pairs(n, first, second):
-    """Setwise formal sum of two pair sets through the grid-mask product."""
+    """Setwise formal sum of two pair sets through the oracle's grid-mask product."""
     u = _universe(n)
-    return u.pairs_of(u.sum_masks(u.mask_of(first), u.mask_of(second)))
+    return u.pairs_of(oracles.sum_masks(n, u.mask_of(first), u.mask_of(second)))
 
 
 class TestPairPoset:
@@ -86,7 +86,7 @@ class TestFormalSum:
                 for first in masks:
                     for second in masks:
                         expected = oracles.setwise_sum(u.pairs_of(first), u.pairs_of(second))
-                        assert u.pairs_of(u.sum_masks(first, second)) == expected
+                        assert u.pairs_of(oracles.sum_masks(n, first, second)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 8), st.data())
@@ -223,6 +223,58 @@ class TestEnumerate:
                     ]
                     assert len(got) == len(expected), (variant, m, n, t)
                     assert set(got) == expected, (variant, m, n, t)
+
+
+class TestGenerator:
+    # _generate_chains against the closure-testing generator it replaced,
+    # and the column-height lemma its bounds rest on.
+    SIZES = sorted(
+        {(m, n) for m in range(1, 11) for n in range(1, 10 // m + 1)} | {(2, 6), (3, 5)}
+    )
+
+    def test_matches_closure_oracle_in_order(self):
+        for variant in VARIANTS:
+            for m, n in self.SIZES:
+                for t in range(1, n + 1):
+                    got = nonnest._generate_chains(m, n, t, variant, DEFAULT_MAX_OBJECTS)
+                    assert got == oracles.chains_by_closure(m, n, t, variant), (variant, m, n, t)
+                    # Every component is the filter table's own int, not a copy.
+                    shared = {id(f) for f in _tfilter_masks(n, t)}
+                    assert all(id(V) in shared for c in got for V in c), (variant, m, n, t)
+
+    def test_height_lemma(self):
+        # For every triple of t-filters (A, B, C): the height tests agree with
+        # the mask tests, for the sum and for the complement condition.
+        for n in range(1, 6):
+            u = _universe(n)
+            for t in range(1, n + 1):
+                masks = _tfilter_masks(n, t)
+                heights = nonnest._height_tables(n, t, "paper")[0]
+                rebuilt = [
+                    sum(1 << (i * (n + 1) + l) for l in range(n + 1) for i in range(1, h[l] + 1))
+                    for h in heights
+                ]
+                assert rebuilt == list(masks)
+                for variant, ambient in (
+                    ("paper", u.full_mask),
+                    ("adapted", nonnest._restricted_mask(n, t)),
+                ):
+                    columns = [x for x in range(1, n + 1) if variant == "paper" or x > t]
+                    for a, A in zip(masks, heights):
+                        for b, B in zip(masks, heights):
+                            total = oracles.sum_masks(n, a, b)
+                            spill = oracles.sum_masks(n, ambient & ~a, ambient & ~b)
+                            for c, C in zip(masks, heights):
+                                case = (variant, n, t, a, b, c)
+                                inside = all(A[B[l]] <= C[l] for l in range(1, n + 1))
+                                assert inside == (not total & ~c), case
+                                misses = all(
+                                    A[x] >= min(x - 1, C[l])
+                                    for l in range(1, n + 1)
+                                    for x in columns
+                                    if B[l] < x < l
+                                )
+                                assert misses == (not spill & c), case
 
 
 class TestFlooredPoset:
