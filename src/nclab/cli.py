@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import closedform, dyckmodel, ncpart, nonnest, polyalg, posetcore
@@ -262,7 +263,10 @@ def _conj_h_row(p: Params, variant: str, cap: int) -> dict:
 def _bijection_row(p: Params, variant: str, cap: int) -> dict:
     if p.m != 1:
         raise ParameterError("the bijection suite runs at m=1 only")
-    _check_path_cap(p, cap)
+    # bijection_holds maps every 1-filter of this n once, for all t; they
+    # outnumber the t-filters, so that table is the size to guard.
+    table = closedform.total_count(Params(1, p.n, 1))
+    ncpart.check_cap(table, cap, f"predicted {table} theta images (every 1-filter) for n={p.n}")
     objects = len(nonnest._tfilter_masks(p.n, p.t))
     ok = dyckmodel.bijection_holds(p.n, p.t)
     return {"m": 1, "n": p.n, "t": p.t, "objects": objects, "pass": ok}
@@ -379,7 +383,9 @@ def cmd_sweep(args) -> int:
     return exit_code
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="nclab",
         description="Exact enumeration and verification for the order-t non-crossing families.",

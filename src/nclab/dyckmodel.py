@@ -9,6 +9,7 @@ here is immutable and pure.
 """
 
 import json
+from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import closedform
@@ -198,6 +199,45 @@ def _area_cells(n: int) -> Dict[int, int]:
     return {k: 0b11 << ((i + j - 1) * width + j - i - 1) for (i, j), k in _universe(n).index.items()}
 
 
+@lru_cache(maxsize=1)
+def _theta_table(n: int) -> Dict[int, str]:
+    """Steps of theta(f) by mask, for each 1-filter f whose image passes the per-filter checks.
+
+    The checks, run once per n for every t: `_theta_steps` (parity and
+    realisability), `_walk` (a path), the round trip through `_theta_mask`,
+    and the area identity area(theta f) == M ^ C(f) of `bijection_holds`.
+    By up-closure, row i of a filter, its pairs (i, j), is a suffix
+    j > c of that row; so C(f) is the OR of one lookup per row i = 1..n-1
+    in a table that maps each suffix pattern of row i to the OR of its
+    pairs' `_area_cells`.  A row that is no suffix misses and leaves f out,
+    so the cover read is C of f itself.  The table is held until the next n.
+    """
+    width = n + 1
+    mountain, cells = _walk("U" * n + "D" * n)[1], _area_cells(n)
+    rows = []
+    for i in range(1, n):
+        suffixes, pattern, cover = {0: 0}, 0, 0
+        for j in range(n, i, -1):
+            pattern |= 1 << j
+            cover |= cells[i * width + j]
+            suffixes[pattern] = cover
+        rows.append((i * width, suffixes))
+    row_mask = (1 << width) - 1
+    images: Dict[int, str] = {}
+    for mask in _tfilter_masks(n, 1):
+        try:
+            cover = 0
+            for shift, suffixes in rows:
+                cover |= suffixes[(mask >> shift) & row_mask]
+        except KeyError:
+            continue
+        steps = _theta_steps(n, 1, mask)
+        heights, area = _walk(steps)
+        if _theta_mask(steps, heights, 1) == mask and area ^ mountain == cover:
+            images[mask] = steps
+    return images
+
+
 def bijection_holds(n: int, t: int) -> bool:
     """True iff theta is an order isomorphism from the t-filters onto the paths.
 
@@ -206,9 +246,25 @@ def bijection_holds(n: int, t: int) -> bool:
     total count; that each image is a path (`_walk`) starting with t rises,
     with the parity and realisability checks of `_theta_steps`; the round
     trip theta_inverse(theta(f)) == f on masks; that the images are distinct
-    and are exactly the paths, so theta(theta_inverse(path)) == path too;
-    and the area identity area(theta f) == M ^ C(f), where M is the area of
-    U^n D^n and C(f) the OR of the `_area_cells` of the pairs of f.
+    and are exactly the paths of the independent `_tdyck_steps`, so
+    theta(theta_inverse(path)) == path too; and the area identity
+    area(theta f) == M ^ C(f), where M is the area of U^n D^n and C(f) the
+    OR of the `_area_cells` of the pairs of f.
+
+    The per-filter checks run once per n, over the 1-filters, in
+    `_theta_table`; each t-filter only looks its image up and checks its t
+    leading rises.  That is the same check at every t:
+
+    * The t-filters are exactly the 1-filters with no pair in a column
+      j <= t.  T_{n,t} is an up-set of T_n ((i, j) <= (k, l) gives
+      l >= j > t), so an up-set of T_{n,t} is an up-set of T_n; and a
+      1-filter inside T_{n,t} is up-closed there.
+    * `_theta_steps`, `_walk` and the area identity do not read t, beyond
+      the leading-rise check done here.  `_theta_mask` at t gives the mask
+      it gives at 1, but refuses a valley that maps to a pair (i, j) with
+      j <= t.  Such a pair lies in the round-trip mask at 1, and the
+      t-filter f holds no pair in that column, so the round trip fails and
+      f has no image in the table: f fails either way.
 
     The identity proves the order.  The cell of (i, j) starts at (x, y) =
     (i+j-1, j-i-1), which gives back (i, j) = ((x-y)/2, (x+y)/2 + 1), the
@@ -224,15 +280,13 @@ def bijection_holds(n: int, t: int) -> bool:
     masks, paths = _tfilter_masks(n, t), _tdyck_steps(n, t)
     if not len(masks) == len(paths) == expected:
         return False
-    mountain, cells = _walk("U" * n + "D" * n)[1], _area_cells(n)
-    images = [_theta_steps(n, t, mask) for mask in masks]
-    for mask, steps in zip(masks, images):
-        heights, area = _walk(steps)
-        cover = 0
-        for k in _bits(mask):
-            cover |= cells[k]
-        if _theta_mask(steps, heights, t) != mask or area ^ mountain != cover:
+    table, rises = _theta_table(n), "U" * t
+    images = []
+    for mask in masks:
+        steps = table.get(mask)
+        if steps is None or not steps.startswith(rises):
             return False
+        images.append(steps)
     return len(set(images)) == len(masks) and set(images) == set(paths)
 
 

@@ -401,29 +401,49 @@ _IDENTITIES = (
 )
 
 
-def _l1(poly: BivariatePolynomial) -> int:
-    return sum(abs(c) for c in poly._terms.values())
+def _size(poly: BivariatePolynomial) -> Tuple[int, int]:
+    """(deg_x, l1 norm) of a polynomial; the l1 norm is the sum of |coefficients|."""
+    return poly.max_exponents()[0], sum(abs(c) for c in poly._terms.values())
 
 
-def _layout(lhs, bases, source, u, v, d: int) -> Tuple[int, int]:
-    """(w, Dx) for lhs * u.den^d v.den^d - base^d * sum c_rs U_r V_s, any base in bases.
+def _row_data(base, u: RationalExpr, v: RationalExpr, alt_base) -> tuple:
+    """(bases, sizes): the fixed data of one `_IDENTITIES` row, computed once at import.
 
-    Dx bounds the x-degree of that difference and every |coefficient| of it
-    is below 2^(w - 1); see `verify_transformation_identities`.
+    bases is (base,) or (base, alt_base); sizes holds the (deg_x, l1) of
+    u.num, u.den, v.num and v.den, then the largest deg_x and the largest
+    l1 over the bases, as `_layout` reads them.
     """
+    bases = (base,) if alt_base is None else (base, alt_base)
+    base_sizes = [_size(b) for b in bases]
+    sizes = (
+        tuple(_size(f) for f in (u.num, u.den, v.num, v.den)),
+        max(deg for deg, _ in base_sizes),
+        max(l1 for _, l1 in base_sizes),
+    )
+    return bases, sizes
 
-    def deg(poly):
-        return poly.max_exponents()[0]
 
+# One `_row_data` per row of _IDENTITIES, in table order.
+_ROW_DATA = tuple(_row_data(base, u, v, alt) for _, _, base, _, u, v, alt in _IDENTITIES)
+
+
+def _layout(lhs_size: Tuple[int, int], source: BivariatePolynomial, d: int, row_sizes) -> tuple:
+    """(w, Dx) for lhs * u.den^d v.den^d - base^d * sum c_rs U_r V_s, any base of the row.
+
+    lhs_size is `_size(lhs)`, and row_sizes the sizes of the row's
+    `_row_data`.  Dx bounds the x-degree of that difference and every
+    |coefficient| of it is below 2^(w - 1); see
+    `verify_transformation_identities`.
+    """
+    lhs_deg, lhs_l1 = lhs_size
+    ((un_deg, un), (ud_deg, ud), (vn_deg, vn), (vd_deg, vd)), base_deg, base_l1 = row_sizes
     dx = max(
-        deg(lhs) + d * (deg(u.den) + deg(v.den)),
-        d * (max(map(deg, bases)) + max(deg(u.num), deg(u.den)) + max(deg(v.num), deg(v.den))),
+        lhs_deg + d * (ud_deg + vd_deg),
+        d * (base_deg + max(un_deg, ud_deg) + max(vn_deg, vd_deg)),
     )
-    un, ud, vn, vd = map(_l1, (u.num, u.den, v.num, v.den))
-    image = sum(
-        abs(c) * un**r * ud ** (d - r) * vn**s * vd ** (d - s) for (r, s), c in source._terms.items()
-    )
-    bound = _l1(lhs) * ud**d * vd**d + max(map(_l1, bases)) ** d * image
+    u_weights, v_weights = _power_weights(un, ud, d), _power_weights(vn, vd, d)
+    image = sum(abs(c) * u_weights[r] * v_weights[s] for (r, s), c in source._terms.items())
+    bound = lhs_l1 * u_weights[0] * v_weights[0] + base_l1**d * image
     return (2 * bound).bit_length() + 1, dx
 
 
@@ -479,16 +499,18 @@ def verify_transformation_identities(p: Params) -> Tuple[Tuple[Tuple[str, bool],
     factors are big-int multiplications.  The H-from-M row also checks its
     alternative base on the same image, with (w, Dx) chosen for both bases.
     `_pack` shifts coefficients, which `BivariatePolynomial` guarantees to
-    be ints.  `substitute` and `RationalExpr` give the same check on
-    polynomials (the test oracle).
+    be ints.  The degrees and l1 norms that C and Dx read are taken once:
+    those of u, v and the bases at import (`_ROW_DATA`), those of each
+    triangle once per call.  `substitute` and `RationalExpr` give the same
+    check on polynomials (the test oracle).
     """
     d = p.max_rank
     triangles = {"m": m_triangle_closed(p), "h": h_triangle_closed(p), "f": f_triangle_closed(p)}
+    sizes = {name: _size(poly) for name, poly in triangles.items()}
     results = []
-    for name, lhs_name, base, source_name, u, v, alt_base in _IDENTITIES:
+    for (name, lhs_name, _, source_name, u, v, _), (bases, row_sizes) in zip(_IDENTITIES, _ROW_DATA):
         lhs, source = triangles[lhs_name], triangles[source_name]
-        bases = (base,) if alt_base is None else (base, alt_base)
-        w, dx = _layout(lhs, bases, source, u, v, d)
+        w, dx = _layout(sizes[lhs_name], source, d, row_sizes)
         stride = w * (dx + 1)
         un, ud, vn, vd = (_pack(f, w, stride) for f in (u.num, u.den, v.num, v.den))
         u_weights = _power_weights(un, ud, d)
@@ -500,6 +522,6 @@ def verify_transformation_identities(p: Params) -> Tuple[Tuple[Tuple[str, bool],
         left = _pack(lhs, w, stride) * u_weights[0] * v_weights[0]
         holds = [left == _pack(b, w, stride) ** d * image for b in bases]
         results.append((name, holds[0]))
-        if alt_base is not None:
+        if len(bases) > 1:
             alt_holds = holds[1]
     return tuple(results), alt_holds

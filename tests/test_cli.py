@@ -278,6 +278,27 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "more than the cap 1" in err
 
+    def test_main_reuses_the_built_parser(self, capsys, monkeypatch):
+        # Set-up builds the parser once; main, on a job or a usage error, builds no other.
+        cli.build_parser()
+
+        def refuse_parser(*args, **kwargs):
+            raise AssertionError("built a second parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse_parser)
+        argv = ("triangle", "--which", "h", "--m", "2", "--n", "3", "--t", "2")
+        assert run_cli(capsys, *argv)[:2] == (0, GOLDEN_H_232 + "\n")
+        assert run_cli(capsys, "count", "--bogus")[0] == 2
+
+    def test_bijection_guard_counts_the_theta_table(self, capsys):
+        # The t = 9 family has 1 path, but every row of n = 9 reads the images
+        # of all 4,862 1-filters, which the guard must count.
+        argv = ("verify", "--suite", "bijection", "--range", "m=1,n=9,t=9")
+        code, out, err = run_cli(capsys, *argv, "--max-objects", "100")
+        assert (code, out) == (2, "")
+        assert "predicted 4862 theta images" in err and "more than the cap 100" in err
+        assert run_cli(capsys, *argv, "--max-objects", "4862")[0] == 0
+
     # 13 chains predicted at (3, 5, 4), 35 held by the adapted generator.
     @pytest.mark.parametrize(
         "argv",

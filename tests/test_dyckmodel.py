@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,35 @@ from nclab.dyckmodel import (
     theta_inverse,
 )
 from nclab.errors import DomainError, ParameterError
-from nclab.nonnest import TFilter, all_t_filters, h_tilde
+from nclab.nonnest import (
+    TFilter,
+    _restricted_mask,
+    _tfilter_masks,
+    _universe,
+    all_t_filters,
+    h_tilde,
+)
 from nclab.params import Params
 from nclab.polyalg import h_triangle_closed
+
+
+@pytest.fixture(autouse=True)
+def fresh_theta_table():
+    """Build `_theta_table` anew around each test: the tests patch the helpers it calls."""
+    dyckmodel._theta_table.cache_clear()
+    yield
+    dyckmodel._theta_table.cache_clear()
+
+
+@contextmanager
+def patched(monkeypatch):
+    """A monkeypatch context whose patches `_theta_table` sees, and whose table goes with it."""
+    with monkeypatch.context() as patch:
+        dyckmodel._theta_table.cache_clear()
+        try:
+            yield patch
+        finally:
+            dyckmodel._theta_table.cache_clear()
 
 
 def tf(n, t, pairs):
@@ -151,18 +179,55 @@ class TestTheta:
         real = dyckmodel._theta_mask
         wrong = theta_inverse(paths[0], t).mask
         assert dyckmodel.bijection_holds(n, t)
-        monkeypatch.setattr(
-            dyckmodel,
-            "_theta_mask",
-            lambda steps, heights, t: wrong if steps == paths[-1].steps else real(steps, heights, t),
-        )
-        assert theta_inverse(paths[-1], t).mask == wrong
-        assert not dyckmodel.bijection_holds(n, t)
+        with patched(monkeypatch) as patch:
+            patch.setattr(
+                dyckmodel,
+                "_theta_mask",
+                lambda steps, heights, t: wrong if steps == paths[-1].steps else real(steps, heights, t),
+            )
+            assert theta_inverse(paths[-1], t).mask == wrong
+            assert not dyckmodel.bijection_holds(n, t)
+
+    def test_an_image_without_its_rises_fails_up_to_that_t(self, monkeypatch):
+        # The filter generated by (t, t+1) is a t-filter and no (t+1)-filter;
+        # its image U^t D^t U^(n-t) D^(n-t) loses its t leading rises as
+        # (UD)^t U^(n-t) D^(n-t).  Every row up to t holds that filter and
+        # must fail; the rows past t do not hold it and must still pass.
+        real = dyckmodel._theta_steps
+        for n in (5, 6):
+            u = _universe(n)
+            for t in range(2, n):
+                filt = u.above[u.index[(t, t + 1)]]
+                assert filt in _tfilter_masks(n, t) and filt not in _tfilter_masks(n, t + 1)
+                image = real(n, t, filt)
+                assert image == "U" * t + "D" * t + "U" * (n - t) + "D" * (n - t)
+                mutant = "UD" * t + image[2 * t :]
+                with patched(monkeypatch) as patch:
+                    patch.setattr(
+                        dyckmodel,
+                        "_theta_steps",
+                        lambda n_, t_, mask: mutant if mask == filt else real(n_, t_, mask),
+                    )
+                    verdicts = [dyckmodel.bijection_holds(n, s) for s in range(1, n + 1)]
+                assert verdicts == [False] * t + [True] * (n - t), (n, t)
+
+    def test_t_filters_are_the_one_filters_off_the_first_t_columns(self):
+        # The lemma that lets every t read the images _theta_table keeps for the 1-filters.
+        for n in range(1, 11):
+            ones = _tfilter_masks(n, 1)
+            for t in range(1, n + 1):
+                kept = [mask for mask in ones if not mask & ~_restricted_mask(n, t)]
+                assert list(_tfilter_masks(n, t)) == kept, (n, t)
 
     def test_mask_level_check_equals_the_literal_one(self):
+        # t runs up and then, on a fresh table, down, so that the rows t < n
+        # read the table that the row t = n built.
         for n in range(1, 9):
-            for t in range(1, n + 1):
-                assert dyckmodel.bijection_holds(n, t) is oracles.bijection_literal(n, t) is True
+            assert [oracles.bijection_literal(n, t) for t in range(1, n + 1)] == [True] * n, n
+            for order in (range(1, n + 1), range(n, 0, -1)):
+                dyckmodel._theta_table.cache_clear()
+                for t in order:
+                    assert dyckmodel.bijection_holds(n, t) is True, (n, t)
 
     def test_inverse_requires_t_path(self):
         with pytest.raises(DomainError):
@@ -249,7 +314,7 @@ class TestOrderColumns:
                 areas[a], areas[b] = areas[b], areas[a]
                 assert _disagreeing(masks, areas), (n, t)
                 steps = [theta(f).steps for f in all_t_filters(n, t)]
-                with monkeypatch.context() as patch:
+                with patched(monkeypatch) as patch:
                     _with_areas(patch, {steps[a]: areas[a], steps[b]: areas[b]})
                     assert not dyckmodel.bijection_holds(n, t), (n, t)
 
@@ -263,7 +328,7 @@ class TestOrderColumns:
                 areas[atom] |= 1 << max(areas).bit_length()
                 assert _disagreeing(masks, areas) == [(masks.index(0), atom)], (n, t)
                 steps = theta(all_t_filters(n, t)[atom]).steps
-                with monkeypatch.context() as patch:
+                with patched(monkeypatch) as patch:
                     _with_areas(patch, {steps: areas[atom]})
                     assert not dyckmodel.bijection_holds(n, t), (n, t)
 

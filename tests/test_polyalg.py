@@ -410,11 +410,12 @@ class TestIdentities:
         for p in (Params(1, 1, 1), Params(1, 5, 1), Params(2, 6, 3), Params(4, 7, 1), Params(3, 8, 8)):
             d = p.max_rank
             triangles = {"m": m_triangle_closed(p), "h": h_triangle_closed(p), "f": f_triangle_closed(p)}
-            for name, lhs, base, source, u, v, alt_base in polyalg._IDENTITIES:
-                bases = (base,) if alt_base is None else (base, alt_base)
+            for row, (bases, sizes) in zip(polyalg._IDENTITIES, polyalg._ROW_DATA):
+                name, lhs, base, source, u, v, alt_base = row
+                assert bases == ((base,) if alt_base is None else (base, alt_base)), name
                 image = substitute(triangles[source], u, v, d)
                 for left in (triangles[lhs], ONE, triangles[lhs] + 2**80 * X ** (d + 2)):
-                    w, dx = polyalg._layout(left, bases, triangles[source], u, v, d)
+                    w, dx = polyalg._layout(polyalg._size(left), triangles[source], d, sizes)
                     for b in bases:
                         difference = left * image.den - b**d * image.num
                         largest = max(map(abs, difference.terms().values()), default=0)
