@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import closedform, dyckmodel, ncpart, nonnest, polyalg, posetcore
@@ -232,66 +233,89 @@ def cmd_triangle(args) -> int:
     return 0
 
 
-def _identities_row(p: Params, variant: str, cap: int) -> dict:
-    try:
-        results, alt_holds = polyalg.verify_transformation_identities(p)
-    except InvariantViolation as exc:
-        return {"m": p.m, "n": p.n, "t": p.t, "error": str(exc), "pass": False}
-    row = {"m": p.m, "n": p.n, "t": p.t, **dict(results), "h_from_m_alt_prefactor": alt_holds}
-    return {**row, "pass": all(ok for _, ok in results)}
+def _identities_row(m: int, n: int, ts: Sequence[int], variant: str, cap: int) -> List[dict]:
+    rows = []
+    for t in ts:
+        try:
+            results, alt_holds = polyalg.verify_transformation_identities(Params(m, n, t))
+        except InvariantViolation as exc:
+            rows.append({"m": m, "n": n, "t": t, "error": str(exc), "pass": False})
+            continue
+        row = {"m": m, "n": n, "t": t, **dict(results), "h_from_m_alt_prefactor": alt_holds}
+        rows.append({**row, "pass": all(ok for _, ok in results)})
+    return rows
 
 
-def _conj_count_row(p: Params, variant: str, cap: int) -> dict:
-    enumerated = len(nonnest._raw_chains(p, variant, cap))
-    formula = closedform.total_count(p)
-    return {
-        "m": p.m,
-        "n": p.n,
-        "t": p.t,
-        "variant": variant,
-        "enumerated": str(enumerated),
-        "formula": str(formula),
-        "pass": enumerated == formula,
-    }
+def _conj_count_row(m: int, n: int, ts: Sequence[int], variant: str, cap: int) -> List[dict]:
+    rows = []
+    for t, enumerated in nonnest.chain_counts(m, n, ts, variant, cap):
+        formula = closedform.total_count(Params(m, n, t))
+        rows.append(
+            {
+                "m": m,
+                "n": n,
+                "t": t,
+                "variant": variant,
+                "enumerated": str(enumerated),
+                "formula": str(formula),
+                "pass": enumerated == formula,
+            }
+        )
+    return rows
 
 
-def _conj_h_row(p: Params, variant: str, cap: int) -> dict:
-    ok = nonnest.h_tilde(p, variant=variant, max_objects=cap) == polyalg.h_triangle_closed(p)
-    return {"m": p.m, "n": p.n, "t": p.t, "variant": variant, "pass": ok}
+def _conj_h_row(m: int, n: int, ts: Sequence[int], variant: str, cap: int) -> List[dict]:
+    return [
+        {
+            "m": m,
+            "n": n,
+            "t": t,
+            "variant": variant,
+            "pass": poly == polyalg.h_triangle_closed(Params(m, n, t)),
+        }
+        for t, poly in nonnest.h_tildes(m, n, ts, variant, cap)
+    ]
 
 
-def _bijection_row(p: Params, variant: str, cap: int) -> dict:
-    if p.m != 1:
+def _bijection_row(m: int, n: int, ts: Sequence[int], variant: str, cap: int) -> List[dict]:
+    if m != 1:
         raise ParameterError("the bijection suite runs at m=1 only")
-    # bijection_holds maps every 1-filter of this n once, for all t; they
+    # bijection_verdicts maps every 1-filter of this n once, for all t; they
     # outnumber the t-filters, so that table is the size to guard.
-    table = closedform.total_count(Params(1, p.n, 1))
-    ncpart.check_cap(table, cap, f"predicted {table} theta images (every 1-filter) for n={p.n}")
-    objects = len(nonnest._tfilter_masks(p.n, p.t))
-    ok = dyckmodel.bijection_holds(p.n, p.t)
-    return {"m": 1, "n": p.n, "t": p.t, "objects": objects, "pass": ok}
+    table = closedform.total_count(Params(1, n, 1))
+    ncpart.check_cap(table, cap, f"predicted {table} theta images (every 1-filter) for n={n}")
+    return [
+        {"m": 1, "n": n, "t": t, "objects": len(nonnest._tfilter_masks(n, t)), "pass": ok}
+        for t, ok in dyckmodel.bijection_verdicts(n, ts)
+    ]
 
 
-def _m_triangle_row(p: Params, variant: str, cap: int) -> dict:
-    ok = polyalg.m_triangle_brute(p, max_objects=cap) == polyalg.m_triangle_closed(p)
-    return {"m": p.m, "n": p.n, "t": p.t, "pass": ok}
+def _m_triangle_row(m: int, n: int, ts: Sequence[int], variant: str, cap: int) -> List[dict]:
+    return [
+        {"m": m, "n": n, "t": t, "pass": brute == polyalg.m_triangle_closed(Params(m, n, t))}
+        for t, brute in polyalg.m_triangles_brute(m, n, ts, max_objects=cap)
+    ]
 
 
-def _lemma54_row(p: Params, variant: str, cap: int) -> dict:
-    covers, violations = nonnest.certify_lemma54(p, variant=variant, max_objects=cap)
-    return {
-        "m": p.m,
-        "n": p.n,
-        "t": p.t,
-        "variant": variant,
-        "covers": covers,
-        "violations": len(violations),
-        "pass": not violations,
-    }
+def _lemma54_row(m: int, n: int, ts: Sequence[int], variant: str, cap: int) -> List[dict]:
+    return [
+        {
+            "m": m,
+            "n": n,
+            "t": t,
+            "variant": variant,
+            "covers": covers,
+            "violations": len(violations),
+            "pass": not violations,
+        }
+        for t, _, covers, violations, _ in nonnest.chain_tallies(m, n, ts, variant, cap)
+    ]
 
 
-# suite -> (default range, row function (p, variant, max_objects) -> row)
-_SUITES: Dict[str, Tuple[str, Callable[[Params, str, int], dict]]] = {
+# suite -> (default range, row function (m, n, ts, variant, max_objects) -> rows).
+# A row function takes one (m, n) group with its t values ascending and
+# returns one row per t, in that order.
+_SUITES: Dict[str, Tuple[str, Callable[[int, int, Sequence[int], str, int], List[dict]]]] = {
     "identities": ("m=1..3,n=1..6,t=1..n", _identities_row),
     "conj-count": ("m=2..3,n=1..5,t=1..n", _conj_count_row),
     "conj-h": ("m=1,n=1..7,t=1..n", _conj_h_row),
@@ -301,11 +325,23 @@ _SUITES: Dict[str, Tuple[str, Callable[[Params, str, int], dict]]] = {
 }
 
 
+def _groups(triples: Sequence[Params]) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """(m, n, ts) per run of consecutive triples that share (m, n), in order."""
+    runs = groupby(triples, key=lambda p: (p.m, p.n))
+    return [(m, n, tuple(p.t for p in run)) for (m, n), run in runs]
+
+
+def _suite_rows(suite: str, triples: Sequence[Params], variant: str, cap: int) -> List[dict]:
+    """The rows of `verify --suite <suite>` over sorted triples, one row-function call per group."""
+    make_rows = _SUITES[suite][1]
+    return [row for m, n, ts in _groups(triples) for row in make_rows(m, n, ts, variant, cap)]
+
+
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args.max_objects)
-    default_range, make_row = _SUITES[args.suite]
+    default_range = _SUITES[args.suite][0]
     triples = _parse_range(args.range if args.range is not None else default_range)
-    rows = [make_row(p, args.variant, cap) for p in triples]
+    rows = _suite_rows(args.suite, triples, args.variant, cap)
     all_pass = all(row["pass"] for row in rows)
     _print_json(
         {
@@ -320,27 +356,30 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_one(task) -> List[dict]:
-    do, m, n, t, by, which, suite, variant, cap = task
-    p = Params(m, n, t)
-    if do == "count":
-        rows = _count_rows(p, by, cap)
-        for row in rows:
-            row.update({"m": m, "n": n, "t": t})
-        return rows
-    if do == "triangle":
-        poly = _triangle_poly(which, p, variant, cap)
-        return [{"m": m, "n": n, "t": t, "which": which, "terms": poly.to_json()}]
-    return [_SUITES[suite][1](p, variant, cap)]
+    do, m, n, ts, by, which, suite, variant, cap = task
+    if do == "verify":
+        return _SUITES[suite][1](m, n, ts, variant, cap)
+    rows = []
+    for t in ts:
+        p = Params(m, n, t)
+        if do == "count":
+            for row in _count_rows(p, by, cap):
+                row.update({"m": m, "n": n, "t": t})
+                rows.append(row)
+        else:
+            poly = _triangle_poly(which, p, variant, cap)
+            rows.append({"m": m, "n": n, "t": t, "which": which, "terms": poly.to_json()})
+    return rows
 
 
 def cmd_sweep(args) -> int:
     cap = _resolve_cap(args.max_objects)
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
-    triples = _parse_range(args.range or "")
+    # One task per (m, n) group: the verify rows share one pass over its t values.
     tasks = [
-        (args.do, p.m, p.n, p.t, args.by, args.which, args.suite, args.variant, cap)
-        for p in triples
+        (args.do, m, n, ts, args.by, args.which, args.suite, args.variant, cap)
+        for m, n, ts in _groups(_parse_range(args.range or ""))
     ]
     # The pool forks all its workers up front, so never more than there are tasks.
     workers = min(args.jobs, len(tasks))
@@ -449,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--which", choices=("m", "f", "h", "htilde"), default="h")
     sp.add_argument("--suite", choices=_SUITES, default="identities")
     sp.add_argument("--variant", choices=nonnest.VARIANTS, default="paper")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per triple")
+    sp.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per (m, n) group"
+    )
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_cap(sp)
     sp.set_defaults(func=cmd_sweep)

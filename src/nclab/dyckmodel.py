@@ -238,6 +238,19 @@ def _theta_table(n: int) -> Dict[int, str]:
     return images
 
 
+def bijection_verdicts(n: int, ts: Sequence[int]) -> Iterator[Tuple[int, bool]]:
+    """(t, bijection_holds(n, t)) for each t of ts, from one path enumeration at t0 = min(ts).
+
+    The t-paths are, by definition, the paths of length 2n whose first t
+    steps rise; each t keeps those of the t0 enumeration, whose order
+    (sorted) it keeps.  The enumeration does not read theta.
+    """
+    every = _tdyck_steps(n, min(ts))
+    for t in ts:
+        rises = "U" * t
+        yield t, _bijection_check(n, t, [steps for steps in every if steps.startswith(rises)])
+
+
 def bijection_holds(n: int, t: int) -> bool:
     """True iff theta is an order isomorphism from the t-filters onto the paths.
 
@@ -275,9 +288,20 @@ def bijection_holds(n: int, t: int) -> bool:
     iff area(theta g) <= area(theta f), i.e. ddom_leq(theta f, theta g).
     A True verdict thus implies the all-pairs comparison that
     tests/oracles.py::bijection_literal runs on TFilter and DyckPath objects.
+    The one-t call of `bijection_verdicts`.
+    """
+    [(_, ok)] = bijection_verdicts(n, (t,))
+    return ok
+
+
+def _bijection_check(n: int, t: int, paths: List[str]) -> bool:
+    """bijection_holds(n, t), given the t-paths' steps in sorted order.
+
+    The images are distinct and are exactly the paths iff, sorted, they
+    equal the paths and rise strictly; sorting them in place holds no set.
     """
     expected = closedform.total_count(Params(1, n, t))
-    masks, paths = _tfilter_masks(n, t), _tdyck_steps(n, t)
+    masks = _tfilter_masks(n, t)
     if not len(masks) == len(paths) == expected:
         return False
     table, rises = _theta_table(n), "U" * t
@@ -287,7 +311,8 @@ def bijection_holds(n: int, t: int) -> bool:
         if steps is None or not steps.startswith(rises):
             return False
         images.append(steps)
-    return len(set(images)) == len(masks) and set(images) == set(paths)
+    images.sort()
+    return images == paths and all(map(str.__lt__, images, images[1:]))
 
 
 def h_via_paths(n: int, t: int) -> BivariatePolynomial:

@@ -97,10 +97,16 @@ def _staircase_mask(n: int, t: int) -> int:
 def _tfilter_masks(n: int, t: int) -> Tuple[int, ...]:
     # Filters of the restricted poset correspond to weakly increasing vectors
     # (a_{t+1}, ..., a_n) with 0 <= a_j <= j-1: column j contains the pairs
-    # (1, j), ..., (a_j, j).  The list is lexicographic in that vector.
+    # (1, j), ..., (a_j, j).  The list is lexicographic in that vector.  For
+    # t > 1 these are the 1-filters with no pair in a column j <= t (T_{n,t}
+    # is an up-set of T_n), kept from the t = 1 tuple in its order: the same
+    # int objects, and a_2 = ... = a_t = 0 keeps the vector order.
+    if t > 1:
+        low = _universe(n).full_mask & ~_restricted_mask(n, t)
+        return tuple([mask for mask in _tfilter_masks(n, 1) if not mask & low])
     tops = [sum(1 << (i * (n + 1)) for i in range(1, a + 1)) for a in range(n)]
     vectors = [(0, 0)]  # (last entry, mask) of each prefix
-    for j in range(t + 1, n + 1):
+    for j in range(2, n + 1):
         vectors = [(a, mask | tops[a] << j) for last, mask in vectors for a in range(last, j)]
     return tuple(mask for _, mask in vectors)
 
@@ -398,6 +404,104 @@ def _raw_chains(p: Params, variant: str, max_objects: int) -> Tuple[Tuple[int, .
     return _generate_chains(p.m, p.n, p.t, variant, max_objects)
 
 
+def _last_t(n: int, top: int) -> int:
+    """The largest t <= n such that the t-filter mask `top` holds no pair in a column <= t.
+
+    A filter holding (i, l) holds (1, l) above it, so this is the lowest
+    column l with (1, l) in the filter, less one, or n for the empty filter.
+    """
+    row = top >> (n + 1) & ((1 << (n + 1)) - 1)  # bit l: (1, l)
+    return (row & -row).bit_length() - 2 if row else n
+
+
+def _passes(m: int, n: int, ts: Sequence[int], variant: str, max_objects: int) -> Iterator[tuple]:
+    """(served, family): the chain families behind the t values ts, each with the ts it serves.
+
+    Paper variant: one family, at t0 = min(ts), serves every t.  Lemma:
+    the t-chains are the t0-chains whose V_1 has no pair in a column <= t,
+    i.e. those with t <= _last_t(n, V_1), in the order the t0 generator
+    gives them.  Proof: with Amb every pair, no condition on a chain reads
+    t (see _generate_chains); a t-filter is a t0-filter with no pair in a
+    column <= t (_tfilter_masks), and every component lies inside V_1.
+    Both generators give their chains lexicographic in (V_m, ..., V_1) by
+    filter position, and _tfilter_masks(n, t) keeps the order of the
+    t0 tuple, so positions compare alike.
+    The adapted ambient set, the pairs with l > t, changes with t, and the
+    lemma fails (31 chains at (2, 4, 2) against 25 from t0 = 1): one
+    family per t, serving that t alone.  Every t-chain of either variant
+    has _last_t(n, V_1) >= t, so a reader that tallies a family's chains
+    at each served t <= _last_t(n, V_1) is right for both.  Families come
+    one at a time, in t order, so size refusals come in per-t order.
+    """
+    _check_variant(variant)
+    if variant == "paper":
+        yield tuple(ts), _raw_chains(Params(m, n, min(ts)), variant, max_objects)
+        return
+    for t in ts:
+        yield (t,), _raw_chains(Params(m, n, t), variant, max_objects)
+
+
+def _last_ts(n: int, family: Sequence[Tuple[int, ...]]) -> Dict[int, int]:
+    """_last_t of each distinct V_1 of the family (its last component), by mask."""
+    return {top: _last_t(n, top) for top in {masks[-1] for masks in family}}
+
+
+def chain_counts(
+    m: int, n: int, ts: Sequence[int], variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
+) -> Iterator[Tuple[int, int]]:
+    """(t, number of t-chains) for each t of ts, ascending, off one family per `_passes` pass."""
+    for served, family in _passes(m, n, ts, variant, max_objects):
+        by_last = [0] * (n + 1)
+        last = _last_ts(n, family)
+        for masks in family:
+            by_last[last[masks[-1]]] += 1
+        for t in served:
+            yield t, sum(by_last[t:])
+
+
+def chain_tallies(
+    m: int, n: int, ts: Sequence[int], variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
+) -> Iterator[tuple]:
+    """(t, chains, covers, violations, floor coefficients) per t of ts, ascending.
+
+    Runs the Lemma 5.4 certificate (_certify) once per `_passes` family
+    and tallies each chain b at every served t <= _last_t(n, V_1 of b).
+    Those t-chains are an order ideal of the family: a chain inside b has
+    its V_1 inside b's.  So b's down-set, covers and violations are the
+    ones the certificate finds in the whole family, and so is its floor
+    FL(b), a set of pairs of V_m inside V_1; FL(b) then misses the
+    staircase pairs (i, i+1) with i < t, so its key (|FL|, |FL cap
+    staircase|) is the same at every such t.  Violations keep the
+    family's chain order, as in a certificate run on the t-chains alone.
+    """
+    for served, family in _passes(m, n, ts, variant, max_objects):
+        full, stair = _universe(n).full_mask, _staircase_mask(n, min(served))
+        last = _last_ts(n, family)
+        counts, cover_counts = [0] * (n + 1), [0] * (n + 1)
+        coeffs_by: List[Dict[Tuple[int, int], int]] = [{} for _ in range(n + 1)]
+        found: List[Tuple[int, str]] = []
+        for b, covers, violations in _certify(n, family):
+            tau = last[family[b][-1]]
+            counts[tau] += 1
+            cover_counts[tau] += len(covers)
+            floor = 0
+            for _, extra in covers:
+                floor |= extra
+            floor &= full
+            key = (floor.bit_count(), (floor & stair).bit_count())
+            coeffs = coeffs_by[tau]
+            coeffs[key] = coeffs.get(key, 0) + 1
+            if violations:
+                found.extend([(tau, message) for message in violations.values()])
+        for t in served:
+            coeffs = {}
+            for part in coeffs_by[t:]:
+                for key, count in part.items():
+                    coeffs[key] = coeffs.get(key, 0) + count
+            messages = tuple(message for tau, message in found if tau >= t)
+            yield t, sum(counts[t:]), sum(cover_counts[t:]), messages, coeffs
+
+
 def enumerate_nn(
     p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Tuple[FilterChain, ...]:
@@ -548,14 +652,24 @@ def certify_lemma54(
 ) -> Tuple[int, Tuple[str, ...]]:
     """Cover count of the inclusion poset on the chains, and its Lemma 5.4 violations.
 
-    Runs the certificate (_certify) on the raw masks; builds no poset and no FilterChain.
+    The one-t call of `chain_tallies`, which runs the certificate
+    (_certify) on the raw masks; builds no poset and no FilterChain.
     """
-    count = 0
-    violations: List[str] = []
-    for _, covers, found in _certify(p.n, _raw_chains(p, variant, max_objects)):
-        count += len(covers)
-        violations.extend(found.values())
-    return count, tuple(violations)
+    [(_, _, covers, violations, _)] = chain_tallies(p.m, p.n, (p.t,), variant, max_objects)
+    return covers, violations
+
+
+def h_tildes(
+    m: int, n: int, ts: Sequence[int], variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
+) -> Iterator[Tuple[int, BivariatePolynomial]]:
+    """(t, h_tilde(Params(m, n, t))) for each t of ts, ascending, off `chain_tallies`.
+
+    A t whose chains break Lemma 5.4 raises InvariantViolation when its
+    turn comes, after the t before it have been yielded.
+    """
+    for t, _, _, violations, coeffs in chain_tallies(m, n, ts, variant, max_objects):
+        _refuse(violations)
+        yield t, BivariatePolynomial(coeffs)
 
 
 def h_tilde(
@@ -572,24 +686,11 @@ def h_tilde(
     the lemma holds they are the single-element removals that stay in the
     family, so FL(b) is the set of pairs of V_m whose removal gives a chain
     in the family.  A cover that breaks the lemma raises
-    InvariantViolation, so no result rests on the lemma unchecked.
+    InvariantViolation, so no result rests on the lemma unchecked.  The
+    one-t call of `h_tildes`.
     """
-    return _floor_polynomial(p, _raw_chains(p, variant, max_objects))
-
-
-def _floor_polynomial(p: Params, family: Sequence[Tuple[int, ...]]) -> BivariatePolynomial:
-    """h_tilde's polynomial over an already generated chain family."""
-    full = _universe(p.n).full_mask
-    stair = _staircase_mask(p.n, p.t)
-    coeffs: Dict[Tuple[int, int], int] = {}
-    violations: List[str] = []
-    for _, covers, found in _certify(p.n, family):
-        violations.extend(found.values())
-        floor = reduce(or_, (extra for _, extra in covers), 0) & full
-        key = (floor.bit_count(), (floor & stair).bit_count())
-        coeffs[key] = coeffs.get(key, 0) + 1
-    _refuse(violations)
-    return BivariatePolynomial(coeffs)
+    [(_, poly)] = h_tildes(p.m, p.n, (p.t,), variant, max_objects)
+    return poly
 
 
 def verify_conjectures(
@@ -604,9 +705,12 @@ def verify_conjectures(
     """
     rows = []
     for p in params_list:
-        family = _raw_chains(p, variant, max_objects)
-        enumerated, expected = len(family), closedform.total_count(p)
-        h_ok = _floor_polynomial(p, family) == h_triangle_closed(p)
+        [(_, enumerated, _, violations, coeffs)] = chain_tallies(
+            p.m, p.n, (p.t,), variant, max_objects
+        )
+        _refuse(violations)
+        expected = closedform.total_count(p)
+        h_ok = BivariatePolynomial(coeffs) == h_triangle_closed(p)
         rows.append(
             {
                 "m": p.m,

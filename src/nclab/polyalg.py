@@ -13,7 +13,7 @@ rather than a sampling argument.
 """
 
 import json
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .closedform import _ratio, binomial
 from .errors import InvariantViolation, ParameterError
@@ -270,9 +270,20 @@ def _slot_width(level_sizes) -> int:
     return bound.bit_length() + 1
 
 
-def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> BivariatePolynomial:
-    """M(x, y) = sum over a <= b of mu(a, b) x^rk(a) y^rk(b), straight off the poset.
+def _leading_minima(blocks) -> int:
+    """The largest k such that blocks 1..k (sorted by minimum) have minima 1..k."""
+    k = 0
+    while k < len(blocks) and blocks[k][0] == k + 1:
+        k += 1
+    return k
 
+
+def m_triangles_brute(
+    m: int, n: int, ts: Sequence[int], max_objects: int = DEFAULT_MAX_OBJECTS
+) -> Iterator[Tuple[int, BivariatePolynomial]]:
+    """(t, M-triangle of Params(m, n, t)) for each t of ts, ascending, from one poset at t0 = min(ts).
+
+    M(x, y) = sum over a <= b of mu(a, b) x^rk(a) y^rk(b), straight off the poset.
     The coefficient c(r, s) of x^r y^s sums v_r[b] = sum over a of rank r of
     mu(a, b) over the b of rank s.  Moebius inversion gives
     v_r[b] = [rk b = r] - sum over a < b of v_r[a] for every r at once, so
@@ -286,6 +297,20 @@ def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Bivar
     The sum of V over level s is the sum over r <= s of c(r, s) 2^(w r)
     (v_r[b] = 0 for r > rk b).
 
+    Every t of ts reads the same pass.  Lemma: the order-t family is
+    isomorphic, as a ranked poset, to the order ideal of the t0 family
+    whose members keep 1..t in distinct blocks, i.e. those whose first
+    t blocks by minimum have minima 1..t (`_leading_minima` >= t): t
+    distinct blocks meeting 1..t have t distinct minima <= t.  Proof:
+    both families are relabellings by tilde_transform of the classical
+    partitions with 1..t0 (resp. 1..t) in distinct blocks
+    (ncpart._nc_blocks); the t0 relabelling permutes 1..t0 inside 1..t,
+    so it keeps 1..t apart or together, and a relabelling keeps the
+    refinement order and the block count.  Refining keeps 1..t apart, so
+    the set is an order ideal, and each interval [a, b] in it is the same
+    interval of the t0 family: V[b] is the same int in both.  So the level
+    totals of t sum V over the members with `_leading_minima` >= t.
+
     Slot width, with no lemma: by Hall's theorem (Stanley, Enumerative
     Combinatorics I, Prop. 3.8.5), mu(a, b) = sum over k of (-1)^k c_k with
     c_k the number of chains a = x_0 < ... < x_k = b, so |mu(a, b)| is at
@@ -295,30 +320,41 @@ def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Bivar
     |level s| * prod over s' < s of (1 + |level s'|), which is below
     bound = prod over all s of (1 + |level s|).  Hence |c(r, s)| < bound <
     2^(w - 1) for w = bound.bit_length() + 1 (`_slot_width`), and c(r, s)
-    is the signed w-bit digit r of the level total.  Anything left after
-    slots 0..s raises InvariantViolation.
+    is the signed w-bit digit r of the level total.  The t0 levels hold
+    those of every t, so the t0 width serves every t.  Anything left after
+    slots 0..s raises InvariantViolation, when that t's turn comes.
     """
-    poset = build_refinement_poset(p, max_objects=max_objects)
-    levels = [[] for _ in range(p.max_rank + 1)]
+    first = Params(m, n, min(ts))
+    poset = build_refinement_poset(first, max_objects=max_objects)
+    levels = [[] for _ in range(first.max_rank + 1)]
     for b, s in enumerate(poset.ranks):
         levels[s].append(b)
     w = _slot_width(map(len, levels))
     half, mask = 1 << (w - 1), (1 << w) - 1
     packed = [0] * len(poset)
-    coeffs: Dict[Tuple[int, int], int] = {}
+    totals = [[0] * len(levels) for _ in range(n + 1)]  # by _leading_minima, then level
     for s, level in enumerate(levels):
-        total = 0
         for b in level:
-            packed[b] = (1 << (w * s)) - sum(map(packed.__getitem__, poset.down(b)))
-            total += packed[b]
-        for r in range(s + 1):
-            coeffs[(r, s)] = digit = ((total + half) & mask) - half
-            total = (total - digit) >> w
-        if total:
-            raise InvariantViolation(
-                f"M-triangle: the level {s} total overflows {s + 1} slots of {w} bits"
-            )
-    return _wrap(coeffs)
+            packed[b] = value = (1 << (w * s)) - sum(map(packed.__getitem__, poset.down(b)))
+            totals[_leading_minima(poset.elements[b].blocks)][s] += value
+    for t in ts:
+        coeffs: Dict[Tuple[int, int], int] = {}
+        for s in range(n - t + 1):
+            total = sum(row[s] for row in totals[t:])
+            for r in range(s + 1):
+                coeffs[(r, s)] = digit = ((total + half) & mask) - half
+                total = (total - digit) >> w
+            if total:
+                raise InvariantViolation(
+                    f"M-triangle: the level {s} total overflows {s + 1} slots of {w} bits"
+                )
+        yield t, _wrap(coeffs)
+
+
+def m_triangle_brute(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> BivariatePolynomial:
+    """The brute M-triangle of one triple: the one-t call of `m_triangles_brute`."""
+    [(_, poly)] = m_triangles_brute(p.m, p.n, (p.t,), max_objects)
+    return poly
 
 
 def m_triangle_closed(p: Params) -> BivariatePolynomial:

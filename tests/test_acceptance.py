@@ -65,10 +65,11 @@ def suite_rows(suite, expected):
 
     The rows come from the suite's own row function, the one the CLI runs.
     """
-    default_range, make_row = cli._SUITES[suite]
-    params = cli._parse_range(default_range)
+    params = cli._parse_range(cli._SUITES[suite][0])
     assert params == expected, suite
-    return [(p, make_row(p, "paper", DEFAULT_MAX_OBJECTS)) for p in params]
+    rows = cli._suite_rows(suite, params, "paper", DEFAULT_MAX_OBJECTS)
+    assert [(row["m"], row["n"], row["t"]) for row in rows] == [(p.m, p.n, p.t) for p in params]
+    return list(zip(params, rows))
 
 
 def compositions(total, parts):
@@ -157,9 +158,9 @@ def test_criterion_4_profiled_chains():
 @criterion(5, "Moebius rank triangle: brute force equals closed form, mn<=8")
 def test_criterion_5_m_triangle():
     # The rows of `verify --suite m-triangle`, outside its default range.
-    make_row = cli._SUITES["m-triangle"][1]
-    for p in triples(8):
-        assert make_row(p, "paper", DEFAULT_MAX_OBJECTS)["pass"], p
+    params = triples(8)
+    for p, row in zip(params, cli._suite_rows("m-triangle", params, "paper", DEFAULT_MAX_OBJECTS)):
+        assert (row["m"], row["n"], row["t"]) == (p.m, p.n, p.t) and row["pass"], p
     assert m_triangle_brute(Params(1, 3, 1)).coefficient(0, 2) == 2
     assert m_triangle_closed(Params(1, 3, 1)).coefficient(0, 2) == 2
 

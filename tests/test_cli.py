@@ -8,6 +8,8 @@ import pytest
 
 from nclab import cli, nonnest, polyalg
 from nclab.cli import main
+from nclab.errors import InvariantViolation
+from nclab.params import Params
 
 GOLDEN_H_232 = '{"terms":[{"x":0,"y":0,"c":"3"},{"x":1,"y":0,"c":"1"},{"x":1,"y":1,"c":"1"}]}'
 
@@ -202,6 +204,57 @@ class TestVerify:
         assert [row["pass"] for row in json.loads(out)["rows"]] == [True, False]
 
 
+def rows_or_refusal(make_rows):
+    """The rows make_rows() returns, or the message of the InvariantViolation it raises."""
+    try:
+        return make_rows()
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+class TestGroups:
+    # A row function serves one (m, n) group; its rows are the ones it gives
+    # when called once per triple of the group.
+    SIZES = [(m, n) for m in range(1, 11) for n in range(1, 10 // m + 1)]
+
+    def test_groups_keep_the_triple_order(self):
+        triples = cli._parse_range("m=1..2,n=2..3,t=2..n")
+        assert cli._groups(triples) == [(1, 2, (2,)), (1, 3, (2, 3)), (2, 2, (2,)), (2, 3, (2, 3))]
+        assert [p for m, n, ts in cli._groups(triples) for p in (Params(m, n, t) for t in ts)] == (
+            triples
+        )
+
+    @pytest.mark.parametrize("variant", nonnest.VARIANTS)
+    @pytest.mark.parametrize("suite", ["conj-count", "conj-h", "lemma54", "m-triangle"])
+    def test_group_rows_equal_triple_rows(self, suite, variant):
+        make_rows, cap = cli._SUITES[suite][1], cli.DEFAULT_MAX_OBJECTS
+        for m, n in self.SIZES:
+            ts = tuple(range(1, n + 1))
+            grouped = rows_or_refusal(lambda: make_rows(m, n, ts, variant, cap))
+            single = rows_or_refusal(
+                lambda: [row for t in ts for row in make_rows(m, n, (t,), variant, cap)]
+            )
+            assert grouped == single, (suite, variant, m, n)
+
+    # 55 chains and partitions at (2, 4, 1), 25 chains at (2, 4, 2).
+    @pytest.mark.parametrize(
+        "suite, t_range, cap, refusal",
+        [
+            ("conj-count", "t=1..n", 54, "predicted about 55 chains for Params(m=2, n=4, t=1)"),
+            ("conj-h", "t=1..n", 54, "predicted about 55 chains for Params(m=2, n=4, t=1)"),
+            ("lemma54", "t=1..n", 54, "predicted about 55 chains for Params(m=2, n=4, t=1)"),
+            ("conj-h", "t=2..n", 24, "predicted about 25 chains for Params(m=2, n=4, t=2)"),
+            ("m-triangle", "t=2..n", 54, "predicted 55 partitions for Params(m=2, n=4, t=2)"),
+        ],
+    )
+    def test_cap_refuses_at_t0(self, capsys, suite, t_range, cap, refusal):
+        argv = ("verify", "--suite", suite, "--range", f"m=2,n=4,{t_range}", "--max-objects")
+        code, out, err = run_cli(capsys, *argv, str(cap))
+        assert (code, out) == (2, "")
+        assert err == f"error: {refusal}, more than the cap {cap}\n"
+        assert run_cli(capsys, *argv, str(cap + 1))[0] == 0
+
+
 class TestSweep:
     def test_json_rows_ordered(self, capsys):
         code, out, _ = run_cli(
@@ -378,6 +431,17 @@ class TestSweepJobs:
         assert sizes == [2]
         assert [row["n"] for row in json.loads(out)["rows"]] == [2, 3]
 
+    def test_pool_no_larger_than_group_list(self, capsys, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        argv = ("sweep", "--do", "verify", "--suite", "conj-count", "--range", "m=2,n=2..3,t=1..n")
+        code, out, _ = run_cli(capsys, *argv, "--jobs", "64")
+        assert code == 0
+        assert FakePool.sizes == [2]
+        assert [(row["n"], row["t"]) for row in json.loads(out)["rows"]] == [
+            (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)
+        ]
+
     def test_single_task_starts_no_pool(self, capsys, monkeypatch):
         code, _, _, sizes = self.sweep(capsys, monkeypatch, "8", triples="n=3")
         assert code == 0
@@ -414,6 +478,14 @@ class TestSubprocess:
         rows = json.loads(result.stdout)["rows"]
         keys = [(row["m"], row["n"], row["t"]) for row in rows]
         assert keys == sorted(keys)
+
+    def test_parallel_groups_print_what_one_worker_prints(self):
+        argv = [sys.executable, "-m", "nclab", "sweep", "--do", "verify", "--suite", "lemma54",
+                "--range", "m=1..2,n=2..4,t=1..n"]
+        one = subprocess.run(argv + ["--jobs", "1"], capture_output=True)
+        two = subprocess.run(argv + ["--jobs", "2"], capture_output=True)
+        assert (one.returncode, two.returncode) == (0, 0), two.stderr
+        assert one.stdout == two.stdout and len(json.loads(one.stdout)["rows"]) == 18
 
     def test_import_loads_no_process_pool(self):
         # Only `sweep --jobs N` with N > 1 needs the pool; every other

@@ -229,6 +229,26 @@ class TestTheta:
                 for t in order:
                     assert dyckmodel.bijection_holds(n, t) is True, (n, t)
 
+    def test_grouped_verdicts_read_one_path_enumeration(self, monkeypatch):
+        # The t-paths are the t0-paths that start with t rises, in the same order.
+        for n in range(1, 10):
+            for t0 in range(1, n + 1):
+                every = dyckmodel._tdyck_steps(n, t0)
+                for t in range(t0, n + 1):
+                    kept = [steps for steps in every if steps.startswith("U" * t)]
+                    assert kept == dyckmodel._tdyck_steps(n, t), (n, t0, t)
+        calls = []
+        enumerate_paths = dyckmodel._tdyck_steps
+        monkeypatch.setattr(
+            dyckmodel, "_tdyck_steps", lambda n, t: calls.append((n, t)) or enumerate_paths(n, t)
+        )
+        for n in range(1, 9):
+            for t0 in range(1, min(n, 2) + 1):
+                ts = tuple(range(t0, n + 1))
+                grouped = list(dyckmodel.bijection_verdicts(n, ts))
+                assert grouped == [(t, True) for t in ts] and calls == [(n, t0)], (n, t0)
+                calls.clear()
+
     def test_inverse_requires_t_path(self):
         with pytest.raises(DomainError):
             theta_inverse(DyckPath("UDUD"), 2)

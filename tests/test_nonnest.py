@@ -1,3 +1,4 @@
+import json
 import re
 from itertools import product
 
@@ -277,6 +278,75 @@ class TestGenerator:
                                 assert misses == (not spill & c), case
 
 
+class TestOrderIdeal:
+    # The paper t-chains as the t0-chains with t <= _last_t(n, V_1), which
+    # lets one family serve every t of a group (nonnest._passes).
+    def test_last_t_is_the_largest_t_the_filter_fits(self):
+        for n in range(1, 9):
+            for mask in _tfilter_masks(n, 1):
+                fits = [t for t in range(1, n + 1) if not mask & ~nonnest._restricted_mask(n, t)]
+                assert nonnest._last_t(n, mask) == max(fits), (n, mask)
+
+    def test_t_chains_are_the_t0_chains_that_fit_in_order(self):
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                families = {
+                    t: nonnest._generate_chains(m, n, t, "paper", DEFAULT_MAX_OBJECTS)
+                    for t in range(1, n + 1)
+                }
+                for t0, family in families.items():
+                    last = [nonnest._last_t(n, chain[-1]) for chain in family]
+                    assert min(last, default=t0) >= t0, (m, n, t0)
+                    for t in range(t0, n + 1):
+                        kept = tuple([chain for chain, tau in zip(family, last) if tau >= t])
+                        assert kept == families[t], (m, n, t0, t)
+
+    def test_lemma_fails_for_the_adapted_variant(self):
+        # The adapted ambient set changes with t, so its t = 2 chains are no
+        # sub-family of its t = 1 chains: one pass per t.
+        family = nonnest._generate_chains(2, 4, 1, "adapted", DEFAULT_MAX_OBJECTS)
+        kept = [chain for chain in family if nonnest._last_t(4, chain[-1]) >= 2]
+        got = nonnest._generate_chains(2, 4, 2, "adapted", DEFAULT_MAX_OBJECTS)
+        assert (len(got), len(kept)) == (31, 25)
+        assert set(kept) < set(got)
+
+    def test_t_tuples_share_the_one_tuple_ints(self):
+        for n in range(1, 11):
+            ones = {id(mask) for mask in _tfilter_masks(n, 1)}
+            for t in range(2, n + 1):
+                assert all(id(mask) in ones for mask in _tfilter_masks(n, t)), (n, t)
+
+    def test_grouped_tallies_equal_one_t_tallies(self):
+        # Counts, cover counts, violations and floor coefficients, with t0 = 1
+        # and 2; tests/test_cli.py compares the suite rows at every mn <= 10.
+        for variant in VARIANTS:
+            for m in range(1, 9):
+                for n in range(1, 8 // m + 1):
+                    one_t = {
+                        t: next(nonnest.chain_tallies(m, n, (t,), variant))
+                        for t in range(1, n + 1)
+                    }
+                    for t0 in range(1, min(n, 2) + 1):
+                        ts = tuple(range(t0, n + 1))
+                        grouped = list(nonnest.chain_tallies(m, n, ts, variant))
+                        assert grouped == [one_t[t] for t in ts], (variant, m, n, t0)
+                        counts = list(nonnest.chain_counts(m, n, ts, variant))
+                        assert counts == [one_t[t][:2] for t in ts], (variant, m, n, t0)
+
+    def test_one_generation_per_paper_group(self, monkeypatch):
+        calls = []
+        generate = nonnest._generate_chains
+
+        def counting(*args):
+            calls.append(args[:4])
+            return generate(*args)
+
+        monkeypatch.setattr(nonnest, "_generate_chains", counting)
+        for variant in VARIANTS:
+            list(nonnest.h_tildes(2, 4, (2, 3, 4), variant))
+        assert calls == [(2, 4, 2, "paper")] + [(2, 4, t, "adapted") for t in (2, 3, 4)]
+
+
 class TestFlooredPoset:
     def test_232_is_a_path(self):
         decorated = nn_poset(Params(2, 3, 2))
@@ -428,6 +498,26 @@ class TestCertificate:
         assert cli.main(["verify", "--suite", "conj-h", "--range", f"m={m},n={n},t=1"]) == 1
         assert cli.main(["verify", "--suite", "lemma54", "--range", f"m={m},n={n},t=1"]) == 1
 
+    @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=["two-pairs", "two-components"])
+    def test_broken_covers_stop_a_t_range_as_they_stop_t0(
+        self, monkeypatch, capsys, m, n, chains, message
+    ):
+        # One family serves every t of the group; the refusal is still t0's, word for word.
+        u = _universe(n)
+        raw = tuple(tuple(u.mask_of(V) for V in chain) for chain in chains)
+        monkeypatch.setattr(nonnest, "_generate_chains", lambda *args: raw)
+        refusal = f"invariant failure: cover structure violations: {message}\n"
+        for t_range in ("t=1", "t=1..n"):
+            argv = ["verify", "--suite", "conj-h", "--range", f"m={m},n={n},{t_range}"]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr() == ("", refusal), t_range
+        # lemma54 reports it at each t the broken chain (the second) fits:
+        # up to the lowest column of a pair (1, l) of its V_1, less one.
+        fits = min(l for i, l in chains[1][-1] if i == 1) - 1
+        assert cli.main(["verify", "--suite", "lemma54", "--range", f"m={m},n={n},t=1..n"]) == 1
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["violations"] for row in rows] == [int(t <= fits) for t in range(1, n + 1)]
+
 
 class TestConjectureReport:
     def test_chain_counts_builds_no_filters(self, monkeypatch):
@@ -435,7 +525,7 @@ class TestConjectureReport:
             raise AssertionError("the conj-count row built a TFilter")
 
         monkeypatch.setattr(nonnest, "_filter_from_mask", refuse)
-        row = cli._conj_count_row(Params(2, 3, 2), "paper", 10)
+        [row] = cli._conj_count_row(2, 3, (2,), "paper", 10)
         assert (row["enumerated"], row["formula"], row["pass"]) == ("5", "5", True)
 
     def test_generates_each_family_once(self, monkeypatch):

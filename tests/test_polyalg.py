@@ -8,6 +8,7 @@ import oracles
 from nclab import cli, polyalg
 from nclab.closedform import total_count
 from nclab.errors import InvariantViolation, ParameterError
+from nclab.ncpart import enumerate_nc
 from nclab.params import Params
 from nclab.polyalg import (
     ONE,
@@ -186,6 +187,30 @@ class TestMTriangle:
                     rankwise = oracles.m_triangle_rankwise(oracle.ranks, down)
                     assert brute.terms() == rankwise, p
                     assert brute == m_triangle_closed(p), p
+
+    def test_grouped_pass_matches_one_pass_per_t(self):
+        # One poset at t0 = 1 or 2 serves every t >= t0, every mn <= 10.
+        for m in range(1, 11):
+            for n in range(1, 10 // m + 1):
+                one_t = {t: m_triangle_brute(Params(m, n, t)) for t in range(1, n + 1)}
+                for t0 in range(1, min(n, 2) + 1):
+                    ts = tuple(range(t0, n + 1))
+                    grouped = list(polyalg.m_triangles_brute(m, n, ts))
+                    assert grouped == [(t, one_t[t]) for t in ts], (m, n, t0)
+
+    def test_leading_minima_keep_one_to_t_apart(self):
+        # _leading_minima(b) >= t iff 1..t lie in distinct blocks of b, in every t0 family.
+        for m in range(1, 9):
+            for n in range(1, 8 // m + 1):
+                for t0 in range(1, n + 1):
+                    for sp in enumerate_nc(Params(m, n, t0)):
+                        block_of = {x: i for i, block in enumerate(sp.blocks) for x in block}
+                        apart = [
+                            t
+                            for t in range(1, n + 1)
+                            if len({block_of[x] for x in range(1, t + 1)}) == t
+                        ]
+                        assert polyalg._leading_minima(sp.blocks) == max(apart), (sp, t0)
 
     def test_slot_width_is_the_level_product_bound(self):
         # bound = 2 * 4 * 2 = 16 has 5 bits, plus one sign bit.
@@ -425,5 +450,5 @@ class TestIdentities:
     def test_non_integral_closed_triangle_is_an_error_row(self, monkeypatch):
         # As in test_non_integral_quotient_names_its_term: the (0, 0) quotient at (1, 2, 1) is 1/2.
         monkeypatch.setattr(polyalg, "binomial", lambda r, k: 1)
-        row = cli._identities_row(Params(1, 2, 1), "paper", 10)
+        [row] = cli._identities_row(1, 2, (1,), "paper", 10)
         assert row["pass"] is False and "non-integral coefficient" in row["error"]
