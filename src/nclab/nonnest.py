@@ -105,13 +105,16 @@ def _tfilter_masks(n: int, t: int) -> Tuple[int, ...]:
         low = _universe(n).full_mask & ~_restricted_mask(n, t)
         return tuple([mask for mask in _tfilter_masks(n, 1) if not mask & low])
     tops = [sum(1 << (i * (n + 1)) for i in range(1, a + 1)) for a in range(n)]
-    vectors = [(0, 0)]  # (last entry, mask) of each prefix
+    lasts, masks = [0], [0]  # the last entry and the mask of each prefix
     for j in range(2, n + 1):
-        vectors = [(a, mask | tops[a] << j) for last, mask in vectors for a in range(last, j)]
-    return tuple(mask for _, mask in vectors)
+        column = [top << j for top in tops[:j]]
+        masks = [mask | column[a] for last, mask in zip(lasts, masks) for a in range(last, j)]
+        if j < n:
+            lasts = [a for last in lasts for a in range(last, j)]
+    return tuple(masks)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _height_tables(n: int, t: int, variant: str) -> tuple:
     """Column-height tables of the filters, in _tfilter_masks(n, t) order, for _generate_chains.
 
@@ -122,7 +125,9 @@ def _height_tables(n: int, t: int, variant: str) -> tuple:
     given heights before column l and a_l = w come in one block of N_l(w)
     positions, N_l(w) being the number of completions a_{l+1}, ..., a_n,
     so f sits at the sum over l > t of rank[l][a_l] - rank[l][a_{l-1}],
-    where rank[l][a] is the sum of N_l(w) over w < a.
+    where rank[l][a] is the sum of N_l(w) over w < a.  Only the tables in
+    use are kept: a family is generated at one (n, t, variant) at a time,
+    and the tables of another are dropped when it asks for its own.
     """
     heights = [(0,) * (t + 1)]
     for l in range(t + 1, n + 1):  # the vectors in _tfilter_masks order

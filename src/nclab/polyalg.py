@@ -336,7 +336,7 @@ def m_triangles_brute(
     for s, level in enumerate(levels):
         for b in level:
             packed[b] = value = (1 << (w * s)) - sum(map(packed.__getitem__, poset.down(b)))
-            totals[_leading_minima(poset.elements[b].blocks)][s] += value
+            totals[_leading_minima(poset.elements[b])][s] += value
     for t in ts:
         coeffs: Dict[Tuple[int, int], int] = {}
         for s in range(n - t + 1):

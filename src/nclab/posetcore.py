@@ -1,15 +1,17 @@
 """Finite graded posets: a generic engine and the refinement poset.
 
 FinitePoset closes one down-mask per element along its covers; the
-refinement poset reads down(b) off b's blocks and stores no order table.
-Both count rank-selected multichains with one DP; no poset is module-level.
+refinement poset holds canonical block tuples and reads down(b) off b's
+blocks, storing no order table.  Both list down(b) one rank at a time for
+the one chain DP; no poset is module-level.
 """
 
-from operator import itemgetter
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from bisect import bisect_left
+from itertools import chain
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, ParameterError
-from .ncpart import DEFAULT_MAX_OBJECTS, _first_block_position_sets, enumerate_nc, rank_of
+from .ncpart import DEFAULT_MAX_OBJECTS, _first_block_position_sets, _nc_blocks
 from .params import Params
 
 
@@ -21,12 +23,13 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def count_rank_multichains(
-    ranks: Sequence[int], down: Callable[[int], Iterable[int]], targets: Sequence[int]
+    ranks: Sequence[int], down: Callable[[int, int], Iterable[int]], targets: Sequence[int]
 ) -> int:
     """Weakly increasing tuples (x_1 <= ... <= x_l) with rank(x_i) = targets[i].
 
-    Element i has rank ranks[i] and down(b) lists every a <= b, b included.
-    ways[b] counts the tuples so far that end at b.
+    Element i has rank ranks[i] and down(b, r) lists every a <= b of rank r.
+    ways[b] counts the tuples so far that end at b, so each step reads only
+    the down-set's elements on the previous target rank.
     """
     targets = tuple(targets)
     if any(b < a for a, b in zip(targets, targets[1:])):
@@ -36,8 +39,11 @@ def count_rank_multichains(
     if not 0 <= targets[0] <= targets[-1] <= max(ranks):
         raise ParameterError(f"targets must lie in [0, {max(ranks)}]")
     ways = [int(rk == targets[0]) for rk in ranks]
-    for r in targets[1:]:
-        ways = [sum(map(ways.__getitem__, down(b))) if rk == r else 0 for b, rk in enumerate(ranks)]
+    for prev, r in zip(targets, targets[1:]):
+        ways = [
+            sum(map(ways.__getitem__, down(b, prev))) if rk == r else 0
+            for b, rk in enumerate(ranks)
+        ]
     return sum(ways)
 
 
@@ -50,7 +56,7 @@ class FinitePoset:
     a linear extension.  nonnest.nn_poset and the tests' oracles build one.
     """
 
-    __slots__ = ("elements", "ranks", "_down", "_covers")
+    __slots__ = ("elements", "ranks", "_down", "_covers", "_levels")
 
     def __init__(
         self,
@@ -80,12 +86,25 @@ class FinitePoset:
                 down[b] |= down[a]
         self._down = down
         self._covers = tuple(sorted(covers))
+        self._levels: Optional[Dict[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def down_mask(self, b: int) -> int:
         return self._down[b]
+
+    def down(self, b: int, r: Optional[int] = None) -> List[int]:
+        """The indices a <= b, b included, ascending; with r, only those of rank r."""
+        mask = self._down[b]
+        if r is not None:
+            if self._levels is None:  # one mask per rank, built on first use
+                self._levels = {
+                    s: int("".join("1" if rk == s else "0" for rk in reversed(self.ranks)), 2)
+                    for s in set(self.ranks)
+                }
+            mask &= self._levels.get(r, 0)
+        return list(_bits(mask))
 
     def covers(self) -> Tuple[Tuple[int, int], ...]:
         """The Hasse diagram: the given covers (a, b), a below b, sorted."""
@@ -102,53 +121,104 @@ class FinitePoset:
                 raise InvariantViolation(f"maximal element {i} has rank {rk}")
 
     def count_rank_multichains(self, targets: Sequence[int]) -> int:
-        return count_rank_multichains(self.ranks, lambda b: _bits(self._down[b]), targets)
+        return count_rank_multichains(self.ranks, self.down, targets)
+
+
+def _with_count(parts: Sequence[List[int]], unit: int, want: int) -> List[int]:
+    """The sums of one key of every part whose block counts add up to want.
+
+    Each part is a sorted key list; a key's block count is key // unit.
+    The sums are listed as down(b) lists them: the last part's key
+    outermost, each part's keys in their order.  Sums are grown part by
+    part in buckets by count, and a partial sum is kept only while the
+    counts of the parts still to come can bring it to want (a block's splits
+    have every count from 1 to its size over m, so each sum kept reaches
+    want).  Parts with one key are added up front.
+    """
+    base = count = low = high = 0
+    branching = []
+    for keys in parts:
+        first, last = keys[0] // unit, keys[-1] // unit
+        if len(keys) == 1:
+            base, count = base + keys[0], count + first
+        else:
+            branching.append((keys, first, last))
+            low, high = low + first, high + last
+    acc = {count: [base]}
+    for keys, first, last in branching:
+        low, high = low - first, high - last  # the counts still to come
+        grown: Dict[int, List[int]] = {}
+        stop = 0
+        for d in range(first, last + 1):  # ascending, so each bucket meets the keys in order
+            start, stop = stop, bisect_left(keys, (d + 1) * unit, stop)
+            for c, prefix in acc.items():
+                if low <= want - c - d <= high:
+                    new = [k + g for g in keys[start:stop] for k in prefix]
+                    if c + d in grown:
+                        grown[c + d] += new
+                    else:
+                        grown[c + d] = new
+        acc = grown
+    return acc.get(want, [])
 
 
 class RefinementPoset:
-    """Partitions, their ranks and down(b); see build_refinement_poset."""
+    """Block tuples, their ranks and down(b, r); see build_refinement_poset."""
 
-    __slots__ = ("elements", "ranks", "_m", "_bit", "_index", "_splits_of")
+    __slots__ = ("elements", "ranks", "_n", "_m", "_bit", "_block", "_index", "_splits_of", "__weakref__")
 
-    def __init__(self, p: Params, elements: Sequence, ranks: Sequence[int]):
-        self.elements, self.ranks, self._m = tuple(elements), tuple(ranks), p.m
+    def __init__(self, p: Params, elements: Sequence[tuple], ranks: Sequence[int]):
+        self.elements, self.ranks, self._n, self._m = tuple(elements), tuple(ranks), p.n, p.m
         width = p.ground_size.bit_length()
         self._bit = [1 << (x * width) for x in range(p.ground_size + 1)]
-        self._index = {
-            sum(block[0] * sum(map(self._bit.__getitem__, block)) for block in sp.blocks): i
-            for i, sp in enumerate(self.elements)
+        self._block = 1 << ((p.ground_size + 1) * width)  # one block in the count field
+        whole = {  # the partial key of each distinct block, kept whole
+            block: self._block + block[0] * sum(map(self._bit.__getitem__, block))
+            for block in set(chain.from_iterable(self.elements))
         }
-        self._splits_of: Dict[Tuple[int, ...], List[int]] = {(): [0]}
+        self._index = {sum(map(whole.__getitem__, blocks)): i for i, blocks in enumerate(self.elements)}
+        self._splits_of: Dict[Tuple[int, ...], List[int]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def _splits(self, run: Tuple[int, ...]) -> List[int]:
-        # Partial keys of the splits of `run`, by first-block decomposition as
-        # in ncpart._classical_shapes; kept per run (racing readers agree).
+        # Partial keys of the splits of `run`, by first-block decomposition
+        # as in ncpart._classical_shapes, sorted, so by block count (the top
+        # field); kept per run (racing readers agree).
         keys = self._splits_of.get(run)
         if keys is None:
             keys = []
             for offsets in _first_block_position_sets(len(run), self._m):
-                part = [run[0] * sum(self._bit[run[q]] for q in offsets)]
+                part = [self._block + run[0] * sum(self._bit[run[q]] for q in offsets)]
                 for low, high in zip(offsets, offsets[1:] + (len(run),)):
                     if high > low + 1:
                         part = [k + g for k in part for g in self._splits(run[low + 1 : high])]
                 keys += part
+            keys.sort()
             self._splits_of[run] = keys
         return keys
 
-    def down(self, b: int) -> List[int]:
-        """The indices a <= b, b included: one split per block of b, in every combination."""
-        base, keys, known = 0, [0], self._splits_of
-        for block in self.elements[b].blocks:
-            splits = known.get(block) or self._splits(block)
-            if len(splits) == 1:
-                base += splits[0]
-            else:
-                keys = [k + g for g in splits for k in keys]
+    def down(self, b: int, r: Optional[int] = None) -> List[int]:
+        """The indices a <= b, b included; with r, only those of rank r, in that same order.
+
+        One split per block of b, in every combination; with r, only the
+        combinations with n - r blocks in all (_with_count).
+        """
+        known = self._splits_of
+        parts = [known.get(block) or self._splits(block) for block in self.elements[b]]
+        base, keys = 0, [0]
+        if r is not None:
+            keys = _with_count(parts, self._block, self._n - r)
+        else:
+            for splits in parts:
+                if len(splits) == 1:
+                    base += splits[0]
+                else:
+                    keys = [k + g for g in splits for k in keys]
+        index = self._index
         try:
-            return [self._index[base + k] for k in keys]
+            return [index[base + k] for k in keys]
         except KeyError:
             raise InvariantViolation(f"a split of {self.elements[b]} is not in the family") from None
 
@@ -157,12 +227,14 @@ class RefinementPoset:
 
 
 def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> RefinementPoset:
-    """Refinement poset on enumerate_nc(p), graded by rank_of.
+    """Refinement poset on the family of enumerate_nc(p), as canonical block tuples.
 
-    Elements are ordered by rank, then blocks (enumerate_nc sorts by blocks
-    and the sort by rank is stable).  The order is read off the blocks by
-    the interval product lemma (Kreweras, Discrete Math. 1 (1972); Armstrong,
-    arXiv:math/0611106, for m-divisible partitions).
+    The elements are the outputs of ncpart._nc_blocks, each checked by
+    _check_shape, ordered by rank n - len(blocks), then blocks: the order of
+    enumerate_nc, stably sorted by rank.  No SetPartition is made.  The
+    order is read off the blocks by the interval product lemma (Kreweras,
+    Discrete Math. 1 (1972); Armstrong, arXiv:math/0611106, for m-divisible
+    partitions).
 
     Lemma.  The a <= b in the family are exactly the partitions that split
     each block B of b into an m-divisible partition of B, non-crossing in
@@ -182,12 +254,18 @@ def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) ->
 
     Keys.  K = sum over x of min(block of x) << (x * width), with
     width = (mn).bit_length(), holds each block minimum in its own field, so
-    it fixes the partition.  K sums over blocks, so down(b) adds one partial key
-    per block of b, in every combination, and looks each sum up in the key
-    index: one add and one lookup per comparable pair.  A miss would break
-    the lemma and raises InvariantViolation.  The tests compare down(b) with
-    the cover-first poset (mn <= 10) and with all pairs (mn <= 8).
+    it fixes the partition; the number of blocks, at most n, sits in a top
+    field of its own, above x = mn.  K sums over blocks, so down(b) adds one
+    partial key per block of b, in every combination, and looks each sum up
+    in the key index: one add and one lookup per comparable pair.  A
+    block's splits are kept sorted by key, hence by their number of blocks;
+    a has n - rank(a) blocks, the sum over b's blocks of their splits'
+    numbers, so down(b, r) combines only the runs of splits whose numbers
+    add up to n - r.  A miss would break the lemma and raises
+    InvariantViolation.  The tests compare down(b) with the cover-first
+    poset (mn <= 10) and with all pairs (mn <= 8), and down(b, r) with
+    down(b) filtered by rank.
     """
-    ranked = ((rank_of(sp, p), sp) for sp in enumerate_nc(p, max_objects=max_objects))
-    ranks, parts = zip(*sorted(ranked, key=itemgetter(0)))
-    return RefinementPoset(p, parts, ranks)
+    elements = sorted(_nc_blocks(p, max_objects))
+    elements.sort(key=len, reverse=True)  # stable: rank n - len ascending, then blocks
+    return RefinementPoset(p, elements, [p.n - len(blocks) for blocks in elements])

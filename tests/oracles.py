@@ -273,15 +273,15 @@ def zeta_by_down(poset, l):
 def verify_ideal_embedding(p, classical, down):
     """True iff the relabelled order-t family sits as a down-set in the classical one.
 
-    `classical` lists the family of Params(p.m, p.n, 1) and down[i] is the
-    down-mask of classical[i] under refinement.
+    `classical` lists the family of Params(p.m, p.n, 1) as block tuples and
+    down[i] is the down-mask of classical[i] under refinement.
     """
     from nclab.ncpart import enumerate_nc, tilde_transform
 
     index = {part: i for i, part in enumerate(classical)}
     image = 0
     for part in enumerate_nc(p):
-        moved = tilde_transform(part, p.t)
+        moved = tilde_transform(part, p.t).blocks
         if moved not in index:
             return False
         image |= 1 << index[moved]

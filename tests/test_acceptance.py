@@ -143,7 +143,7 @@ def test_criterion_3_chain_counting():
 def test_criterion_4_profiled_chains():
     for p in triples(8):
         poset = build_refinement_poset(p)
-        profiles_of = [block_profile(part, p).counts for part in poset.elements]
+        profiles_of = [block_profile(SetPartition(blocks), p).counts for blocks in poset.elements]
         buckets = {}
         for b in range(len(poset)):
             for a in poset.down(b):

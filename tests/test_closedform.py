@@ -20,7 +20,7 @@ from nclab.closedform import (
     zeta_formula,
 )
 from nclab.errors import InvariantViolation, ParameterError
-from nclab.ncpart import block_profile, enumerate_nc, rank_of
+from nclab.ncpart import SetPartition, block_profile, enumerate_nc, rank_of
 from nclab.params import Params
 from nclab.posetcore import build_refinement_poset
 
@@ -193,7 +193,7 @@ class TestChainCountWithProfile:
     def test_matches_brute_force(self):
         for p in SMALL:
             poset = build_refinement_poset(p)
-            profiles_of = [block_profile(part, p).counts for part in poset.elements]
+            profiles_of = [block_profile(SetPartition(blocks), p).counts for blocks in poset.elements]
             buckets = {}
             for b_idx in range(len(poset)):
                 for a in poset.down(b_idx):

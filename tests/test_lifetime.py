@@ -2,45 +2,49 @@
 
 A long sweep builds one family per (m, n, t); if any entry point kept its
 result at module level, memory would grow with every triple.  Each check
-holds only a weak reference to one element of a result, drops the result
-and collects: the element must then be gone.  Nor may the enumeration keep
-its working tables: after a warm-up, repeated calls leave next to nothing
-traced behind, and a census holds only those tables, never the family.
+holds only a weak reference to one element of a result (or to the result
+itself, where its elements are plain tuples, which take none), drops the
+result and collects: the referent must then be gone.  Nor may the
+enumeration keep its working tables: after a warm-up, repeated calls leave
+next to nothing traced behind, and a census holds only those tables, never
+the family.  The filter-chain tables keep only the one in use, and the
+filter list is built without a transient much larger than itself.
 """
 
 import gc
+import sys
 import tracemalloc
 import weakref
 
 import pytest
 
+from nclab import nonnest
 from nclab.dyckmodel import enumerate_tdyck
 from nclab.ncpart import census, enumerate_nc
-from nclab.nonnest import enumerate_nn, nn_poset
+from nclab.nonnest import chain_counts, enumerate_nn, nn_poset
 from nclab.params import Params
 from nclab.posetcore import build_refinement_poset
 
 P = Params(2, 3, 2)
 
-RESULTS = {
-    "enumerate_nc": lambda: enumerate_nc(P),
-    "build_refinement_poset": lambda: build_refinement_poset(P).elements,
-    "enumerate_nn": lambda: enumerate_nn(P),
-    "nn_poset": lambda: nn_poset(P).poset.elements,
-    "enumerate_tdyck": lambda: enumerate_tdyck(P.n, P.t),
+RESULTS = {  # each builds a result and returns what the check refers to
+    "enumerate_nc": lambda: enumerate_nc(P)[-1],
+    # Its elements are block tuples, so the check refers to the poset itself.
+    "build_refinement_poset": lambda: build_refinement_poset(P),
+    "enumerate_nn": lambda: enumerate_nn(P)[-1],
+    "nn_poset": lambda: nn_poset(P).poset.elements[-1],
+    "enumerate_tdyck": lambda: enumerate_tdyck(P.n, P.t)[-1],
 }
 
 
-def element_ref(build):
+def result_ref(build):
     # Called in its own frame so that no local keeps the result alive.
-    elements = build()
-    assert elements
-    return weakref.ref(elements[-1])
+    return weakref.ref(build())
 
 
 @pytest.mark.parametrize("name", sorted(RESULTS))
 def test_result_dies_with_its_caller(name):
-    ref = element_ref(RESULTS[name])
+    ref = result_ref(RESULTS[name])
     gc.collect()
     assert ref() is None, f"{name} kept its result after the call"
 
@@ -79,9 +83,10 @@ def test_census_holds_only_the_gap_tables():
 
 def test_refinement_poset_keeps_no_order_table():
     # Measured under tracemalloc at (1,10,1), 16,796 elements, on CPython
-    # 3.11: the poset retains 7.5 MB (its partitions, ranks and key index)
-    # and 33.8 MB when it also stores one down-mask per element.  The 15 MB
-    # bound sits between the two.
+    # 3.11: the poset retains 3.5 MB (its block tuples, ranks and key
+    # index), 7.5 MB when its elements were SetPartition objects, and
+    # 33.8 MB when it also stored one down-mask per element.  The 6 MB bound
+    # sits below both.
     assert build_refinement_poset(P)
     gc.collect()
     tracemalloc.start()
@@ -92,4 +97,29 @@ def test_refinement_poset_keeps_no_order_table():
     finally:
         tracemalloc.stop()
     assert len(poset) == 16796
-    assert retained < 15_000_000, f"the poset retained {retained} bytes"
+    assert retained < 6_000_000, f"the poset retained {retained} bytes"
+
+
+def test_height_tables_keep_only_the_table_in_use():
+    # Adapted rows generate one family per t, each with tables of its own:
+    # over t = 1..n only the last stays.
+    nonnest._height_tables.cache_clear()
+    assert [t for t, _ in chain_counts(2, 6, range(1, 7), "adapted")] == list(range(1, 7))
+    assert nonnest._height_tables.cache_info().currsize == 1
+
+
+def test_filter_masks_peak_below_twice_their_size():
+    # Measured under tracemalloc at n = 11 on CPython 3.11: 3.8 MB peak for
+    # 2.9 MB of masks (tuple and ints), and 7.9 MB when every prefix was a
+    # (last entry, mask) tuple.
+    nonnest._tfilter_masks.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        masks = nonnest._tfilter_masks(11, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(masks) + sum(map(sys.getsizeof, masks))
+    assert len(masks) == 58786
+    assert peak < 2 * size, f"the masks peaked at {peak} bytes for {size}"

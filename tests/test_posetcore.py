@@ -1,10 +1,10 @@
 import pytest
 
 import oracles
-from nclab import posetcore
+from nclab import ncpart, posetcore
 from nclab.closedform import zeta_formula
 from nclab.errors import InvariantViolation, ParameterError
-from nclab.ncpart import SetPartition, enumerate_nc, rank_of, tilde_transform
+from nclab.ncpart import SetPartition, enumerate_nc, tilde_transform
 from nclab.params import Params
 from nclab.posetcore import FinitePoset, build_refinement_poset
 
@@ -120,7 +120,7 @@ class TestCoverFirst:
             parts = sorted(oracles.brute_nc(p.m, n, p.t), key=lambda b: (n - len(b), b))
             down = oracles.refinement_down_masks(parts)
             poset = build_refinement_poset(p)
-            assert [sp.blocks for sp in poset.elements] == parts, p
+            assert list(poset.elements) == parts, p
             assert poset.ranks == tuple(n - len(b) for b in parts), p
             assert down_masks(poset) == down, p
             assert list(oracles.cover_first_poset(p).covers()) == oracles.covers_of(down), p
@@ -131,32 +131,57 @@ class TestCoverFirst:
         for p in triples(10):
             poset = build_refinement_poset(p)
             oracle = oracles.cover_first_poset(p)
-            assert poset.elements == oracle.elements, p
+            assert poset.elements == tuple(sp.blocks for sp in oracle.elements), p
             assert down_masks(poset) == down_masks(oracle), p
             assert sum(len(poset.down(b)) for b in range(len(poset))) == zeta_formula(p, 3), p
 
+    def test_down_by_rank_is_down_filtered_by_rank(self):
+        # down(b, r) lists exactly the rank-r entries of down(b), in order,
+        # on both posets, for every b and r, every mn <= 10.
+        for p in triples(10):
+            for poset in (build_refinement_poset(p), oracles.cover_first_poset(p)):
+                for b in range(len(poset)):
+                    filtered = [[] for _ in range(p.max_rank + 1)]  # down(b) filtered, rank by rank
+                    for a in poset.down(b):
+                        filtered[poset.ranks[a]].append(a)
+                    for r in range(p.max_rank + 1):
+                        assert poset.down(b, r) == filtered[r], (p, b, r)
+
+    def test_elements_are_the_enumeration_stably_sorted_by_rank(self):
+        for p in triples(10):
+            expected = sorted((sp.blocks for sp in enumerate_nc(p)), key=lambda blocks: p.n - len(blocks))
+            poset = build_refinement_poset(p)
+            assert list(poset.elements) == expected, p
+            assert poset.ranks == tuple(p.n - len(blocks) for blocks in expected), p
+
     def test_split_outside_the_family_raises(self, monkeypatch):
         # Position sets of m = 1 split an m = 2 block into odd blocks, which
-        # are not in the family: the key lookup must refuse them.
+        # are not in the family: the key lookup must refuse them, on the
+        # whole down-set and on the rank-0 one, which holds the odd splits.
         real = posetcore._first_block_position_sets
         monkeypatch.setattr(posetcore, "_first_block_position_sets", lambda size, m: real(size, 1))
         poset = build_refinement_poset(Params(2, 2, 1))
         with pytest.raises(InvariantViolation, match="not in the family"):
             poset.down(len(poset) - 1)
+        with pytest.raises(InvariantViolation, match="not in the family"):
+            poset.down(len(poset) - 1, 0)
 
-    def test_ranks_each_partition_once(self, monkeypatch):
-        calls = []
+    def test_builds_from_block_tuples_alone(self, monkeypatch):
+        # The build makes no rank_of call, creates no SetPartition and does
+        # not go through enumerate_nc.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the refinement poset build called a partition-object path")
 
-        def counting(partition, p):
-            calls.append(partition)
-            return rank_of(partition, p)
-
-        monkeypatch.setattr(posetcore, "rank_of", counting)
+        monkeypatch.setattr(ncpart, "rank_of", refuse)
+        monkeypatch.setattr(ncpart, "enumerate_nc", refuse)
+        monkeypatch.setattr(ncpart.SetPartition, "__init__", refuse)
+        monkeypatch.setattr(ncpart.SetPartition, "_trusted", refuse)
+        for name in ("rank_of", "enumerate_nc", "SetPartition"):
+            monkeypatch.setattr(posetcore, name, refuse, raising=False)
         for p in (Params(1, 6, 1), Params(2, 4, 2)):
-            calls.clear()
             poset = build_refinement_poset(p)
-            assert len(calls) == len(set(calls)) == len(poset), p
-            assert set(calls) == set(poset.elements), p
+            assert all(type(blocks) is tuple for blocks in poset.elements), p
+            assert poset.count_rank_multichains(range(p.max_rank + 1)) > 0, p
 
     def test_covers_close_transitively(self):
         poset = FinitePoset("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
@@ -204,8 +229,8 @@ class TestMoebius:
 
     def test_nc3_top(self):
         poset = build_refinement_poset(NC3)
-        bottom = poset.elements.index(SetPartition([[1], [2], [3]]))
-        top = poset.elements.index(SetPartition([[1, 2, 3]]))
+        bottom = poset.elements.index(SetPartition([[1], [2], [3]]).blocks)
+        top = poset.elements.index(SetPartition([[1, 2, 3]]).blocks)
         assert moebius(poset, bottom, top) == 2
 
     def test_incomparable_rejected(self):
