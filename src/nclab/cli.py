@@ -16,7 +16,7 @@ import os
 import sys
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import closedform, dyckmodel, ncpart, nonnest, polyalg, posetcore
 from .errors import (
@@ -115,19 +115,19 @@ def _check_path_cap(p: Params, cap: int) -> None:
     ncpart.check_cap(predicted, cap, f"predicted {predicted} paths for n={p.n}, t={p.t}")
 
 
-def cmd_enumerate(args) -> int:
-    cap = _resolve_cap(args.max_objects)
+def cmd_enumerate(args, cap: int) -> int:
+    """One JSON line per object, read off the raw forms: block tuples, chain masks, step strings."""
     p = _params_from_args(args)
     if args.kind == "nc":
-        for part in ncpart.enumerate_nc(p, max_objects=cap):
-            print(part.to_json())
+        for blocks in ncpart._nc_family(p, cap):
+            _print_json({"n": p.ground_size, "blocks": blocks})
     elif args.kind == "nn":
-        for chain in nonnest.enumerate_nn(p, variant=args.variant, max_objects=cap):
-            print(chain.to_json())
+        for masks in nonnest._sorted_chains(p, args.variant, cap):
+            print(nonnest._chain_json(p.n, masks))
     else:
         _check_path_cap(p, cap)
-        for path in dyckmodel.enumerate_tdyck(p.n, p.t):
-            print(path.to_json(p.t))
+        for steps in dyckmodel._tdyck_steps(p.n, p.t):
+            _print_json({"n": p.n, "t": p.t, "steps": steps})
     return 0
 
 
@@ -162,8 +162,7 @@ def _count_rows(p: Params, by: str, cap: int) -> List[dict]:
     return rows
 
 
-def cmd_count(args) -> int:
-    cap = _resolve_cap(args.max_objects)
+def cmd_count(args, cap: int) -> int:
     p = _params_from_args(args)
     rows = _count_rows(p, args.by, cap)
     all_match = all(row["match"] for row in rows)
@@ -181,8 +180,7 @@ def cmd_count(args) -> int:
     return 0 if all_match else 1
 
 
-def cmd_chains(args) -> int:
-    cap = _resolve_cap(args.max_objects)
+def cmd_chains(args, cap: int) -> int:
     p = _params_from_args(args)
     try:
         increments = tuple(int(chunk) for chunk in args.ranks.split(","))
@@ -216,20 +214,24 @@ def cmd_chains(args) -> int:
     return 0 if match else 1
 
 
-def _triangle_poly(which: str, p: Params, variant: str, cap: int) -> polyalg.BivariatePolynomial:
-    if which == "m":
-        return polyalg.m_triangle_closed(p)
-    if which == "f":
-        return polyalg.f_triangle_closed(p)
-    if which == "h":
-        return polyalg.h_triangle_closed(p)
-    return nonnest.h_tilde(p, variant=variant, max_objects=cap)
+def _triangles(
+    which: str, m: int, n: int, ts: Sequence[int], variant: str, cap: int
+) -> Iterator[Tuple[int, polyalg.BivariatePolynomial]]:
+    """(t, triangle) per t of ts, ascending; htilde reads one `nonnest.h_tildes` pass per group."""
+    if which == "htilde":
+        return nonnest.h_tildes(m, n, ts, variant, cap)
+    closed = {
+        "m": polyalg.m_triangle_closed,
+        "f": polyalg.f_triangle_closed,
+        "h": polyalg.h_triangle_closed,
+    }[which]
+    return ((t, closed(Params(m, n, t))) for t in ts)
 
 
-def cmd_triangle(args) -> int:
-    cap = _resolve_cap(args.max_objects)
+def cmd_triangle(args, cap: int) -> int:
     p = _params_from_args(args)
-    print(_triangle_poly(args.which, p, "paper", cap).to_json())
+    [(_, poly)] = _triangles(args.which, p.m, p.n, (p.t,), "paper", cap)
+    print(poly.to_json())
     return 0
 
 
@@ -337,8 +339,7 @@ def _suite_rows(suite: str, triples: Sequence[Params], variant: str, cap: int) -
     return [row for m, n, ts in _groups(triples) for row in make_rows(m, n, ts, variant, cap)]
 
 
-def cmd_verify(args) -> int:
-    cap = _resolve_cap(args.max_objects)
+def cmd_verify(args, cap: int) -> int:
     default_range = _SUITES[args.suite][0]
     triples = _parse_range(args.range if args.range is not None else default_range)
     rows = _suite_rows(args.suite, triples, args.variant, cap)
@@ -359,21 +360,20 @@ def _sweep_one(task) -> List[dict]:
     do, m, n, ts, by, which, suite, variant, cap = task
     if do == "verify":
         return _SUITES[suite][1](m, n, ts, variant, cap)
+    if do == "triangle":
+        return [
+            {"m": m, "n": n, "t": t, "which": which, "terms": poly.to_json()}
+            for t, poly in _triangles(which, m, n, ts, variant, cap)
+        ]
     rows = []
     for t in ts:
-        p = Params(m, n, t)
-        if do == "count":
-            for row in _count_rows(p, by, cap):
-                row.update({"m": m, "n": n, "t": t})
-                rows.append(row)
-        else:
-            poly = _triangle_poly(which, p, variant, cap)
-            rows.append({"m": m, "n": n, "t": t, "which": which, "terms": poly.to_json()})
+        for row in _count_rows(Params(m, n, t), by, cap):
+            row.update({"m": m, "n": n, "t": t})
+            rows.append(row)
     return rows
 
 
-def cmd_sweep(args) -> int:
-    cap = _resolve_cap(args.max_objects)
+def cmd_sweep(args, cap: int) -> int:
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
     # One task per (m, n) group: the verify rows share one pass over its t values.
@@ -505,7 +505,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # The cap is resolved once, before any command validates its parameters.
+        return args.func(args, _resolve_cap(args.max_objects))
     except (ParameterError, DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

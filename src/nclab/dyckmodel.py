@@ -8,7 +8,6 @@ by exhaustive round-trip, order-isomorphism and counting tests.  Everything
 here is immutable and pure.
 """
 
-import json
 from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -144,16 +143,6 @@ class DyckPath(Value):
     def starts_with_rises(self, t: int) -> bool:
         return len(self.steps) >= t and set(self.steps[:t]) <= {"U"}
 
-    def to_json_dict(self, t: int = None) -> dict:
-        data = {"n": self.n}
-        if t is not None:
-            data["t"] = t
-        data["steps"] = self.steps
-        return data
-
-    def to_json(self, t: int = None) -> str:
-        return json.dumps(self.to_json_dict(t), separators=(",", ":"))
-
     def __str__(self) -> str:
         return self.steps
 
@@ -205,7 +194,7 @@ def _theta_table(n: int) -> Dict[int, str]:
 
     The checks, run once per n for every t: `_theta_steps` (parity and
     realisability), `_walk` (a path), the round trip through `_theta_mask`,
-    and the area identity area(theta f) == M ^ C(f) of `bijection_holds`.
+    and the area identity area(theta f) == M ^ C(f) of `bijection_verdicts`.
     By up-closure, row i of a filter, its pairs (i, j), is a suffix
     j > c of that row; so C(f) is the OR of one lookup per row i = 1..n-1
     in a table that maps each suffix pattern of row i to the OR of its
@@ -239,20 +228,7 @@ def _theta_table(n: int) -> Dict[int, str]:
 
 
 def bijection_verdicts(n: int, ts: Sequence[int]) -> Iterator[Tuple[int, bool]]:
-    """(t, bijection_holds(n, t)) for each t of ts, from one path enumeration at t0 = min(ts).
-
-    The t-paths are, by definition, the paths of length 2n whose first t
-    steps rise; each t keeps those of the t0 enumeration, whose order
-    (sorted) it keeps.  The enumeration does not read theta.
-    """
-    every = _tdyck_steps(n, min(ts))
-    for t in ts:
-        rises = "U" * t
-        yield t, _bijection_check(n, t, [steps for steps in every if steps.startswith(rises)])
-
-
-def bijection_holds(n: int, t: int) -> bool:
-    """True iff theta is an order isomorphism from the t-filters onto the paths.
+    """(t, whether theta is an order isomorphism from the t-filters onto the t-paths) per t of ts.
 
     Runs on filter masks and step strings, through the helpers behind theta,
     theta_inverse and DyckPath.  Checks both family sizes against the closed
@@ -264,16 +240,24 @@ def bijection_holds(n: int, t: int) -> bool:
     area(theta f) == M ^ C(f), where M is the area of U^n D^n and C(f) the
     OR of the `_area_cells` of the pairs of f.
 
+    The paths are enumerated once, at t0 = min(ts).  The t-paths are, by
+    definition, the paths of length 2n whose first t steps rise; each t
+    keeps those of the t0 enumeration, whose order (sorted) it keeps.  The
+    enumeration does not read theta.  The images are distinct and are
+    exactly the t-paths iff, sorted, they equal them and rise strictly; an
+    image that lacks the t rises is no t-path, and a filter with no image
+    gets "", which no path equals.  Sorting holds no set.
+
     The per-filter checks run once per n, over the 1-filters, in
-    `_theta_table`; each t-filter only looks its image up and checks its t
-    leading rises.  That is the same check at every t:
+    `_theta_table`; each t-filter only looks its image up.  That is the
+    same check at every t:
 
     * The t-filters are exactly the 1-filters with no pair in a column
       j <= t.  T_{n,t} is an up-set of T_n ((i, j) <= (k, l) gives
       l >= j > t), so an up-set of T_{n,t} is an up-set of T_n; and a
       1-filter inside T_{n,t} is up-closed there.
     * `_theta_steps`, `_walk` and the area identity do not read t, beyond
-      the leading-rise check done here.  `_theta_mask` at t gives the mask
+      the leading rises, which the comparison with the t-paths checks.  `_theta_mask` at t gives the mask
       it gives at 1, but refuses a valley that maps to a pair (i, j) with
       j <= t.  Such a pair lies in the round-trip mask at 1, and the
       t-filter f holds no pair in that column, so the round trip fails and
@@ -288,38 +272,26 @@ def bijection_holds(n: int, t: int) -> bool:
     iff area(theta g) <= area(theta f), i.e. ddom_leq(theta f, theta g).
     A True verdict thus implies the all-pairs comparison that
     tests/oracles.py::bijection_literal runs on TFilter and DyckPath objects.
-    The one-t call of `bijection_verdicts`.
     """
-    [(_, ok)] = bijection_verdicts(n, (t,))
-    return ok
-
-
-def _bijection_check(n: int, t: int, paths: List[str]) -> bool:
-    """bijection_holds(n, t), given the t-paths' steps in sorted order.
-
-    The images are distinct and are exactly the paths iff, sorted, they
-    equal the paths and rise strictly; sorting them in place holds no set.
-    """
-    expected = closedform.total_count(Params(1, n, t))
-    masks = _tfilter_masks(n, t)
-    if not len(masks) == len(paths) == expected:
-        return False
-    table, rises = _theta_table(n), "U" * t
-    images = []
-    for mask in masks:
-        steps = table.get(mask)
-        if steps is None or not steps.startswith(rises):
-            return False
-        images.append(steps)
-    images.sort()
-    return images == paths and all(map(str.__lt__, images, images[1:]))
+    every = _tdyck_steps(n, min(ts))
+    for t in ts:
+        rises = "U" * t
+        paths = [steps for steps in every if steps.startswith(rises)]
+        masks = _tfilter_masks(n, t)
+        ok = len(masks) == len(paths) == closedform.total_count(Params(1, n, t))
+        if ok:
+            table = _theta_table(n)
+            images = [table.get(mask, "") for mask in masks]
+            images.sort()  # in place: no second list of the family's size
+            ok = images == paths and all(map(str.__lt__, images, images[1:]))
+        yield t, ok
 
 
 def h_via_paths(n: int, t: int) -> BivariatePolynomial:
     """Generating polynomial of (valleys, zero-height valleys) over the paths.
 
     Reads the step strings of `_tdyck_steps` with `_walk` and `_valleys`,
-    as `bijection_holds` does; builds no DyckPath.
+    as `bijection_verdicts` does; builds no DyckPath.
     """
     coeffs: Dict[Tuple[int, int], int] = {}
     for steps in _tdyck_steps(n, t):

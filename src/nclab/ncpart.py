@@ -20,11 +20,10 @@ Generator outputs pass one exact shape check instead of the validating
 constructor.
 """
 
-import json
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from . import closedform
 from .errors import DomainError, InvariantViolation, ParameterError, ResourceLimitError
@@ -92,12 +91,6 @@ class SetPartition(Value):
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.ground_size, "blocks": [list(block) for block in self.blocks]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     def __str__(self) -> str:
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
@@ -284,20 +277,24 @@ def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
         yield blocks
 
 
+def _nc_family(p: Params, max_objects: int) -> List[tuple]:
+    """The outputs of _nc_blocks in `enumerate` order: sorted, as the relabelling for t > 1 reorders them."""
+    return sorted(_nc_blocks(p, max_objects))
+
+
 def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[SetPartition, ...]:
     """All m-divisible non-crossing t-partitions of {1..mn}, canonically ordered.
 
-    The outputs of _nc_blocks (see there for why they are exactly the
+    The outputs of _nc_family (see _nc_blocks for why they are exactly the
     family, in canonical form) are wrapped without re-validation; the tests
     check each against the literal scan tests/oracles.py::is_noncrossing_t
-    and the validating constructor at every mn <= 10.  They are sorted, as
-    the relabelling for t > 1 reorders them.
+    and the validating constructor at every mn <= 10.
 
     Raises ResourceLimitError when the closed counting formula predicts more
     output (or more intermediate classical partitions) than `max_objects`.
     """
     trusted, size = SetPartition._trusted, p.ground_size
-    return tuple(trusted(blocks, size) for blocks in sorted(_nc_blocks(p, max_objects)))
+    return tuple(trusted(blocks, size) for blocks in _nc_family(p, max_objects))
 
 
 def census(p: Params, by: str, max_objects: int = DEFAULT_MAX_OBJECTS) -> Counter:

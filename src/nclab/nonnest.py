@@ -175,9 +175,6 @@ class TFilter(Value):
         u = _universe(self.n)
         return u.pairs_of(u.minimal(self._mask))
 
-    def sorted_pairs(self) -> Tuple[Pair, ...]:
-        return tuple(sorted(self.pairs))
-
     def __le__(self, other: "TFilter") -> bool:
         if (self.n, self.t) != (other.n, other.t):
             raise DomainError("filters live on different pair posets")
@@ -212,31 +209,17 @@ class FilterChain(Value):
             if not smaller.pairs <= larger.pairs:
                 raise DomainError("chain components must be nested V_m <= ... <= V_1")
 
-    @property
-    def n(self) -> int:
-        return self.filters[0].n
-
     def masks(self) -> Tuple[int, ...]:
         return tuple(f.mask for f in self.filters)
 
-    def sort_key(self):
-        return tuple(f.sorted_pairs() for f in self.filters)
-
-    def to_json_dict(self) -> dict:
-        return _chain_dict(self.n, self.masks())
-
-    def to_json(self) -> str:
-        return _chain_json(self.n, self.masks())
-
-
-def _chain_dict(n: int, masks: Sequence[int]) -> dict:
-    # Grid bit order is lexicographic pair order, so each list comes sorted.
-    filters = [[list(divmod(k, n + 1)) for k in _bits(mask)] for mask in masks]
-    return {"m": len(masks), "filters": filters}
-
 
 def _chain_json(n: int, masks: Sequence[int]) -> str:
-    return json.dumps(_chain_dict(n, masks), separators=(",", ":"))
+    """The `enumerate` line of a chain: its component masks as lists of pairs.
+
+    Grid bit order is lexicographic pair order, so each list comes sorted.
+    """
+    filters = [[divmod(k, n + 1) for k in _bits(mask)] for mask in masks]
+    return json.dumps({"m": len(masks), "filters": filters}, separators=(",", ":"))
 
 
 def _check_variant(variant: str) -> None:
@@ -507,33 +490,40 @@ def chain_tallies(
             yield t, sum(counts[t:]), sum(cover_counts[t:]), messages, coeffs
 
 
+def _sorted_chains(p: Params, variant: str, max_objects: int) -> List[Tuple[int, ...]]:
+    """The chain masks of _raw_chains in the order `enumerate` prints them.
+
+    Chains sort by each component's set-bit tuple, V_m first.  Grid bit
+    order is lexicographic pair order, so that tuple orders the components
+    as their sorted pair lists do.
+    """
+    chains = _raw_chains(p, variant, max_objects)
+    bits = {mask: tuple(_bits(mask)) for mask in {mask for masks in chains for mask in masks}}
+    return sorted(chains, key=lambda masks: tuple([bits[mask] for mask in masks]))
+
+
 def enumerate_nn(
     p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Tuple[FilterChain, ...]:
-    """All geometric chains of t-filters of length m, canonically ordered."""
-    chains = [
+    """All geometric chains of t-filters of length m, in _sorted_chains order."""
+    return tuple(
         FilterChain(tuple(_filter_from_mask(p.n, p.t, mask) for mask in masks))
-        for masks in _raw_chains(p, variant, max_objects)
-    ]
-    chains.sort(key=FilterChain.sort_key)
-    return tuple(chains)
+        for masks in _sorted_chains(p, variant, max_objects)
+    )
 
 
 class FlooredPoset(Value):
     """Inclusion poset of filter chains with floor labels on its covers.
 
-    `cover_floor[(a, b)]` is the top-component difference across the cover
-    a < b, and `floors[b]` the union of those labels over all elements
-    covered by b.
+    `cover_floor` holds ((a, b), label) per cover a < b, sorted, the label
+    being the top-component difference across it, and `floors[b]` the
+    union of those labels over all elements covered by b.
     """
 
     _fields = ("poset", "cover_floor", "floors")
 
     def __init__(self, poset: FinitePoset, cover_floor: tuple, floors: Tuple[FrozenSet[Pair], ...]):
         vars(self).update(poset=poset, cover_floor=cover_floor, floors=floors)
-
-    def cover_floor_map(self) -> Dict[Tuple[int, int], FrozenSet[Pair]]:
-        return dict(self.cover_floor)
 
 
 def _columns(n: int, family: Sequence[Tuple[int, ...]]) -> Dict[int, int]:
@@ -650,18 +640,6 @@ def nn_poset(
     ranks = [sum(mask.bit_count() for mask in masks) for masks in family]
     poset = FinitePoset(chains, [pair for pair, _ in cover_floor], ranks)
     return FlooredPoset(poset, cover_floor, tuple(floors))
-
-
-def certify_lemma54(
-    p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
-) -> Tuple[int, Tuple[str, ...]]:
-    """Cover count of the inclusion poset on the chains, and its Lemma 5.4 violations.
-
-    The one-t call of `chain_tallies`, which runs the certificate
-    (_certify) on the raw masks; builds no poset and no FilterChain.
-    """
-    [(_, _, covers, violations, _)] = chain_tallies(p.m, p.n, (p.t,), variant, max_objects)
-    return covers, violations
 
 
 def h_tildes(

@@ -175,7 +175,7 @@ Y = BivariatePolynomial.monomial(0, 1)
 
 
 class RationalExpr(Value):
-    """Quotient of two polynomials; `equals` compares by cross-multiplication."""
+    """Quotient num / den of two polynomials, den nonzero: a substitution rule or its result."""
 
     _fields = ("num", "den")
 
@@ -183,17 +183,6 @@ class RationalExpr(Value):
         if den.is_zero():
             raise ParameterError("the denominator polynomial must be nonzero")
         vars(self).update(num=num, den=den)
-
-    def __mul__(self, other: "RationalExpr") -> "RationalExpr":
-        return RationalExpr(self.num * other.num, self.den * other.den)
-
-    def __add__(self, other: "RationalExpr") -> "RationalExpr":
-        return RationalExpr(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def equals(self, other: "RationalExpr") -> bool:
-        return self.num * other.den == other.num * self.den
 
 
 def _power_weights(num, den, d: int):

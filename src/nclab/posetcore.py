@@ -11,7 +11,7 @@ from itertools import chain
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, ParameterError
-from .ncpart import DEFAULT_MAX_OBJECTS, _first_block_position_sets, _nc_blocks
+from .ncpart import DEFAULT_MAX_OBJECTS, _first_block_position_sets, _nc_family
 from .params import Params
 
 
@@ -266,6 +266,6 @@ def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) ->
     poset (mn <= 10) and with all pairs (mn <= 8), and down(b, r) with
     down(b) filtered by rank.
     """
-    elements = sorted(_nc_blocks(p, max_objects))
+    elements = _nc_family(p, max_objects)
     elements.sort(key=len, reverse=True)  # stable: rank n - len ascending, then blocks
     return RefinementPoset(p, elements, [p.n - len(blocks) for blocks in elements])

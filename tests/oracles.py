@@ -8,7 +8,8 @@ when called.  `identities_literal` runs the library's literal polynomial
 path (`substitute`, `RationalExpr`) over the library's identity table, the
 path that the integer check in `verify_transformation_identities` replaced.
 `bijection_literal` runs the bijection check on `TFilter` and `DyckPath`
-objects, the path that the mask-level `bijection_holds` replaced.
+objects, the path that the mask-level `dyckmodel.bijection_verdicts`
+replaced.
 `chains_by_closure` is the filter-chain generator that the column-height
 generator `nonnest._generate_chains` replaced: it reads the library's filter
 masks and tests every closure condition on whole grid masks.
@@ -482,10 +483,10 @@ def identities_literal(p):
     alt = None
     for name, lhs, base, source, u, v, alt_base in polyalg._IDENTITIES:
         image = polyalg.substitute(triangles[source], u, v, d)
-        left = polyalg.RationalExpr(triangles[lhs])
-        results.append((name, left.equals(polyalg.RationalExpr(base**d) * image)))
+        left = triangles[lhs] * image.den
+        results.append((name, left == base**d * image.num))
         if alt_base is not None:
-            alt = left.equals(polyalg.RationalExpr(alt_base**d) * image)
+            alt = left == alt_base**d * image.num
     return tuple(results), alt
 
 
@@ -563,10 +564,11 @@ def zeta_fraction(m, n, t, l):
 
 
 def bijection_literal(n, t):
-    """bijection_holds as it ran on TFilter and DyckPath objects, with the all-pairs order check.
+    """The bijection verdict at (n, t) on TFilter and DyckPath objects, with the all-pairs order check.
 
     The order is compared pair by pair, TFilter inclusion against ddom_leq,
-    so no order code is shared with the area identity bijection_holds checks.
+    so no order code is shared with the area identity that
+    `dyckmodel.bijection_verdicts` checks.
     """
     from nclab import closedform
     from nclab.dyckmodel import ddom_leq, enumerate_tdyck, theta, theta_inverse

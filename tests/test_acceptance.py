@@ -266,7 +266,7 @@ def test_criterion_9_path_model():
     assert set(node_filters) == set(FIGURE_NODES)
     for idx, pairs in enumerate(node_filters):
         assert theta(TFilter(4, 2, pairs)) == DyckPath(FIGURE_NODES[pairs])
-    floor_map = decorated.cover_floor_map()
+    floor_map = dict(decorated.cover_floor)
     seen_edges = {}
     for (a, b), label in floor_map.items():
         assert len(label) == 1

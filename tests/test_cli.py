@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nclab import cli, nonnest, polyalg
+from nclab import cli, dyckmodel, ncpart, nonnest, polyalg
 from nclab.cli import main
 from nclab.errors import InvariantViolation
 from nclab.params import Params
@@ -20,6 +20,14 @@ def exit_worker(task):
 
 def refuse_poset(*args, **kwargs):
     raise AssertionError("built a poset or a filter")
+
+
+def refuse_object(*args, **kwargs):
+    raise AssertionError("built a partition, filter, chain or path object")
+
+
+# Every (m, n) with mn <= 8.
+SMALL = [(m, n) for m in range(1, 9) for n in range(1, 8 // m + 1)]
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +113,43 @@ class TestEnumerate:
         lines = [json.loads(line) for line in out.strip().split("\n")]
         assert len(lines) == 9
         assert all(line["n"] == 4 and line["t"] == 2 for line in lines)
+
+    @pytest.mark.parametrize("variant", nonnest.VARIANTS)
+    def test_lines_decode_to_the_objects_in_order(self, capsys, variant):
+        # The printed raw forms decode, line for line, to enumerate_nc,
+        # enumerate_nn and enumerate_tdyck; the chains' order is checked
+        # against its own key, sorted pair tuples per component.
+        for m, n in SMALL:
+            for t in range(1, n + 1):
+                p = Params(m, n, t)
+                lines = {}
+                for kind in ("nc", "nn", "dyck"):
+                    argv = ("enumerate", "--kind", kind, "--variant", variant)
+                    code, out, err = run_cli(capsys, *argv, "--m", str(m), "--n", str(n), "--t", str(t))
+                    assert (code, err) == (0, ""), (kind, p)
+                    lines[kind] = [json.loads(line) for line in out.splitlines()]
+                assert [(d["n"], ncpart.SetPartition(d["blocks"])) for d in lines["nc"]] == [
+                    (m * n, part) for part in ncpart.enumerate_nc(p)
+                ], p
+                decoded = [
+                    (d["m"], tuple(frozenset(map(tuple, pairs)) for pairs in d["filters"]))
+                    for d in lines["nn"]
+                ]
+                chains = nonnest.enumerate_nn(p, variant=variant)
+                assert decoded == [(m, tuple(f.pairs for f in c.filters)) for c in chains], p
+                keys = [tuple(tuple(sorted(pairs)) for pairs in filters) for _, filters in decoded]
+                assert keys == sorted(keys), p
+                assert [(d["n"], d["t"], dyckmodel.DyckPath(d["steps"])) for d in lines["dyck"]] == [
+                    (n, t, path) for path in dyckmodel.enumerate_tdyck(n, t)
+                ], p
+
+    def test_prints_raw_forms_without_objects(self, capsys, monkeypatch):
+        for cls in (ncpart.SetPartition, nonnest.TFilter, nonnest.FilterChain, dyckmodel.DyckPath):
+            monkeypatch.setattr(cls, "__init__", refuse_object)
+        monkeypatch.setattr(ncpart.SetPartition, "_trusted", refuse_object)
+        for kind, count in (("nc", 12), ("nn", 12), ("dyck", 5)):
+            code, out, _ = run_cli(capsys, "enumerate", "--kind", kind, "--m", "2", "--n", "3", "--t", "1")
+            assert (code, len(out.splitlines())) == (0, count), kind
 
 
 class TestChains:
@@ -296,6 +341,24 @@ class TestSweep:
             terms = json.loads(json.loads(out)["rows"][0]["terms"])["terms"]
             coefficients[variant] = {(d["x"], d["y"]): d["c"] for d in terms}[(1, 0)]
         assert coefficients == {"paper": "1", "adapted": "2"}
+
+    @pytest.mark.parametrize("variant", nonnest.VARIANTS)
+    def test_htilde_sweep_equals_per_t_h_tilde(self, capsys, variant):
+        # One h_tildes pass per (m, n) group gives the rows, or the refusal,
+        # of one h_tilde call per t.
+        for m, n in [(m, n) for m, n in SMALL if m <= 2]:
+            argv = ("sweep", "--do", "triangle", "--which", "htilde", "--variant", variant)
+            code, out, err = run_cli(capsys, *argv, "--range", f"m={m},n={n},t=1..n")
+            try:
+                rows = [
+                    {"m": m, "n": n, "t": t, "which": "htilde",
+                     "terms": nonnest.h_tilde(Params(m, n, t), variant=variant).to_json()}
+                    for t in range(1, n + 1)
+                ]
+                expected = (0, {"command": "sweep", "do": "triangle", "rows": rows}, "")
+            except InvariantViolation as exc:
+                expected = (1, None, f"invariant failure: {exc}\n")
+            assert (code, json.loads(out) if out else None, err) == expected, (m, n)
 
 
 class TestErrors:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nclab import dyckmodel
+from nclab import cli, dyckmodel
 from nclab.closedform import total_count
 from nclab.dyckmodel import (
     DyckPath,
@@ -26,6 +26,12 @@ from nclab.nonnest import (
 )
 from nclab.params import Params
 from nclab.polyalg import h_triangle_closed
+
+
+def bijection_holds(n, t):
+    """The one-t verdict of `bijection_verdicts`."""
+    [(_, ok)] = dyckmodel.bijection_verdicts(n, (t,))
+    return ok
 
 
 @pytest.fixture(autouse=True)
@@ -88,8 +94,12 @@ class TestDyckPath:
         path = DyckPath("UUDDUD")
         assert path.heights() is path.heights()
 
-    def test_json(self):
-        assert DyckPath("UUDD").to_json(1) == '{"n":2,"t":1,"steps":"UUDD"}'
+    def test_json(self, capsys):
+        # `enumerate --kind dyck` prints each path's steps with its n and t.
+        assert cli.main(["enumerate", "--kind", "dyck", "--m", "1", "--n", "2", "--t", "1"]) == 0
+        assert capsys.readouterr().out == (
+            '{"n":2,"t":1,"steps":"UDUD"}\n{"n":2,"t":1,"steps":"UUDD"}\n'
+        )
 
 
 class TestEnumerate:
@@ -171,14 +181,14 @@ class TestTheta:
         assert theta_inverse(theta(filt), filt.t) == filt
 
     def test_one_wrong_inverse_fails_the_bijection(self, monkeypatch):
-        # bijection_holds checks one round trip, on masks through _theta_mask,
+        # bijection_verdicts checks one round trip, on masks through _theta_mask,
         # the helper behind theta_inverse; an inverse that is wrong on a single
         # path must still fail it.
         n, t = 5, 2
         paths = enumerate_tdyck(n, t)
         real = dyckmodel._theta_mask
         wrong = theta_inverse(paths[0], t).mask
-        assert dyckmodel.bijection_holds(n, t)
+        assert bijection_holds(n, t)
         with patched(monkeypatch) as patch:
             patch.setattr(
                 dyckmodel,
@@ -186,7 +196,7 @@ class TestTheta:
                 lambda steps, heights, t: wrong if steps == paths[-1].steps else real(steps, heights, t),
             )
             assert theta_inverse(paths[-1], t).mask == wrong
-            assert not dyckmodel.bijection_holds(n, t)
+            assert not bijection_holds(n, t)
 
     def test_an_image_without_its_rises_fails_up_to_that_t(self, monkeypatch):
         # The filter generated by (t, t+1) is a t-filter and no (t+1)-filter;
@@ -208,7 +218,7 @@ class TestTheta:
                         "_theta_steps",
                         lambda n_, t_, mask: mutant if mask == filt else real(n_, t_, mask),
                     )
-                    verdicts = [dyckmodel.bijection_holds(n, s) for s in range(1, n + 1)]
+                    verdicts = [bijection_holds(n, s) for s in range(1, n + 1)]
                 assert verdicts == [False] * t + [True] * (n - t), (n, t)
 
     def test_t_filters_are_the_one_filters_off_the_first_t_columns(self):
@@ -227,7 +237,7 @@ class TestTheta:
             for order in (range(1, n + 1), range(n, 0, -1)):
                 dyckmodel._theta_table.cache_clear()
                 for t in order:
-                    assert dyckmodel.bijection_holds(n, t) is True, (n, t)
+                    assert bijection_holds(n, t) is True, (n, t)
 
     def test_grouped_verdicts_read_one_path_enumeration(self, monkeypatch):
         # The t-paths are the t0-paths that start with t rises, in the same order.
@@ -336,7 +346,7 @@ class TestOrderColumns:
                 steps = [theta(f).steps for f in all_t_filters(n, t)]
                 with patched(monkeypatch) as patch:
                     _with_areas(patch, {steps[a]: areas[a], steps[b]: areas[b]})
-                    assert not dyckmodel.bijection_holds(n, t), (n, t)
+                    assert not bijection_holds(n, t), (n, t)
 
     def test_one_disagreeing_pair_is_caught(self, monkeypatch):
         for n in range(2, 8):
@@ -350,7 +360,7 @@ class TestOrderColumns:
                 steps = theta(all_t_filters(n, t)[atom]).steps
                 with patched(monkeypatch) as patch:
                     _with_areas(patch, {steps: areas[atom]})
-                    assert not dyckmodel.bijection_holds(n, t), (n, t)
+                    assert not bijection_holds(n, t), (n, t)
 
 
 class TestAreaCells:

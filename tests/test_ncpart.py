@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nclab import ncpart
+from nclab import cli, ncpart
 from nclab.errors import DomainError, InvariantViolation, ParameterError, ResourceLimitError
 from nclab.ncpart import SetPartition, block_profile, census, enumerate_nc, rank_of, tilde_transform
 from nclab.params import Params
@@ -82,10 +83,13 @@ class TestSetPartition:
         copy = SetPartition([[4, 1], [2, 3], [5, 6], [8, 7]])
         assert part == copy and hash(part) == hash(copy)
 
-    def test_json_round_trip(self):
-        data = FIGURE_PARTITION.to_json_dict()
-        assert data["n"] == 14
-        assert SetPartition(data["blocks"]) == FIGURE_PARTITION
+    def test_json_round_trip(self, capsys):
+        # Each `enumerate` line decodes to its partition; the figure's is among them.
+        assert cli.main(["enumerate", "--m", "2", "--n", "7", "--t", "3"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert all(data["n"] == 14 for data in lines)
+        assert [SetPartition(data["blocks"]) for data in lines] == list(enumerate_nc(Params(2, 7, 3)))
+        assert {"n": 14, "blocks": [list(block) for block in FIGURE_PARTITION.blocks]} in lines
 
 
 class TestTPartition:

@@ -21,7 +21,6 @@ from nclab.nonnest import (
     _tfilter_masks,
     _universe,
     all_t_filters,
-    certify_lemma54,
     enumerate_nn,
     h_tilde,
     nn_poset,
@@ -29,6 +28,17 @@ from nclab.nonnest import (
     triangular_pairs,
     verify_conjectures,
 )
+
+
+def certified(p, variant="paper", max_objects=DEFAULT_MAX_OBJECTS):
+    """(covers, violations) of the Lemma 5.4 certificate at one triple, off `chain_tallies`."""
+    [(_, _, covers, violations, _)] = nonnest.chain_tallies(p.m, p.n, (p.t,), variant, max_objects)
+    return covers, violations
+
+
+def pair_key(chain):
+    """Sorted pair tuples per component, V_m first: the order enumerate_nn must give."""
+    return tuple(tuple(sorted(f.pairs)) for f in chain.filters)
 
 
 def tf(n, t, pairs):
@@ -155,7 +165,7 @@ class TestGeometric:
 
     def test_unknown_variant(self):
         p = Params(2, 3, 2)
-        for entry in (enumerate_nn, certify_lemma54, h_tilde):
+        for entry in (enumerate_nn, certified, h_tilde):
             with pytest.raises(ParameterError, match="variant must be one of"):
                 entry(p, variant="other")
 
@@ -183,7 +193,7 @@ class TestEnumerate:
             (((1, 3), (2, 3)), ((1, 3), (2, 3))),
         }
         got = {
-            tuple(f.sorted_pairs() for f in c.filters)
+            pair_key(c)
             for c in enumerate_nn(Params(2, 3, 2))
         }
         assert got == expected
@@ -202,7 +212,7 @@ class TestEnumerate:
         a = enumerate_nn(Params(2, 3, 1))
         b = enumerate_nn(Params(2, 3, 1))
         assert a == b
-        assert list(a) == sorted(a, key=FilterChain.sort_key)
+        assert list(a) == sorted(a, key=pair_key)
 
     def test_matches_set_oracle(self):
         # The nested m-tuples of t-filters that the set-based oracle accepts.
@@ -358,7 +368,7 @@ class TestFlooredPoset:
             poset.covers(),
             key=lambda cover: sum(f.mask.bit_count() for f in poset.elements[cover[0]].filters),
         )
-        floor_map = decorated.cover_floor_map()
+        floor_map = dict(decorated.cover_floor)
         assert [sorted(floor_map[c]) for c in ordered] == [
             [],
             [],
@@ -388,7 +398,7 @@ class TestFlooredPoset:
             for n in (2, 3, 4):
                 for t in range(1, n + 1):
                     p = Params(m, n, t)
-                    assert certify_lemma54(p) == (len(nn_poset(p).poset.covers()), ())
+                    assert certified(p) == (len(nn_poset(p).poset.covers()), ())
 
 
 class TestHTilde:
@@ -427,7 +437,7 @@ class TestHTilde:
 
     def test_size_guard_on_every_entry(self):
         p = Params(2, 4, 1)
-        for entry in (enumerate_nn, nn_poset, h_tilde, certify_lemma54):
+        for entry in (enumerate_nn, nn_poset, h_tilde, certified):
             with pytest.raises(ResourceLimitError, match="predicted about 55 chains"):
                 entry(p, max_objects=54)
             # The adapted generator holds 35 chains at (3, 5, 4); the closed count is 13.
@@ -461,7 +471,7 @@ class TestCertificate:
                         assert decorated.cover_floor == cover_floor, case
                         assert decorated.floors == floors, case
                         assert violations == (), case
-                        assert certify_lemma54(p, variant=variant) == (len(covers), ()), case
+                        assert certified(p, variant=variant) == (len(covers), ()), case
 
     # (m, n, chains (V_m, ..., V_1), the one violating cover's message)
     BROKEN = [
@@ -489,7 +499,7 @@ class TestCertificate:
         p = Params(m, n, 1)
         oracle = oracles.floored_poset(chains)
         assert oracle[5] == (message,)
-        assert certify_lemma54(p) == (len(oracle[2]), (message,))
+        assert certified(p) == (len(oracle[2]), (message,))
         refusal = re.escape("cover structure violations: " + message)
         with pytest.raises(InvariantViolation, match=refusal):
             nn_poset(p)
@@ -497,6 +507,7 @@ class TestCertificate:
             h_tilde(p)
         assert cli.main(["verify", "--suite", "conj-h", "--range", f"m={m},n={n},t=1"]) == 1
         assert cli.main(["verify", "--suite", "lemma54", "--range", f"m={m},n={n},t=1"]) == 1
+        assert cli.main(["sweep", "--do", "triangle", "--which", "htilde", "--range", f"m={m},n={n},t=1"]) == 1
 
     @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=["two-pairs", "two-components"])
     def test_broken_covers_stop_a_t_range_as_they_stop_t0(
