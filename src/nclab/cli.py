@@ -230,7 +230,7 @@ def _triangles(
 
 def cmd_triangle(args, cap: int) -> int:
     p = _params_from_args(args)
-    [(_, poly)] = _triangles(args.which, p.m, p.n, (p.t,), "paper", cap)
+    [(_, poly)] = _triangles(args.which, p.m, p.n, (p.t,), args.variant, cap)
     print(poly.to_json())
     return 0
 
@@ -471,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("triangle", help="emit a triangle polynomial as JSON")
     add_mnt(sp)
     sp.add_argument("--which", choices=("m", "f", "h", "htilde"), required=True)
+    sp.add_argument("--variant", choices=nonnest.VARIANTS, default="paper")
     add_cap(sp)
     sp.set_defaults(func=cmd_triangle)
 

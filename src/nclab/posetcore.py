@@ -2,12 +2,16 @@
 
 FinitePoset closes one down-mask per element along its covers; the
 refinement poset holds canonical block tuples and reads down(b) off b's
-blocks, storing no order table.  Both list down(b) one rank at a time for
-the one chain DP; no poset is module-level.
+blocks, storing no order table.  The split keys it reads them with are
+dropped once a pass in index order is done with them: a run's keys go after
+its last element read, and only once every larger run that has it as a gap
+has been split (build_refinement_poset).  Both list down(b) one rank at a
+time for the one chain DP; no poset is module-level.
 """
 
 from bisect import bisect_left
-from itertools import chain
+from heapq import heappop, heappush
+from itertools import chain, count, groupby
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, ParameterError
@@ -124,101 +128,161 @@ class FinitePoset:
         return count_rank_multichains(self.ranks, self.down, targets)
 
 
-def _with_count(parts: Sequence[List[int]], unit: int, want: int) -> List[int]:
+def _with_count(parts: Sequence[Tuple[List[int], List[int]]], unit: int, want: int) -> List[int]:
     """The sums of one key of every part whose block counts add up to want.
 
-    Each part is a sorted key list; a key's block count is key // unit.
-    The sums are listed as down(b) lists them: the last part's key
-    outermost, each part's keys in their order.  Sums are grown part by
-    part in buckets by count, and a partial sum is kept only while the
-    counts of the parts still to come can bring it to want (a block's splits
-    have every count from 1 to its size over m, so each sum kept reaches
-    want).  Parts with one key are added up front.
+    Each part is a run's sorted key list with its count offsets: a key's
+    block count is key // unit, and the keys of count d are
+    keys[starts[d]:starts[d + 1]].  The sums are listed as down(b) lists
+    them: the last part's key outermost, each part's keys in their order.
+    Parts with one key are added up front, into base.  The other parts grow
+    the sums part by part in buckets by count, acc[c - lo] holding those of
+    count c.  A sum is kept only while the parts still to come can bring its
+    count to want, so the counts kept form the range lo..hi, each of them
+    reached (a block's splits have every count from 1 to its size over m).
+    The next bucket of count e joins each bucket of count c with the keys of
+    count d = e - c, for only the d that the range admits, in ascending
+    order: that is key order, since the keys are sorted by count.
     """
-    base = count = low = high = 0
+    base = low = high = 0
     branching = []
-    for keys in parts:
-        first, last = keys[0] // unit, keys[-1] // unit
+    for keys, starts in parts:
         if len(keys) == 1:
-            base, count = base + keys[0], count + first
+            base += keys[0]
         else:
-            branching.append((keys, first, last))
+            first, last = keys[0] // unit, len(starts) - 2
+            branching.append((keys, starts, first, last))
             low, high = low + first, high + last
-    acc = {count: [base]}
-    for keys, first, last in branching:
+    lo = hi = base // unit  # the keys carry their counts, so base carries theirs
+    if not lo + low <= want <= lo + high:
+        return []
+    acc = [[base]]
+    for keys, starts, first, last in branching:
         low, high = low - first, high - last  # the counts still to come
-        grown: Dict[int, List[int]] = {}
-        stop = 0
-        for d in range(first, last + 1):  # ascending, so each bucket meets the keys in order
-            start, stop = stop, bisect_left(keys, (d + 1) * unit, stop)
-            for c, prefix in acc.items():
-                if low <= want - c - d <= high:
-                    new = [k + g for g in keys[start:stop] for k in prefix]
-                    if c + d in grown:
-                        grown[c + d] += new
-                    else:
-                        grown[c + d] = new
-        acc = grown
-    return acc.get(want, [])
+        next_lo, next_hi = max(lo + first, want - high), min(hi + last, want - low)
+        grown = []
+        for e in range(next_lo, next_hi + 1):
+            bucket: List[int] = []
+            for d in range(max(first, e - hi), min(last, e - lo) + 1):
+                bucket += [k + g for g in keys[starts[d] : starts[d + 1]] for k in acc[e - d - lo]]
+            grown.append(bucket)
+        acc, lo, hi = grown, next_lo, next_hi
+    return acc[0]
 
 
 class RefinementPoset:
     """Block tuples, their ranks and down(b, r); see build_refinement_poset."""
 
-    __slots__ = ("elements", "ranks", "_n", "_m", "_bit", "_block", "_index", "_splits_of", "__weakref__")
+    __slots__ = (
+        "elements", "ranks", "_n", "_m", "_bit", "_block", "_index", "_layouts",
+        "_last", "_pending", "_splits_of", "_live", "_horizon", "__weakref__",
+    )
 
     def __init__(self, p: Params, elements: Sequence[tuple], ranks: Sequence[int]):
         self.elements, self.ranks, self._n, self._m = tuple(elements), tuple(ranks), p.n, p.m
         width = p.ground_size.bit_length()
-        self._bit = [1 << (x * width) for x in range(p.ground_size + 1)]
-        self._block = 1 << ((p.ground_size + 1) * width)  # one block in the count field
+        self._bit = [0, 0] + [1 << (x * width) for x in range(p.ground_size - 1)]  # x's field
+        self._block = 1 << ((p.ground_size - 1) * width)  # one block in the count field
+        self._layouts: Dict[int, tuple] = {}
+        last: Dict[tuple, int] = {}  # the last element holding each distinct block
+        start = 0
+        for size, level in groupby(self.elements, len):  # elements of `size` blocks each
+            level = list(level)
+            spots = dict(zip(chain.from_iterable(level), count()))  # last spot in the level's blocks
+            last.update((block, start + spot // size) for block, spot in spots.items())
+            start += len(level)
         whole = {  # the partial key of each distinct block, kept whole
-            block: self._block + block[0] * sum(map(self._bit.__getitem__, block))
-            for block in set(chain.from_iterable(self.elements))
+            block: self._block + block[0] * sum(map(self._bit.__getitem__, block)) for block in last
         }
         self._index = {sum(map(whole.__getitem__, blocks)): i for i, blocks in enumerate(self.elements)}
-        self._splits_of: Dict[Tuple[int, ...], List[int]] = {}
+        pending: Dict[tuple, int] = {}  # the runs that have each run as a gap and are not yet split
+        for run in last:
+            for low, high in self._layout(len(run))[0]:
+                gap = run[low:high]
+                pending[gap] = pending.get(gap, 0) + 1
+        self._last, self._pending = last, pending
+        self._splits_of: Dict[Tuple[int, ...], Tuple[List[int], List[int]]] = {}
+        self._live: List[Tuple[int, Tuple[int, ...]]] = []  # heap of (last reader, run), see _retire
+        self._horizon = len(self.elements)  # the least last reader in _live
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _splits(self, run: Tuple[int, ...]) -> List[int]:
+    def _layout(self, size: int) -> tuple:
+        # The first-block position sets of a run of `size` points, each with
+        # the gaps it leaves, as indices into the distinct gap slices.
+        layout = self._layouts.get(size)
+        if layout is None:
+            spans: Dict[Tuple[int, int], int] = {}
+            shapes = tuple(
+                (offsets, tuple(
+                    spans.setdefault((low + 1, high), len(spans))
+                    for low, high in zip(offsets, offsets[1:] + (size,))
+                    if high > low + 1
+                ))
+                for offsets in _first_block_position_sets(size, self._m)
+            )
+            self._layouts[size] = layout = tuple(spans), shapes
+        return layout
+
+    def _splits(self, run: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
         # Partial keys of the splits of `run`, by first-block decomposition
         # as in ncpart._classical_shapes, sorted, so by block count (the top
-        # field); kept per run (racing readers agree).
-        keys = self._splits_of.get(run)
-        if keys is None:
+        # field), with the index where each count starts.
+        entry = self._splits_of.get(run)
+        if entry is None:
+            spans, shapes = self._layout(len(run))
+            gaps = [self._splits(run[low:high])[0] for low, high in spans]
+            bits = [self._bit[x] for x in run]
             keys = []
-            for offsets in _first_block_position_sets(len(run), self._m):
-                part = [self._block + run[0] * sum(self._bit[run[q]] for q in offsets)]
-                for low, high in zip(offsets, offsets[1:] + (len(run),)):
-                    if high > low + 1:
-                        part = [k + g for k in part for g in self._splits(run[low + 1 : high])]
+            for offsets, gap_ids in shapes:
+                part = [self._block + run[0] * sum(map(bits.__getitem__, offsets))]
+                for j in gap_ids:
+                    part = [k + g for k in part for g in gaps[j]]
                 keys += part
             keys.sort()
-            self._splits_of[run] = keys
-        return keys
+            unit = self._block
+            self._splits_of[run] = entry = keys, [bisect_left(keys, d * unit) for d in range(keys[-1] // unit + 2)]
+            pending = self._pending
+            if pending.get(run, 0) <= 0:
+                self._retire(run)
+            for low, high in spans:
+                gap = run[low:high]
+                pending[gap] = left = pending.get(gap, 0) - 1
+                if left == 0:
+                    self._retire(gap)
+        return entry
+
+    def _retire(self, run: Tuple[int, ...]) -> None:
+        # `run` is split, and so is every run that has it as a gap: its keys
+        # go at the first read past its last reader.
+        last = self._last.get(run, -1)
+        heappush(self._live, (last, run))
+        self._horizon = min(self._horizon, last)
 
     def down(self, b: int, r: Optional[int] = None) -> List[int]:
         """The indices a <= b, b included; with r, only those of rank r, in that same order.
 
         One split per block of b, in every combination; with r, only the
-        combinations with n - r blocks in all (_with_count).
+        combinations with n - r blocks in all (_with_count).  First drops
+        the retired runs whose last reader comes before b.
         """
+        if b > self._horizon:
+            live, known = self._live, self._splits_of
+            while live and live[0][0] < b:
+                del known[heappop(live)[1]]
+            self._horizon = live[0][0] if live else len(self.elements)
         known = self._splits_of
         parts = [known.get(block) or self._splits(block) for block in self.elements[b]]
-        base, keys = 0, [0]
         if r is not None:
             keys = _with_count(parts, self._block, self._n - r)
         else:
-            for splits in parts:
-                if len(splits) == 1:
-                    base += splits[0]
-                else:
-                    keys = [k + g for g in splits for k in keys]
-        index = self._index
+            keys = [sum(splits[0] for splits, _ in parts if len(splits) == 1)]
+            for splits, _ in parts:
+                if len(splits) > 1:  # with nothing to add, a run's own list serves
+                    keys = splits if keys == [0] else [k + g for g in splits for k in keys]
         try:
-            return [index[base + k] for k in keys]
+            return list(map(self._index.__getitem__, keys))
         except KeyError:
             raise InvariantViolation(f"a split of {self.elements[b]} is not in the family") from None
 
@@ -252,19 +316,35 @@ def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) ->
     relabelling sends to the minimum of the image block, fixing the rest: it
     keeps each block's order, and with it the splits.
 
-    Keys.  K = sum over x of min(block of x) << (x * width), with
+    Keys.  K = sum over x >= 2 of min(block of x) << ((x - 2) * width), with
     width = (mn).bit_length(), holds each block minimum in its own field, so
-    it fixes the partition; the number of blocks, at most n, sits in a top
-    field of its own, above x = mn.  K sums over blocks, so down(b) adds one
+    it fixes the partition (the block of 1 has minimum 1, so x = 1 needs no
+    field); the number of blocks, at most n, sits in a top field of its own,
+    above x = mn.  K sums over blocks, so down(b) adds one
     partial key per block of b, in every combination, and looks each sum up
     in the key index: one add and one lookup per comparable pair.  A
     block's splits are kept sorted by key, hence by their number of blocks;
     a has n - rank(a) blocks, the sum over b's blocks of their splits'
     numbers, so down(b, r) combines only the runs of splits whose numbers
-    add up to n - r.  A miss would break the lemma and raises
-    InvariantViolation.  The tests compare down(b) with the cover-first
-    poset (mn <= 10) and with all pairs (mn <= 8), and down(b, r) with
-    down(b) filtered by rank.
+    add up to n - r; each block's count offsets (where each number starts
+    in its sorted keys) let it visit only the numbers that can still reach
+    n - r.  A miss would break the lemma and raises InvariantViolation.  The
+    tests compare down(b) with the cover-first poset (mn <= 10) and with all
+    pairs (mn <= 8), and down(b, r) with down(b) filtered by rank.
+
+    Release.  A run (a block, or a gap left by a first block) is split once
+    and its keys and offsets are kept together until no read of a pass in
+    index order needs them: they go at the first read past the last element
+    holding the run as a block, and only after every larger run that has it
+    as a gap has been split, since splitting that run reads them (each run
+    counts those larger runs, from the distinct blocks, when the poset is
+    built).  A pass that reads every element in index order, as the
+    M-triangle does, thus splits every run exactly once: by the lemma each
+    gap of a block of b is itself a block of an element of lower rank, read
+    before b.  The bookkeeping is one heap entry per split run and one
+    comparison per read.  A run read again after its release, by a later
+    pass or out of order, is split again: its keys are a function of its
+    points and m alone, so the rebuilt list is the same list.
     """
     elements = _nc_family(p, max_objects)
     elements.sort(key=len, reverse=True)  # stable: rank n - len ascending, then blocks

@@ -343,6 +343,20 @@ class TestSweep:
         assert coefficients == {"paper": "1", "adapted": "2"}
 
     @pytest.mark.parametrize("variant", nonnest.VARIANTS)
+    def test_htilde_triangle_matches_sweep_row(self, capsys, variant):
+        # `triangle` takes the variant too, and prints the sweep row's terms;
+        # without the flag it prints the paper variant's.
+        mnt = ("--m", "2", "--n", "3", "--t", "2")
+        code, out, _ = run_cli(capsys, "triangle", "--which", "htilde", *mnt, "--variant", variant)
+        assert code == 0
+        argv = ("sweep", "--do", "triangle", "--which", "htilde", "--range", "m=2,n=3,t=2")
+        swept = run_cli(capsys, *argv, "--variant", variant)
+        assert swept[0] == 0
+        assert out == json.loads(swept[1])["rows"][0]["terms"] + "\n"
+        if variant == "paper":
+            assert run_cli(capsys, "triangle", "--which", "htilde", *mnt) == (0, out, "")
+
+    @pytest.mark.parametrize("variant", nonnest.VARIANTS)
     def test_htilde_sweep_equals_per_t_h_tilde(self, capsys, variant):
         # One h_tildes pass per (m, n) group gives the rows, or the refusal,
         # of one h_tilde call per t.

@@ -7,8 +7,10 @@ itself, where its elements are plain tuples, which take none), drops the
 result and collects: the referent must then be gone.  Nor may the
 enumeration keep its working tables: after a warm-up, repeated calls leave
 next to nothing traced behind, and a census holds only those tables, never
-the family.  The filter-chain tables keep only the one in use, and the
-filter list is built without a transient much larger than itself.
+the family.  A refinement poset drops each run's split keys once a pass
+in level order is done with them.  The filter-chain tables keep only the
+one in use, and the filter list is built without a transient much larger
+than itself.
 """
 
 import gc
@@ -98,6 +100,30 @@ def test_refinement_poset_keeps_no_order_table():
         tracemalloc.stop()
     assert len(poset) == 16796
     assert retained < 6_000_000, f"the poset retained {retained} bytes"
+
+
+def test_refinement_poset_releases_read_splits():
+    # Measured under tracemalloc at (1,10,1) on CPython 3.11: after down(b)
+    # for every b in level order the poset retains 5.0 MB, the split keys of
+    # the top element's block and its gaps among them, against 13.9 MB (10.5
+    # MB of split keys) when every run's keys stayed for the poset's life.
+    assert build_refinement_poset(P)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        poset = build_refinement_poset(Params(1, 10, 1))
+        for b in range(len(poset)):
+            poset.down(b)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 6_000_000, f"the poset retained {retained} bytes after one pass"
+    # A released run read again is rebuilt to the same keys: a second pass,
+    # here top down, lists what a fresh poset lists in level order.
+    fresh = build_refinement_poset(Params(1, 10, 1))
+    expected = [fresh.down(b) for b in range(len(fresh))]
+    assert [poset.down(b) for b in reversed(range(len(poset)))] == expected[::-1]
 
 
 def test_height_tables_keep_only_the_table_in_use():

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 import oracles
@@ -38,6 +40,15 @@ def triples(limit):
         for n in range(1, limit // m + 1)
         for t in range(1, n + 1)
     ]
+
+
+def assert_down_by_rank_is_filtered(poset, p):
+    for b in range(len(poset)):
+        filtered = [[] for _ in range(p.max_rank + 1)]  # down(b) filtered, rank by rank
+        for a in poset.down(b):
+            filtered[poset.ranks[a]].append(a)
+        for r in range(p.max_rank + 1):
+            assert poset.down(b, r) == filtered[r], (p, b, r)
 
 
 def maximal_chains_by_covers(poset):
@@ -140,12 +151,20 @@ class TestCoverFirst:
         # on both posets, for every b and r, every mn <= 10.
         for p in triples(10):
             for poset in (build_refinement_poset(p), oracles.cover_first_poset(p)):
-                for b in range(len(poset)):
-                    filtered = [[] for _ in range(p.max_rank + 1)]  # down(b) filtered, rank by rank
-                    for a in poset.down(b):
-                        filtered[poset.ranks[a]].append(a)
-                    for r in range(p.max_rank + 1):
-                        assert poset.down(b, r) == filtered[r], (p, b, r)
+                assert_down_by_rank_is_filtered(poset, p)
+
+    def test_narrowed_count_window_is_caught(self, monkeypatch):
+        # A _with_count whose count window stops one short of its top must
+        # fail the comparison above.
+        source = inspect.getsource(posetcore._with_count)
+        mutant = source.replace("min(last, e - lo) + 1", "min(last, e - lo)")
+        assert mutant != source
+        namespace = dict(vars(posetcore))
+        exec(mutant, namespace)
+        monkeypatch.setattr(posetcore, "_with_count", namespace["_with_count"])
+        with pytest.raises(AssertionError):
+            for p in triples(6):
+                assert_down_by_rank_is_filtered(build_refinement_poset(p), p)
 
     def test_elements_are_the_enumeration_stably_sorted_by_rank(self):
         for p in triples(10):
@@ -158,6 +177,9 @@ class TestCoverFirst:
         # Position sets of m = 1 split an m = 2 block into odd blocks, which
         # are not in the family: the key lookup must refuse them, on the
         # whole down-set and on the rank-0 one, which holds the odd splits.
+        # At (2,3,1) the first rank-1 element is read again after the top's
+        # read released its first block's splits, and the rebuilt splits are
+        # refused too.
         real = posetcore._first_block_position_sets
         monkeypatch.setattr(posetcore, "_first_block_position_sets", lambda size, m: real(size, 1))
         poset = build_refinement_poset(Params(2, 2, 1))
@@ -165,6 +187,15 @@ class TestCoverFirst:
             poset.down(len(poset) - 1)
         with pytest.raises(InvariantViolation, match="not in the family"):
             poset.down(len(poset) - 1, 0)
+        poset = build_refinement_poset(Params(2, 3, 1))
+        below, top = poset.ranks.index(1), len(poset) - 1
+        for b in (below, top, below):
+            with pytest.raises(InvariantViolation, match="not in the family"):
+                poset.down(b)
+            with pytest.raises(InvariantViolation, match="not in the family"):
+                poset.down(b, 0)
+            if b == top:
+                assert poset.elements[below][0] not in poset._splits_of
 
     def test_builds_from_block_tuples_alone(self, monkeypatch):
         # The build makes no rank_of call, creates no SetPartition and does
