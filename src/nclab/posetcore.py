@@ -181,8 +181,8 @@ class RefinementPoset:
     def __init__(self, p: Params, elements: Sequence[tuple], ranks: Sequence[int]):
         self.elements, self.ranks, self._n, self._m = tuple(elements), tuple(ranks), p.n, p.m
         width = p.ground_size.bit_length()
-        self._bit = [0, 0] + [1 << (x * width) for x in range(p.ground_size - 1)]  # x's field
-        self._block = 1 << ((p.ground_size - 1) * width)  # one block in the count field
+        self._bit = [1 << (x * width) for x in range(p.ground_size + 1)]
+        self._block = 1 << ((p.ground_size + 1) * width)  # one block in the count field
         self._layouts: Dict[int, tuple] = {}
         last: Dict[tuple, int] = {}  # the last element holding each distinct block
         start = 0
@@ -316,11 +316,10 @@ def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) ->
     relabelling sends to the minimum of the image block, fixing the rest: it
     keeps each block's order, and with it the splits.
 
-    Keys.  K = sum over x >= 2 of min(block of x) << ((x - 2) * width), with
+    Keys.  K = sum over x of min(block of x) << (x * width), with
     width = (mn).bit_length(), holds each block minimum in its own field, so
-    it fixes the partition (the block of 1 has minimum 1, so x = 1 needs no
-    field); the number of blocks, at most n, sits in a top field of its own,
-    above x = mn.  K sums over blocks, so down(b) adds one
+    it fixes the partition; the number of blocks, at most n, sits in a top
+    field of its own, above x = mn.  K sums over blocks, so down(b) adds one
     partial key per block of b, in every combination, and looks each sum up
     in the key index: one add and one lookup per comparable pair.  A
     block's splits are kept sorted by key, hence by their number of blocks;
