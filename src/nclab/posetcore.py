@@ -242,7 +242,8 @@ class RefinementPoset:
                 keys += part
             keys.sort()
             unit = self._block
-            self._splits_of[run] = entry = keys, [bisect_left(keys, d * unit) for d in range(keys[-1] // unit + 2)]
+            starts = [bisect_left(keys, d * unit) for d in range(keys[-1] // unit + 2)]
+            self._splits_of[run] = entry = keys, starts
             pending = self._pending
             if pending.get(run, 0) <= 0:
                 self._retire(run)
@@ -267,12 +268,12 @@ class RefinementPoset:
         combinations with n - r blocks in all (_with_count).  First drops
         the retired runs whose last reader comes before b.
         """
+        known = self._splits_of
         if b > self._horizon:
-            live, known = self._live, self._splits_of
+            live = self._live
             while live and live[0][0] < b:
                 del known[heappop(live)[1]]
             self._horizon = live[0][0] if live else len(self.elements)
-        known = self._splits_of
         parts = [known.get(block) or self._splits(block) for block in self.elements[b]]
         if r is not None:
             keys = _with_count(parts, self._block, self._n - r)
