@@ -9,8 +9,7 @@ has been split (build_refinement_poset).  Both list down(b) one rank at a
 time for the one chain DP; no poset is module-level.
 """
 
-from bisect import bisect_left
-from heapq import heappop, heappush
+from bisect import bisect_left, insort
 from itertools import chain, count, groupby
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -202,7 +201,7 @@ class RefinementPoset:
                 pending[gap] = pending.get(gap, 0) + 1
         self._last, self._pending = last, pending
         self._splits_of: Dict[Tuple[int, ...], Tuple[List[int], List[int]]] = {}
-        self._live: List[Tuple[int, Tuple[int, ...]]] = []  # heap of (last reader, run), see _retire
+        self._live: List[Tuple[int, Tuple[int, ...]]] = []  # (-last reader, run), sorted; see _retire
         self._horizon = len(self.elements)  # the least last reader in _live
 
     def __len__(self) -> int:
@@ -258,7 +257,7 @@ class RefinementPoset:
         # `run` is split, and so is every run that has it as a gap: its keys
         # go at the first read past its last reader.
         last = self._last.get(run, -1)
-        heappush(self._live, (last, run))
+        insort(self._live, (-last, run))
         self._horizon = min(self._horizon, last)
 
     def down(self, b: int, r: Optional[int] = None) -> List[int]:
@@ -271,9 +270,9 @@ class RefinementPoset:
         known = self._splits_of
         if b > self._horizon:
             live = self._live
-            while live and live[0][0] < b:
-                del known[heappop(live)[1]]
-            self._horizon = live[0][0] if live else len(self.elements)
+            while live and -live[-1][0] < b:
+                del known[live.pop()[1]]
+            self._horizon = -live[-1][0] if live else len(self.elements)
         parts = [known.get(block) or self._splits(block) for block in self.elements[b]]
         if r is not None:
             keys = _with_count(parts, self._block, self._n - r)
@@ -341,7 +340,7 @@ def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) ->
     built).  A pass that reads every element in index order, as the
     M-triangle does, thus splits every run exactly once: by the lemma each
     gap of a block of b is itself a block of an element of lower rank, read
-    before b.  The bookkeeping is one heap entry per split run and one
+    before b.  The bookkeeping is one sorted entry per split run and one
     comparison per read.  A run read again after its release, by a later
     pass or out of order, is split again: its keys are a function of its
     points and m alone, so the rebuilt list is the same list.
