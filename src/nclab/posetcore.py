@@ -174,7 +174,7 @@ class RefinementPoset:
 
     __slots__ = (
         "elements", "ranks", "_n", "_m", "_bit", "_block", "_index", "_layouts",
-        "_last", "_pending", "_splits_of", "_live", "_horizon", "__weakref__",
+        "_last", "_pending", "_splits_of", "_live", "__weakref__",
     )
 
     def __init__(self, p: Params, elements: Sequence[tuple], ranks: Sequence[int]):
@@ -202,7 +202,6 @@ class RefinementPoset:
         self._last, self._pending = last, pending
         self._splits_of: Dict[Tuple[int, ...], Tuple[List[int], List[int]]] = {}
         self._live: List[Tuple[int, Tuple[int, ...]]] = []  # (-last reader, run), sorted; see _retire
-        self._horizon = len(self.elements)  # the least last reader in _live
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -231,7 +230,8 @@ class RefinementPoset:
         entry = self._splits_of.get(run)
         if entry is None:
             spans, shapes = self._layout(len(run))
-            gaps = [self._splits(run[low:high])[0] for low, high in spans]
+            gap_runs = [run[low:high] for low, high in spans]
+            gaps = [self._splits(gap)[0] for gap in gap_runs]
             bits = [self._bit[x] for x in run]
             keys = []
             for offsets, gap_ids in shapes:
@@ -246,8 +246,7 @@ class RefinementPoset:
             pending = self._pending
             if pending.get(run, 0) <= 0:
                 self._retire(run)
-            for low, high in spans:
-                gap = run[low:high]
+            for gap in gap_runs:
                 pending[gap] = left = pending.get(gap, 0) - 1
                 if left == 0:
                     self._retire(gap)
@@ -256,9 +255,7 @@ class RefinementPoset:
     def _retire(self, run: Tuple[int, ...]) -> None:
         # `run` is split, and so is every run that has it as a gap: its keys
         # go at the first read past its last reader.
-        last = self._last.get(run, -1)
-        insort(self._live, (-last, run))
-        self._horizon = min(self._horizon, last)
+        insort(self._live, (-self._last.get(run, -1), run))
 
     def down(self, b: int, r: Optional[int] = None) -> List[int]:
         """The indices a <= b, b included; with r, only those of rank r, in that same order.
@@ -267,12 +264,9 @@ class RefinementPoset:
         combinations with n - r blocks in all (_with_count).  First drops
         the retired runs whose last reader comes before b.
         """
-        known = self._splits_of
-        if b > self._horizon:
-            live = self._live
-            while live and -live[-1][0] < b:
-                del known[live.pop()[1]]
-            self._horizon = -live[-1][0] if live else len(self.elements)
+        known, live = self._splits_of, self._live
+        while live and -live[-1][0] < b:
+            del known[live.pop()[1]]
         parts = [known.get(block) or self._splits(block) for block in self.elements[b]]
         if r is not None:
             keys = _with_count(parts, self._block, self._n - r)
