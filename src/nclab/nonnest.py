@@ -12,8 +12,8 @@ condition on a chain becomes a comparison of column heights.
 
 import json
 from bisect import bisect_left, bisect_right
-from functools import lru_cache, reduce
-from operator import gt, or_
+from functools import lru_cache
+from operator import gt, lshift, ne
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from . import closedform
@@ -452,15 +452,13 @@ def chain_tallies(
 ) -> Iterator[tuple]:
     """(t, chains, covers, violations, floor coefficients) per t of ts, ascending.
 
-    Runs the Lemma 5.4 certificate (_certify) once per `_passes` family
-    and tallies each chain b at every served t <= _last_t(n, V_1 of b).
-    Those t-chains are an order ideal of the family: a chain inside b has
-    its V_1 inside b's.  So b's down-set, covers and violations are the
-    ones the certificate finds in the whole family, and so is its floor
-    FL(b), a set of pairs of V_m inside V_1; FL(b) then misses the
-    staircase pairs (i, i+1) with i < t, so its key (|FL|, |FL cap
-    staircase|) is the same at every such t.  Violations keep the
-    family's chain order, as in a certificate run on the t-chains alone.
+    Runs _certify_covers once per `_passes` family and tallies each chain
+    b at every served t <= _last_t(n, V_1 of b).  Those t-chains are an
+    order ideal of the family (a chain inside b has its V_1 inside b's),
+    so b's covers, violations and floor FL(b) are the family's.  FL(b), a
+    set of pairs of V_m inside V_1, misses the staircase pairs (i, i+1)
+    with i < t, so its key (|FL|, |FL cap staircase|) is the same at every
+    such t.  Violations keep the family's chain order.
     """
     for served, family in _passes(m, n, ts, variant, max_objects):
         full, stair = _universe(n).full_mask, _staircase_mask(n, min(served))
@@ -468,7 +466,7 @@ def chain_tallies(
         counts, cover_counts = [0] * (n + 1), [0] * (n + 1)
         coeffs_by: List[Dict[Tuple[int, int], int]] = [{} for _ in range(n + 1)]
         found: List[Tuple[int, str]] = []
-        for b, covers, violations in _certify(n, family):
+        for b, covers, violations in _certify_covers(n, family):
             tau = last[family[b][-1]]
             counts[tau] += 1
             cover_counts[tau] += len(covers)
@@ -505,11 +503,13 @@ def _sorted_chains(p: Params, variant: str, max_objects: int) -> List[Tuple[int,
 def enumerate_nn(
     p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Tuple[FilterChain, ...]:
-    """All geometric chains of t-filters of length m, in _sorted_chains order."""
-    return tuple(
-        FilterChain(tuple(_filter_from_mask(p.n, p.t, mask) for mask in masks))
-        for masks in _sorted_chains(p, variant, max_objects)
-    )
+    """All geometric chains of t-filters of length m, in _sorted_chains order.
+
+    The chains share one TFilter per distinct component mask.
+    """
+    chains = _sorted_chains(p, variant, max_objects)
+    filters = {mask: _filter_from_mask(p.n, p.t, mask) for mask in set().union(*chains)}
+    return tuple([FilterChain(tuple(map(filters.__getitem__, masks))) for masks in chains])
 
 
 class FlooredPoset(Value):
@@ -526,89 +526,127 @@ class FlooredPoset(Value):
         vars(self).update(poset=poset, cover_floor=cover_floor, floors=floors)
 
 
-def _columns(n: int, family: Sequence[Tuple[int, ...]]) -> Dict[int, int]:
-    """has[1 << k]: the chains whose packed mask holds bit k, for each bit some chain holds.
+@lru_cache(maxsize=1)
+def _filter_order(n: int) -> tuple:
+    """(pos, lower, below) over the filters of T_n, by position in _tfilter_masks(n, 1).
 
-    Component p of a chain sits at bits p*stride of its packed mask.  Per
-    component, each distinct value gets one row, b"1" or b"0" per pair
-    bit.  The chains' rows, last chain first, are joined into one string,
-    in which every len(pairs)-th byte from offset s spells the binary
-    literal of pair bit s's column.
+    lower[f] lists (k, position of f - k) per minimal pair k of f; below[f]
+    has bit g iff filter g lies in f.  If f lies strictly in g, a minimal
+    x of g below a pair of g - f is missing from f, so f lies in g - x,
+    which comes first: below[g] is g with every below[g - x].
     """
     u = _universe(n)
-    spots = list(_bits(u.full_mask))
-    has: Dict[int, int] = {}
-    if not family or not spots:
-        return has
-    for p in range(len(family[0])):
-        rows = {v: bytes([48 + (v >> k & 1) for k in spots]) for v in {masks[p] for masks in family}}
-        joined = b"".join([rows[masks[p]] for masks in reversed(family)])
-        for s, k in enumerate(spots):
-            column = int(joined[s :: len(spots)], 2)
-            if column:
-                has[1 << (p * u.stride + k)] = column
-    return has
+    masks = _tfilter_masks(n, 1)
+    pos, lower, below = dict(zip(masks, range(len(masks)))), [], []
+    for f, mask in enumerate(masks):
+        lower.append(tuple([(k, pos[mask ^ 1 << k]) for k in _bits(u.minimal(mask))]))
+        row = 1 << f
+        for _, g in lower[f]:
+            row |= below[g]
+        below.append(row)
+    return pos, lower, below
 
 
-def _certify(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
-    """Exact inclusion down-sets of a chain family and the Lemma 5.4 check.
+def _certify_covers(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
+    """(b, covers, violations) per chain b of a family, in family order: Lemma 5.4, no lemma assumed.
 
-    Chains (component masks, V_m first) are packed into one int each,
-    component p at bits p*stride.  down(b) is the AND over p of the chains
-    whose component p lies inside b's, read off has[k], the chains holding
-    packed bit k: no lemma is assumed.  A chain below b lies below the
-    single removal b - k, where that is in the family, iff it lacks bit k.
-    So Lemma 5.4 (every cover changes one component by one element) holds
-    at b iff no chain strictly below b holds every such k, and the maximal
-    chains of that residue are b's other covers.  Yields, per b: b, the
-    covers as (a, packed b & ~a), and {a: message} for the covers that
-    break the lemma.
+    Covers are those of componentwise inclusion, as (a, packed b & ~a),
+    component p (V_m first) at bits p*stride; violations maps each cover
+    that changes more than one pair to a message.  Chains are keyed by the
+    positions of their components (_filter_order), V_m on top, over their
+    index, and sorted, so any family order works.  A member that is not a
+    nested chain of filters raises InvariantViolation.
 
-    Only a minimal pair of some component V_i that the next smaller
-    component V_{i+1} lacks can be such a k.  Every chain the callers pass
-    is a weakly nested tuple of filters, so b - k is one when it is in the
-    family.  Removing a pair x from the filter V_i leaves an up-closed set
-    iff no other member of V_i lies below x (that member's up-set holds
-    x), i.e. iff x is minimal in V_i.  V_{i+1} must still lie inside
-    V_i - x, so it lacks x.  The loop over k thus runs over
-    minimal(V_i) & ~V_{i+1} for each i (V_{m+1} empty), not over every
-    bit of b.
+    b - x is a chain of filters iff x is a minimal pair of some V_i that
+    V_{i+1} lacks (V_{m+1} empty).  Those b - x in the family are covers,
+    and U holds their x.  a < b lies below b - x iff a lacks x, so b's
+    other covers are the maximal members of the box U <= a < b.  At the
+    first component V_i where such an a differs from b, a lacks a minimal
+    pair x of b's V_i (one below a pair a lacks), and b's V_{i+1}, a's
+    too, lies in a's V_i and lacks x; so x is removable, and not in U.  So
+    the walk leaves b's prefix only at a V_i with a removal outside the
+    family, into the filters inside such a b's V_i - x, and extends each
+    prefix by the components that follow it in the family (nexts) inside
+    b's and inside no b's V_p - x with x in U: one bitset AND per prefix.
+    The chains it reaches are the box; there are none when every removal
+    is a cover.
     """
+    if not family:
+        return
     u = _universe(n)
-    packed = [sum(mask << (p * u.stride) for p, mask in enumerate(masks)) for masks in family]
-    index = {pc: c for c, pc in enumerate(packed)}
-    everything = (1 << len(packed)) - 1
-    has = _columns(n, family)
-
-    @lru_cache(maxsize=None)
-    def inside(p: int, mask: int) -> int:  # the chains whose component p lies in mask
-        lacking = (u.full_mask & ~mask) << (p * u.stride)
-        return everything & ~reduce(or_, (hs for bit, hs in has.items() if bit & lacking), 0)
-
-    for b, (pb, masks) in enumerate(zip(packed, family)):
-        down, removable, smaller = everything, 0, 0
-        for p, mask in enumerate(masks):
-            down &= inside(p, mask)
-            removable |= (u.minimal(mask) & ~smaller) << (p * u.stride)
-            smaller = mask
-        covers, common = [], down ^ 1 << b  # b lies in its own down-set
-        for k in _bits(removable):
-            c = index.get(pb ^ 1 << k)
-            if c is not None:
-                covers.append((c, 1 << k))
-                common &= has[1 << k]
-        residue = list(_bits(common))
-        violations = {}
-        for a in residue:
-            if any(x != a and not packed[a] & ~packed[x] for x in residue):
+    pos, lower, below = _filter_order(n)
+    m, width, tail = len(family[0]), len(pos).bit_length(), len(family).bit_length()
+    entries = []
+    for c, masks in enumerate(family):
+        key, smaller = 0, 0
+        for mask in masks:
+            f = pos.get(mask)
+            if f is None or smaller & ~mask:
+                raise InvariantViolation(f"{_chain_json(n, masks)} is not a nested chain of filters")
+            key, smaller = key << width | f, mask
+        entries.append(key << tail | c)
+    entries.sort()
+    nexts: List[Dict[int, int]] = []  # per p: prefix key of p components -> bits of the next one
+    for p in range(m):
+        table, shift, last = {}, tail + (m - 1 - p) * width, -1
+        for entry in entries:
+            head = entry >> shift
+            if head != last:
+                last, prefix = head, head >> width
+                table[prefix] = table.get(prefix, 0) | 1 << (head ^ prefix << width)
+        nexts.append(table)
+    entries.append(1 << (m * width + tail))  # past every key, so a lookup stays in range
+    index_of, strides = (1 << tail) - 1, range(0, m * u.stride, u.stride)
+    for b, masks in enumerate(family):
+        spots, key = list(map(pos.__getitem__, masks)), 0
+        for f in spots:
+            key = key << width | f
+        covers, room, stack, smaller = [], [], [], 0
+        for p, f in enumerate(spots):
+            kept = gap = 0  # the filters inside b's V_p - x, for removals x in and out of the family
+            for k, g in lower[f]:
+                if not smaller >> k & 1:
+                    probe = key ^ (f ^ g) << (m - 1 - p) * width
+                    entry = entries[bisect_left(entries, probe << tail)]
+                    if entry >> tail == probe:
+                        covers.append((entry & index_of, 1 << (strides[p] + k)))
+                        kept |= below[g]
+                    else:
+                        gap |= below[g]
+            room.append(below[f] & ~kept)
+            if gap:
+                stack.append((p, key >> (m - p) * width, gap & room[p]))
+            smaller = masks[p]
+        found = []  # (prefix key of m - 1 components, bits of the last one) holding box members
+        while stack:
+            p, prefix, inside = stack.pop()
+            if p + 1 == m:
+                if nexts[p][prefix] & inside:
+                    found.append((prefix, inside))
                 continue
-            extra = pb & ~packed[a]
-            covers.append((a, extra))
-            changed = sum(1 for x, y in zip(family[a], family[b]) if x != y)
-            violations[a] = (
-                f"cover {_chain_json(n, family[a])} -> {_chain_json(n, family[b])} "
-                f"changes {changed} components by {extra.bit_count()} elements"
-            )
+            for f in _bits(nexts[p][prefix] & inside):
+                head = prefix << width | f
+                if p + 2 < m:
+                    stack.append((p + 1, head, room[p + 1]))
+                elif nexts[-1][head] & room[-1]:  # the last component, read here
+                    found.append((head, room[-1]))
+        violations = {}
+        if found:
+            box = []
+            for prefix, inside in found:
+                for f in _bits(nexts[-1][prefix] & inside):
+                    box.append(entries[bisect_left(entries, (prefix << width | f) << tail)] & index_of)
+            box.sort()
+            packed = {a: sum(map(lshift, family[a], strides)) for a in box + [b]}
+            for a in box:
+                if any(x != a and not packed[a] & ~packed[x] for x in box):
+                    continue
+                extra = packed[b] & ~packed[a]
+                covers.append((a, extra))
+                violations[a] = (
+                    f"cover {_chain_json(n, family[a])} -> {_chain_json(n, masks)} "
+                    f"changes {sum(map(ne, family[a], masks))} components by {extra.bit_count()} elements"
+                )
         yield b, covers, violations
 
 
@@ -622,18 +660,21 @@ def nn_poset(
 ) -> FlooredPoset:
     """Inclusion poset on enumerate_nn(p) with floor labels on the covers.
 
-    The covers come from the certificate (_certify); a violation of Lemma
-    5.4 raises InvariantViolation.  Under the certified lemma every cover
-    adds one pair to one component, so the poset is graded by the total
-    pair count over the components.
+    The covers come from _certify_covers, on the chains in this order; a
+    violation of Lemma 5.4 raises InvariantViolation.  Under the certified
+    lemma every cover adds one pair to one component, so the poset is
+    graded by the total pair count over the components.
     """
     chains = enumerate_nn(p, variant=variant, max_objects=max_objects)
-    family = [chain.masks() for chain in chains]
+    family = list(map(FilterChain.masks, chains))
     u = _universe(p.n)
     labelled, floors, violations = [], [], []
-    for b, covers, found in _certify(p.n, family):
-        floors.append(u.pairs_of(reduce(or_, (e for _, e in covers), 0) & u.full_mask))
-        labelled.extend(((a, b), u.pairs_of(extra & u.full_mask)) for a, extra in covers)
+    for b, covers, found in _certify_covers(p.n, family):
+        floor = 0
+        for a, extra in covers:
+            labelled.append(((a, b), u.pairs_of(extra & u.full_mask)))
+            floor |= extra
+        floors.append(u.pairs_of(floor & u.full_mask))
         violations.extend(found.values())
     _refuse(violations)
     cover_floor = tuple(sorted(labelled))
@@ -664,13 +705,10 @@ def h_tilde(
     the staircase being the minimal pairs (t, t+1), ..., (n-1, n).
 
     FL(b) is the union of the top-component differences over the covers of
-    b.  The covers come from the Lemma 5.4 certificate (_certify), which
-    computes exact down-sets without the lemma and builds no poset.  When
-    the lemma holds they are the single-element removals that stay in the
-    family, so FL(b) is the set of pairs of V_m whose removal gives a chain
-    in the family.  A cover that breaks the lemma raises
-    InvariantViolation, so no result rests on the lemma unchecked.  The
-    one-t call of `h_tildes`.
+    b, which come from the Lemma 5.4 certificate (_certify_covers): no
+    poset is built and no lemma assumed.  Under the lemma, FL(b) is the
+    set of pairs of V_m whose removal gives a chain in the family; a cover
+    that breaks it raises InvariantViolation.  The one-t call of `h_tildes`.
     """
     [(_, poly)] = h_tildes(p.m, p.n, (p.t,), variant, max_objects)
     return poly

@@ -169,6 +169,19 @@ def _with_count(parts: Sequence[Tuple[List[int], List[int]]], unit: int, want: i
     return acc[0]
 
 
+class _WholeKeys(dict):
+    """block -> its partial key, kept whole, made at the block's first lookup."""
+
+    __slots__ = ("_bit", "_unit")
+
+    def __init__(self, bit: List[int], unit: int):
+        self._bit, self._unit = bit, unit
+
+    def __missing__(self, block: tuple) -> int:
+        self[block] = key = self._unit + block[0] * sum(map(self._bit.__getitem__, block))
+        return key
+
+
 class RefinementPoset:
     """Block tuples, their ranks and down(b, r); see build_refinement_poset."""
 
@@ -183,17 +196,18 @@ class RefinementPoset:
         self._bit = [1 << (x * width) for x in range(p.ground_size + 1)]
         self._block = 1 << ((p.ground_size + 1) * width)  # one block in the count field
         self._layouts: Dict[int, tuple] = {}
-        last: Dict[tuple, int] = {}  # the last element holding each distinct block
+        whole = _WholeKeys(self._bit, self._block)  # each block occurrence is hashed once, here
+        last_by_key: Dict[int, int] = {}  # the last element holding each distinct block
+        self._index: Dict[int, int] = {}
         start = 0
         for size, level in groupby(self.elements, len):  # elements of `size` blocks each
-            level = list(level)
-            spots = dict(zip(chain.from_iterable(level), count()))  # last spot in the level's blocks
-            last.update((block, start + spot // size) for block, spot in spots.items())
-            start += len(level)
-        whole = {  # the partial key of each distinct block, kept whole
-            block: self._block + block[0] * sum(map(self._bit.__getitem__, block)) for block in last
-        }
-        self._index = {sum(map(whole.__getitem__, blocks)): i for i, blocks in enumerate(self.elements)}
+            keys = list(map(whole.__getitem__, chain.from_iterable(level)))
+            spots = dict(zip(keys, count()))  # last spot in the level's blocks
+            last_by_key.update((key, start + spot // size) for key, spot in spots.items())
+            # An element's key is the sum of its `size` consecutive block keys.
+            self._index.update(zip(map(sum, zip(*[iter(keys)] * size)), count(start)))
+            start += len(keys) // size
+        last = {block: last_by_key[key] for block, key in whole.items()}
         pending: Dict[tuple, int] = {}  # the runs that have each run as a gap and are not yet split
         for run in last:
             for low, high in self._layout(len(run))[0]:

@@ -3,7 +3,7 @@
 Nothing here imports the package under test at module level: partitions are
 plain tuples of tuples, every predicate is coded directly from the defining
 patterns and the closed triangles are summed in `Fraction`, so these
-routines can serve as oracles for the library.  Four exceptions import it
+routines can serve as oracles for the library.  Five exceptions import it
 when called.  `identities_literal` runs the library's literal polynomial
 path (`substitute`, `RationalExpr`) over the library's identity table, the
 path that the integer check in `verify_transformation_identities` replaced.
@@ -13,6 +13,9 @@ replaced.
 `chains_by_closure` is the filter-chain generator that the column-height
 generator `nonnest._generate_chains` replaced: it reads the library's filter
 masks and tests every closure condition on whole grid masks.
+`certify_by_down_sets` is the Lemma 5.4 certificate that
+`nonnest._certify_covers` replaced: it reads the library's pair layout and
+packs each chain's exact down-set into one bit per chain of the family.
 `verify_ideal_embedding` reads the library's refinement poset and
 relabelling map.  `m_triangle_rankwise` takes a poset object and uses only
 its ranks and down-masks.
@@ -428,6 +431,99 @@ def chains_by_closure(m, n, t, variant):
 
     descend(m)
     return tuple(chains)
+
+
+def _columns(n, family):
+    """has[1 << k]: the chains whose packed mask holds bit k, for each bit some chain holds.
+
+    Component p of a chain sits at bits p*stride of its packed mask.  Per
+    component, each distinct value gets one row, b"1" or b"0" per pair
+    bit.  The chains' rows, last chain first, are joined into one string,
+    in which every len(pairs)-th byte from offset s spells the binary
+    literal of pair bit s's column.
+    """
+    from nclab.nonnest import _bits, _universe
+
+    u = _universe(n)
+    spots = list(_bits(u.full_mask))
+    has = {}
+    if not family or not spots:
+        return has
+    for p in range(len(family[0])):
+        rows = {v: bytes([48 + (v >> k & 1) for k in spots]) for v in {masks[p] for masks in family}}
+        joined = b"".join([rows[masks[p]] for masks in reversed(family)])
+        for s, k in enumerate(spots):
+            column = int(joined[s :: len(spots)], 2)
+            if column:
+                has[1 << (p * u.stride + k)] = column
+    return has
+
+
+def certify_by_down_sets(n, family):
+    """Exact inclusion down-sets of a chain family and the Lemma 5.4 check.
+
+    Chains (component masks, V_m first) are packed into one int each,
+    component p at bits p*stride.  down(b) is the AND over p of the chains
+    whose component p lies inside b's, read off has[k], the chains holding
+    packed bit k: no lemma is assumed.  A chain below b lies below the
+    single removal b - k, where that is in the family, iff it lacks bit k.
+    So Lemma 5.4 (every cover changes one component by one element) holds
+    at b iff no chain strictly below b holds every such k, and the maximal
+    chains of that residue are b's other covers.  Yields, per b: b, the
+    covers as (a, packed b & ~a), and {a: message} for the covers that
+    break the lemma.
+
+    Only a minimal pair of some component V_i that the next smaller
+    component V_{i+1} lacks can be such a k.  Every chain the callers pass
+    is a weakly nested tuple of filters, so b - k is one when it is in the
+    family.  Removing a pair x from the filter V_i leaves an up-closed set
+    iff no other member of V_i lies below x (that member's up-set holds
+    x), i.e. iff x is minimal in V_i.  V_{i+1} must still lie inside
+    V_i - x, so it lacks x.  The loop over k thus runs over
+    minimal(V_i) & ~V_{i+1} for each i (V_{m+1} empty), not over every
+    bit of b.
+    """
+    from functools import reduce
+    from operator import or_
+
+    from nclab.nonnest import _bits, _chain_json, _universe
+
+    u = _universe(n)
+    packed = [sum(mask << (p * u.stride) for p, mask in enumerate(masks)) for masks in family]
+    index = {pc: c for c, pc in enumerate(packed)}
+    everything = (1 << len(packed)) - 1
+    has = _columns(n, family)
+
+    @lru_cache(maxsize=None)
+    def inside(p, mask):  # the chains whose component p lies in mask
+        lacking = (u.full_mask & ~mask) << (p * u.stride)
+        return everything & ~reduce(or_, (hs for bit, hs in has.items() if bit & lacking), 0)
+
+    for b, (pb, masks) in enumerate(zip(packed, family)):
+        down, removable, smaller = everything, 0, 0
+        for p, mask in enumerate(masks):
+            down &= inside(p, mask)
+            removable |= (u.minimal(mask) & ~smaller) << (p * u.stride)
+            smaller = mask
+        covers, common = [], down ^ 1 << b  # b lies in its own down-set
+        for k in _bits(removable):
+            c = index.get(pb ^ 1 << k)
+            if c is not None:
+                covers.append((c, 1 << k))
+                common &= has[1 << k]
+        residue = list(_bits(common))
+        violations = {}
+        for a in residue:
+            if any(x != a and not packed[a] & ~packed[x] for x in residue):
+                continue
+            extra = pb & ~packed[a]
+            covers.append((a, extra))
+            changed = sum(1 for x, y in zip(family[a], family[b]) if x != y)
+            violations[a] = (
+                f"cover {_chain_json(n, family[a])} -> {_chain_json(n, family[b])} "
+                f"changes {changed} components by {extra.bit_count()} elements"
+            )
+        yield b, covers, violations
 
 
 def dominates(heights_a, heights_b):

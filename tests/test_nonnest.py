@@ -214,6 +214,11 @@ class TestEnumerate:
         assert a == b
         assert list(a) == sorted(a, key=pair_key)
 
+    def test_one_filter_object_per_distinct_mask(self):
+        chains = enumerate_nn(Params(3, 4, 1))
+        filters = [f for c in chains for f in c.filters]
+        assert len({id(f) for f in filters}) == len({f.mask for f in filters}) < len(filters)
+
     def test_matches_set_oracle(self):
         # The nested m-tuples of t-filters that the set-based oracle accepts.
         sizes = {(m, n) for m in range(1, 9) for n in range(1, 8 // m + 1)}
@@ -473,7 +478,51 @@ class TestCertificate:
                         assert violations == (), case
                         assert certified(p, variant=variant) == (len(covers), ()), case
 
-    # (m, n, chains (V_m, ..., V_1), the one violating cover's message)
+    # Every (m, n) with mn <= 10, and (2, 6) and (3, 5).
+    ORACLE_CASES = [(m, n) for m in range(1, 11) for n in range(1, 10 // m + 1)] + [(2, 6), (3, 5)]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_down_set_oracle(self, variant):
+        # The prefix-bitset certificate against the |F|-bit down-set one it
+        # replaced, stream for stream, on generator order and on the
+        # `enumerate` order that nn_poset passes.
+        for m, n in self.ORACLE_CASES:
+            for t in range(1, n + 1):
+                p = Params(m, n, t)
+                raw = nonnest._generate_chains(m, n, t, variant, DEFAULT_MAX_OBJECTS)
+                for family in (raw, nonnest._sorted_chains(p, variant, DEFAULT_MAX_OBJECTS)):
+                    expected = list(oracles.certify_by_down_sets(n, family))
+                    assert list(nonnest._certify_covers(n, family)) == expected, (variant, p)
+
+    def test_filter_order_below_sets(self):
+        for n in range(1, 7):
+            masks = _tfilter_masks(n, 1)
+            pos, lower, below = nonnest._filter_order(n)
+            assert [pos[mask] for mask in masks] == list(range(len(masks)))
+            for f, mask in enumerate(masks):
+                assert below[f] == sum(1 << g for g, other in enumerate(masks) if not other & ~mask), (n, f)
+                minimal = _universe(n).minimal(mask)
+                assert [(k, masks[g]) for k, g in lower[f]] == [
+                    (k, mask ^ 1 << k) for k in range(mask.bit_length()) if minimal >> k & 1
+                ]
+
+    @pytest.mark.parametrize(
+        "chain, reason",
+        [
+            (({(1, 2)},), "not up-closed"),
+            (({(1, 3)}, set()), "not nested"),
+        ],
+        ids=["not-a-filter", "not-nested"],
+    )
+    def test_refuses_a_member_that_is_not_a_nested_chain_of_filters(self, chain, reason):
+        u = _universe(3)
+        family = [tuple(0 for _ in chain), tuple(u.mask_of(V) for V in chain)]
+        with pytest.raises(InvariantViolation, match="is not a nested chain of filters"):
+            list(nonnest._certify_covers(3, family))
+
+    # (m, n, chains (V_m, ..., V_1), the one violating cover's message).
+    # In the third, b = the second chain has no removal in the family, so
+    # its box holds both other chains; only the larger one is a cover.
     BROKEN = [
         (
             1,
@@ -489,9 +538,25 @@ class TestCertificate:
             'cover {"m":2,"filters":[[],[]]} -> {"m":2,"filters":[[[1,3]],[[1,3]]]} '
             "changes 2 components by 2 elements",
         ),
+        (
+            3,
+            3,
+            [((), (), ()), ((), {(1, 3)}, {(1, 2), (1, 3)}), ((), (), {(1, 3)})],
+            'cover {"m":3,"filters":[[],[],[[1,3]]]} -> {"m":3,"filters":[[],[[1,3]],[[1,2],[1,3]]]} '
+            "changes 2 components by 2 elements",
+        ),
     ]
+    BROKEN_IDS = ["two-pairs", "two-components", "m3-box-of-two"]
 
-    @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=["two-pairs", "two-components"])
+    @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=BROKEN_IDS)
+    def test_certificate_and_oracle_report_broken_covers(self, m, n, chains, message):
+        u = _universe(n)
+        raw = tuple(tuple(u.mask_of(V) for V in chain) for chain in chains)
+        stream = list(nonnest._certify_covers(n, raw))
+        assert stream == list(oracles.certify_by_down_sets(n, raw))
+        assert [message for _, _, found in stream for message in found.values()] == [message]
+
+    @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=BROKEN_IDS)
     def test_reports_broken_covers(self, monkeypatch, capsys, m, n, chains, message):
         u = _universe(n)
         raw = tuple(tuple(u.mask_of(V) for V in chain) for chain in chains)
@@ -509,7 +574,7 @@ class TestCertificate:
         assert cli.main(["verify", "--suite", "lemma54", "--range", f"m={m},n={n},t=1"]) == 1
         assert cli.main(["sweep", "--do", "triangle", "--which", "htilde", "--range", f"m={m},n={n},t=1"]) == 1
 
-    @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=["two-pairs", "two-components"])
+    @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=BROKEN_IDS)
     def test_broken_covers_stop_a_t_range_as_they_stop_t0(
         self, monkeypatch, capsys, m, n, chains, message
     ):

@@ -214,6 +214,20 @@ class TestCoverFirst:
             assert all(type(blocks) is tuple for blocks in poset.elements), p
             assert poset.count_rank_multichains(range(p.max_rank + 1)) > 0, p
 
+    def test_key_index_and_last_readers(self):
+        # Both come off one pass over the levels: the key of an element is
+        # the sum of its blocks' partial keys, and _last[block] is the last
+        # element holding the block.
+        for p in (Params(1, 6, 1), Params(2, 4, 1), Params(3, 3, 2)):
+            poset = build_refinement_poset(p)
+            whole = posetcore._WholeKeys(poset._bit, poset._block)
+            assert poset._index == {sum(map(whole.__getitem__, blocks)): i for i, blocks in enumerate(poset.elements)}
+            last = {}
+            for i, blocks in enumerate(poset.elements):
+                last.update(dict.fromkeys(blocks, i))
+            assert poset._last == last, p
+            assert list(poset._last) == list(dict.fromkeys(block for blocks in poset.elements for block in blocks))
+
     def test_covers_close_transitively(self):
         poset = FinitePoset("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
         assert down_masks(poset) == [0b0001, 0b0011, 0b0101, 0b1111]
