@@ -503,10 +503,7 @@ def _sorted_chains(p: Params, variant: str, max_objects: int) -> List[Tuple[int,
 def enumerate_nn(
     p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Tuple[FilterChain, ...]:
-    """All geometric chains of t-filters of length m, in _sorted_chains order.
-
-    The chains share one TFilter per distinct component mask.
-    """
+    """All geometric chains of t-filters of length m, in _sorted_chains order, one TFilter per mask."""
     chains = _sorted_chains(p, variant, max_objects)
     filters = {mask: _filter_from_mask(p.n, p.t, mask) for mask in set().union(*chains)}
     return tuple([FilterChain(tuple(map(filters.__getitem__, masks))) for masks in chains])
@@ -617,7 +614,7 @@ def _certify_covers(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple
             if gap:
                 stack.append((p, key >> (m - p) * width, gap & room[p]))
             smaller = masks[p]
-        found = []  # (prefix key of m - 1 components, bits of the last one) holding box members
+        found = []  # (prefix key of m - 1 components, the filters its last may be) holding box members
         while stack:
             p, prefix, inside = stack.pop()
             if p + 1 == m:
