@@ -220,13 +220,13 @@ class TestCoverFirst:
         # element holding the block.
         for p in (Params(1, 6, 1), Params(2, 4, 1), Params(3, 3, 2)):
             poset = build_refinement_poset(p)
-            whole = posetcore._WholeKeys(poset._bit, poset._block)
-            assert poset._index == {sum(map(whole.__getitem__, blocks)): i for i, blocks in enumerate(poset.elements)}
-            last = {}
+            index, last = {}, {}
             for i, blocks in enumerate(poset.elements):
+                keys = [poset._block + block[0] * sum(poset._bit[x] for x in block) for block in blocks]
+                index[sum(keys)] = i
                 last.update(dict.fromkeys(blocks, i))
+            assert poset._index == index, p
             assert poset._last == last, p
-            assert list(poset._last) == list(dict.fromkeys(block for blocks in poset.elements for block in blocks))
 
     def test_covers_close_transitively(self):
         poset = FinitePoset("abcd", [(1, 3), (0, 1), (0, 2), (2, 3)], (0, 1, 1, 2))
