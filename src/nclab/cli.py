@@ -122,8 +122,8 @@ def cmd_enumerate(args, cap: int) -> int:
         for blocks in ncpart._nc_family(p, cap):
             _print_json({"n": p.ground_size, "blocks": blocks})
     elif args.kind == "nn":
-        for masks in nonnest._sorted_chains(p, args.variant, cap):
-            print(nonnest._chain_json(p.n, masks))
+        for key in nonnest._sorted_chains(p, nonnest._raw_chains(p, args.variant, cap)):
+            print(nonnest._chain_json(p.m, p.n, key))
     else:
         _check_path_cap(p, cap)
         for steps in dyckmodel._tdyck_steps(p.n, p.t):

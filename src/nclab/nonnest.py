@@ -5,15 +5,16 @@ ordered by (i, j) <= (k, l) iff i >= k and j <= l (interval containment).
 T_{n,t} keeps the pairs with j > t; its up-closed subsets ("t-filters") are
 in bijection with monotone integer vectors, which is how they are enumerated
 here.  Filters and chains are exposed as immutable value objects; internally
-everything runs on grid bitmasks, pair (i, j) at bit i*(n+1) + j.  The chain
-generator works on the filters' monotone vectors instead, where every closure
-condition on a chain becomes a comparison of column heights.
+a filter is a grid bitmask, pair (i, j) at bit i*(n+1) + j, and a chain one
+int key of its filters' positions.  The chain generator works on the filters'
+monotone vectors, where every closure condition becomes a height comparison.
 """
 
 import json
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from operator import gt, lshift, ne
+from itertools import islice
+from operator import ge, gt, lshift, ne
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from . import closedform
@@ -99,8 +100,9 @@ def _tfilter_masks(n: int, t: int) -> Tuple[int, ...]:
     # (a_{t+1}, ..., a_n) with 0 <= a_j <= j-1: column j contains the pairs
     # (1, j), ..., (a_j, j).  The list is lexicographic in that vector.  For
     # t > 1 these are the 1-filters with no pair in a column j <= t (T_{n,t}
-    # is an up-set of T_n), kept from the t = 1 tuple in its order: the same
-    # int objects, and a_2 = ... = a_t = 0 keeps the vector order.
+    # is an up-set of T_n), the same int objects.  Prefix lemma: they are
+    # the first entries of the t = 1 tuple, as their vectors, with a_2 = ...
+    # = a_t = 0, are the smallest; so their positions there are their own.
     if t > 1:
         low = _universe(n).full_mask & ~_restricted_mask(n, t)
         return tuple([mask for mask in _tfilter_masks(n, 1) if not mask & low])
@@ -209,35 +211,27 @@ class FilterChain(Value):
             if not smaller.pairs <= larger.pairs:
                 raise DomainError("chain components must be nested V_m <= ... <= V_1")
 
-    def masks(self) -> Tuple[int, ...]:
-        return tuple(f.mask for f in self.filters)
 
-
-def _chain_json(n: int, masks: Sequence[int]) -> str:
-    """The `enumerate` line of a chain: its component masks as lists of pairs.
+def _chain_json(m: int, n: int, key: int) -> str:
+    """The `enumerate` line of a chain key: its component masks as lists of pairs.
 
     Grid bit order is lexicographic pair order, so each list comes sorted.
     """
-    filters = [[divmod(k, n + 1) for k in _bits(mask)] for mask in masks]
-    return json.dumps({"m": len(masks), "filters": filters}, separators=(",", ":"))
+    filters = [[divmod(k, n + 1) for k in _bits(mask)] for mask in _chain_masks(m, n, key)]
+    return json.dumps({"m": m, "filters": filters}, separators=(",", ":"))
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+def _generate_chains(m: int, n: int, t: int, variant: str, max_objects: int) -> List[int]:
+    """The chain keys, ascending; ResourceLimitError once they exceed `max_objects`.
 
-
-def _generate_chains(
-    m: int, n: int, t: int, variant: str, max_objects: int
-) -> Tuple[Tuple[int, ...], ...]:
-    """The chain masks (V_m, ..., V_1); ResourceLimitError once they exceed `max_objects`.
-
-    Each component is the very int object that _tfilter_masks(n, t) holds.
-    A filter V is its column-height vector: (i, l) is in V iff i <= a_l,
-    with a weakly increasing, a_l <= l - 1, and a_l = 0 for l <= t (and
-    a_0 = 0).  Let A, B, C be the vectors of filters V_a, V_b, W, and Amb
-    the ambient pair set: every pair ("paper") or those with l > t
-    ("adapted"); a column x is ambient when its pairs are.
+    The key of (V_m, ..., V_1) is the sum of pos(V_k) << (k - 1) * width,
+    pos the position in _tfilter_masks(n, 1), width the bit length of its
+    size (decoded by _chain_masks).  A filter V is its column-height
+    vector: (i, l) is in V iff i <= a_l, with a weakly increasing, a_l <=
+    l - 1, and a_l = 0 for l <= t (and a_0 = 0).  Let A, B, C be the
+    vectors of filters V_a, V_b, W, and Amb the ambient pair set: every
+    pair ("paper") or those with l > t ("adapted"); a column x is ambient
+    when its pairs are.
 
     Height lemma.  (1) V_a + V_b <= W iff A[B[l]] <= C[l] for every l.
     Column l of V_a + V_b holds i iff some j has (j, l) in V_b, i.e.
@@ -288,15 +282,16 @@ def _generate_chains(
     lexicographic vector order, which is _tfilter_masks order.  The levels
     nest V_m outermost, so the chains come lexicographic in (V_m, ...,
     V_1) by filter position, the order of the closure-testing generator
-    this one replaced (tests/oracles.py::chains_by_closure).
+    this one replaced (tests/oracles.py::chains_by_closure), and ascending
+    key order by the prefix lemma (_tfilter_masks).
     """
-    filters = _tfilter_masks(n, t)
     heights, below, short, rank = _height_tables(n, t, variant)
     full = heights[-1]  # the last filter holds every pair: a_l = l - 1 for l > t
     first = 1 if variant == "paper" else t + 1  # the first ambient column
-    chains: List[Tuple[int, ...]] = []
+    width = len(_tfilter_masks(n, 1)).bit_length()
+    chains: List[int] = []
     chosen = [0] * (m + 1)  # filter position of V_k
-    comp = [0] * (m + 1)  # its mask
+    heads = [0] * (m + 2)  # the key fields of V_k, ..., V_m
     columns = range(t + 1, n + 1)
     lows: List[List[int]] = [[]] * m  # per level: the column bounds
     highs: List[List[int]] = [[]] * m
@@ -306,11 +301,11 @@ def _generate_chains(
     last_short = [list(short[0]) for _ in range(m)]
 
     def take(k: int, pos: int) -> None:
-        chosen[k], comp[k] = pos, filters[pos]
+        chosen[k], heads[k] = pos, heads[k + 1] | pos << (k - 1) * width
         if k > 1:
             level(k - 1)
             return
-        chains.append(tuple(comp[m:0:-1]))
+        chains.append(heads[1])
         if len(chains) > max_objects:
             check_cap(len(chains), max_objects, f"{variant} chains for {Params(m, n, t)} reached {len(chains)}")
 
@@ -373,55 +368,61 @@ def _generate_chains(
             D[l] = l if a < l - 1 else D[l - 1]
             fill(k, l + 1, base + ranks[a])
 
-    for pos in range(len(filters)):
+    for pos in range(len(heights)):
         take(m, pos)
-    return tuple(chains)
+    return chains
 
 
-def _raw_chains(p: Params, variant: str, max_objects: int) -> Tuple[Tuple[int, ...], ...]:
-    """The generator's chain masks, behind the variant check and the size guards.
+def _raw_chains(p: Params, variant: str, max_objects: int) -> List[int]:
+    """The generator's chain keys, ascending, behind the variant check and the size guards.
 
     Every entry point that enumerates chains comes through here.  The closed
     count refuses early; it is the conjectured count, which the adapted
     variant exceeds, so the generator also stops once it holds more chains
     than the cap.
     """
-    _check_variant(variant)
+    if variant not in VARIANTS:
+        raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
     predicted = closedform.total_count(p)
     check_cap(predicted, max_objects, f"predicted about {predicted} chains for {p}")
     return _generate_chains(p.m, p.n, p.t, variant, max_objects)
 
 
-def _last_t(n: int, top: int) -> int:
-    """The largest t <= n such that the t-filter mask `top` holds no pair in a column <= t.
+def _chain_masks(m: int, n: int, key: int) -> Tuple[int, ...]:
+    """The component masks (V_m, ..., V_1) of a chain key, the filter table's own ints."""
+    filters = _tfilter_masks(n, 1)
+    width = len(filters).bit_length()
+    return tuple([filters[key >> k * width & (1 << width) - 1] for k in range(m - 1, -1, -1)])
 
-    A filter holding (i, l) holds (1, l) above it, so this is the lowest
-    column l with (1, l) in the filter, less one, or n for the empty filter.
+
+def _last_ts(n: int) -> Tuple[List[int], int]:
+    """(last, ones): last[f] is the largest t whose t-filters hold the 1-filter at position f.
+
+    They are the first 1-filters (prefix lemma); `ones` masks a key's V_1.
     """
-    row = top >> (n + 1) & ((1 << (n + 1)) - 1)  # bit l: (1, l)
-    return (row & -row).bit_length() - 2 if row else n
+    last: List[int] = []
+    for t in range(n, 0, -1):
+        last += [t] * (len(_tfilter_masks(n, t)) - len(last))
+    return last, (1 << len(last).bit_length()) - 1
 
 
 def _passes(m: int, n: int, ts: Sequence[int], variant: str, max_objects: int) -> Iterator[tuple]:
     """(served, family): the chain families behind the t values ts, each with the ts it serves.
 
     Paper variant: one family, at t0 = min(ts), serves every t.  Lemma:
-    the t-chains are the t0-chains whose V_1 has no pair in a column <= t,
-    i.e. those with t <= _last_t(n, V_1), in the order the t0 generator
-    gives them.  Proof: with Amb every pair, no condition on a chain reads
-    t (see _generate_chains); a t-filter is a t0-filter with no pair in a
-    column <= t (_tfilter_masks), and every component lies inside V_1.
-    Both generators give their chains lexicographic in (V_m, ..., V_1) by
-    filter position, and _tfilter_masks(n, t) keeps the order of the
-    t0 tuple, so positions compare alike.
-    The adapted ambient set, the pairs with l > t, changes with t, and the
-    lemma fails (31 chains at (2, 4, 2) against 25 from t0 = 1): one
-    family per t, serving that t alone.  Every t-chain of either variant
-    has _last_t(n, V_1) >= t, so a reader that tallies a family's chains
-    at each served t <= _last_t(n, V_1) is right for both.  Families come
-    one at a time, in t order, so size refusals come in per-t order.
+    the t-chains are the t0-chains whose V_1 is a t-filter, i.e. those
+    with t <= last[V_1] (_last_ts), in the order the t0 generator gives them.
+    Proof: with Amb every pair, no condition on a chain reads t (see
+    _generate_chains); a t-filter is a t0-filter with no pair in a column
+    <= t (_tfilter_masks), every component lies inside V_1, and both
+    generators give ascending keys.  The adapted ambient set, the pairs
+    with l > t, changes with t, and the lemma fails (31 chains at (2, 4,
+    2) against 25 from t0 = 1): one family per t, serving that t alone.
+    Every t-chain of either variant has its V_1 a t-filter, so a reader
+    that tallies a family's chains at each served t <= last[V_1] is right
+    for both.  Families come one at a time, in t order, so size refusals
+    come in per-t order.
     """
-    _check_variant(variant)
     if variant == "paper":
         yield tuple(ts), _raw_chains(Params(m, n, min(ts)), variant, max_objects)
         return
@@ -429,20 +430,14 @@ def _passes(m: int, n: int, ts: Sequence[int], variant: str, max_objects: int) -
         yield (t,), _raw_chains(Params(m, n, t), variant, max_objects)
 
 
-def _last_ts(n: int, family: Sequence[Tuple[int, ...]]) -> Dict[int, int]:
-    """_last_t of each distinct V_1 of the family (its last component), by mask."""
-    return {top: _last_t(n, top) for top in {masks[-1] for masks in family}}
-
-
 def chain_counts(
     m: int, n: int, ts: Sequence[int], variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Iterator[Tuple[int, int]]:
     """(t, number of t-chains) for each t of ts, ascending, off one family per `_passes` pass."""
     for served, family in _passes(m, n, ts, variant, max_objects):
-        by_last = [0] * (n + 1)
-        last = _last_ts(n, family)
-        for masks in family:
-            by_last[last[masks[-1]]] += 1
+        by_last, (last, ones) = [0] * (n + 1), _last_ts(n)
+        for key in family:
+            by_last[last[key & ones]] += 1
         for t in served:
             yield t, sum(by_last[t:])
 
@@ -453,21 +448,21 @@ def chain_tallies(
     """(t, chains, covers, violations, floor coefficients) per t of ts, ascending.
 
     Runs _certify_covers once per `_passes` family and tallies each chain
-    b at every served t <= _last_t(n, V_1 of b).  Those t-chains are an
-    order ideal of the family (a chain inside b has its V_1 inside b's),
-    so b's covers, violations and floor FL(b) are the family's.  FL(b), a
-    set of pairs of V_m inside V_1, misses the staircase pairs (i, i+1)
-    with i < t, so its key (|FL|, |FL cap staircase|) is the same at every
-    such t.  Violations keep the family's chain order.
+    b at every served t <= last[V_1 of b] (_last_ts).  Those t-chains are
+    an order ideal of the family (a chain inside b has its V_1 inside
+    b's), so b's covers, violations and floor FL(b) are the family's.
+    FL(b), a set of pairs of V_m inside V_1, misses the staircase pairs
+    (i, i+1) with i < t, so its key (|FL|, |FL cap staircase|) is the
+    same at every such t.  Violations keep the family's chain order.
     """
     for served, family in _passes(m, n, ts, variant, max_objects):
         full, stair = _universe(n).full_mask, _staircase_mask(n, min(served))
-        last = _last_ts(n, family)
+        last, ones = _last_ts(n)
         counts, cover_counts = [0] * (n + 1), [0] * (n + 1)
         coeffs_by: List[Dict[Tuple[int, int], int]] = [{} for _ in range(n + 1)]
         found: List[Tuple[int, str]] = []
-        for b, covers, violations in _certify_covers(n, family):
-            tau = last[family[b][-1]]
+        for b, covers, violations in _certify_covers(m, n, family):
+            tau = last[family[b] & ones]
             counts[tau] += 1
             cover_counts[tau] += len(covers)
             floor = 0
@@ -488,25 +483,27 @@ def chain_tallies(
             yield t, sum(counts[t:]), sum(cover_counts[t:]), messages, coeffs
 
 
-def _sorted_chains(p: Params, variant: str, max_objects: int) -> List[Tuple[int, ...]]:
-    """The chain masks of _raw_chains in the order `enumerate` prints them.
+def _sorted_chains(p: Params, keys: Sequence[int]) -> List[int]:
+    """The keys of a family of t-chains in the order `enumerate` prints them.
 
-    Chains sort by each component's set-bit tuple, V_m first.  Grid bit
-    order is lexicographic pair order, so that tuple orders the components
-    as their sorted pair lists do.
+    By each component's set-bit tuple, V_m first: grid bit order is
+    lexicographic pair order, so that orders them as sorted pair lists.
     """
-    chains = _raw_chains(p, variant, max_objects)
-    bits = {mask: tuple(_bits(mask)) for mask in {mask for masks in chains for mask in masks}}
-    return sorted(chains, key=lambda masks: tuple([bits[mask] for mask in masks]))
+    bits = {mask: tuple(_bits(mask)) for mask in _tfilter_masks(p.n, p.t)}
+    return sorted(keys, key=lambda key: [bits[mask] for mask in _chain_masks(p.m, p.n, key)])
+
+
+def _filter_chains(p: Params, keys: Sequence[int]) -> Tuple[FilterChain, ...]:
+    """The FilterChain of each key, in their order, one TFilter per t-filter."""
+    filters = dict(zip(_tfilter_masks(p.n, p.t), all_t_filters(p.n, p.t))).__getitem__
+    return tuple([FilterChain(tuple(map(filters, _chain_masks(p.m, p.n, key)))) for key in keys])
 
 
 def enumerate_nn(
     p: Params, variant: str = "paper", max_objects: int = DEFAULT_MAX_OBJECTS
 ) -> Tuple[FilterChain, ...]:
-    """All geometric chains of t-filters of length m, in _sorted_chains order, one TFilter per mask."""
-    chains = _sorted_chains(p, variant, max_objects)
-    filters = {mask: _filter_from_mask(p.n, p.t, mask) for mask in set().union(*chains)}
-    return tuple([FilterChain(tuple(map(filters.__getitem__, masks))) for masks in chains])
+    """All geometric chains of t-filters of length m, in _sorted_chains order, one TFilter per t-filter."""
+    return _filter_chains(p, _sorted_chains(p, _raw_chains(p, variant, max_objects)))
 
 
 class FlooredPoset(Value):
@@ -525,12 +522,12 @@ class FlooredPoset(Value):
 
 @lru_cache(maxsize=1)
 def _filter_order(n: int) -> tuple:
-    """(pos, lower, below) over the filters of T_n, by position in _tfilter_masks(n, 1).
+    """(lower, below) over the filters of T_n, by position in _tfilter_masks(n, 1).
 
     lower[f] lists (k, position of f - k) per minimal pair k of f; below[f]
     has bit g iff filter g lies in f.  If f lies strictly in g, a minimal
     x of g below a pair of g - f is missing from f, so f lies in g - x,
-    which comes first: below[g] is g with every below[g - x].
+    which comes first (so f does): below[g] is g with every below[g - x].
     """
     u = _universe(n)
     masks = _tfilter_masks(n, 1)
@@ -541,18 +538,20 @@ def _filter_order(n: int) -> tuple:
         for _, g in lower[f]:
             row |= below[g]
         below.append(row)
-    return pos, lower, below
+    return lower, below
 
 
-def _certify_covers(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple]:
-    """(b, covers, violations) per chain b of a family, in family order: Lemma 5.4, no lemma assumed.
+def _certify_covers(m: int, n: int, family: Sequence[int]) -> Iterator[tuple]:
+    """(b, covers, violations) per chain b of a key family, by index: Lemma 5.4, no lemma assumed.
 
-    Covers are those of componentwise inclusion, as (a, packed b & ~a),
-    component p (V_m first) at bits p*stride; violations maps each cover
-    that changes more than one pair to a message.  Chains are keyed by the
-    positions of their components (_filter_order), V_m on top, over their
-    index, and sorted, so any family order works.  A member that is not a
-    nested chain of filters raises InvariantViolation.
+    The family is the generator's key list, strictly ascending by its
+    order and prefix lemmas (_generate_chains, _tfilter_masks): chain b is
+    family[b], and a chain inside b, with no position above b's
+    (_filter_order), comes before it.  A list out of order, or a key with
+    a position past the filters or components that do not nest, raises
+    InvariantViolation.  Covers are those of componentwise inclusion, as
+    (a, packed b & ~a), component p (V_m first) at bits p*stride;
+    violations maps each cover that changes more than one pair to a message.
 
     b - x is a chain of filters iff x is a minimal pair of some V_i that
     V_{i+1} lacks (V_{m+1} empty).  Those b - x in the family are covers,
@@ -568,52 +567,43 @@ def _certify_covers(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple
     The chains it reaches are the box; there are none when every removal
     is a cover.
     """
-    if not family:
-        return
-    u = _universe(n)
-    pos, lower, below = _filter_order(n)
-    m, width, tail = len(family[0]), len(pos).bit_length(), len(family).bit_length()
-    entries = []
-    for c, masks in enumerate(family):
-        key, smaller = 0, 0
-        for mask in masks:
-            f = pos.get(mask)
-            if f is None or smaller & ~mask:
-                raise InvariantViolation(f"{_chain_json(n, masks)} is not a nested chain of filters")
-            key, smaller = key << width | f, mask
-        entries.append(key << tail | c)
-    entries.sort()
+    filters = _tfilter_masks(n, 1)
+    lower, below = _filter_order(n)
+    width = len(filters).bit_length()
+    shifts = range((m - 1) * width, -1, -width)  # V_m's field first
+    if any(map(ge, family, islice(family, 1, None))):
+        raise InvariantViolation("the chain keys are not strictly ascending")
     nexts: List[Dict[int, int]] = []  # per p: prefix key of p components -> bits of the next one
-    for p in range(m):
-        table, shift, last = {}, tail + (m - 1 - p) * width, -1
-        for entry in entries:
-            head = entry >> shift
+    for shift in shifts:
+        table, last = {}, -1
+        for key in family:
+            head = key >> shift
             if head != last:
                 last, prefix = head, head >> width
                 table[prefix] = table.get(prefix, 0) | 1 << (head ^ prefix << width)
         nexts.append(table)
-    entries.append(1 << (m * width + tail))  # past every key, so a lookup stays in range
-    index_of, strides = (1 << tail) - 1, range(0, m * u.stride, u.stride)
-    for b, masks in enumerate(family):
-        spots, key = list(map(pos.__getitem__, masks)), 0
-        for f in spots:
-            key = key << width | f
-        covers, room, stack, smaller = [], [], [], 0
-        for p, f in enumerate(spots):
+    strides = range(0, m * _universe(n).stride, _universe(n).stride)
+    for b, key in enumerate(family):
+        covers, room, stack, g, prefix = [], [], [], 0, 0  # g: V_{i+1}'s position, the empty filter's first
+        for p, shift in enumerate(shifts):
+            head = key >> shift  # the prefix key of p + 1 components
+            f = head ^ prefix << width
+            if f >= len(filters) or not below[f] >> g & 1:
+                raise InvariantViolation(f"chain key {key} is not a nested chain of filters")
             kept = gap = 0  # the filters inside b's V_p - x, for removals x in and out of the family
-            for k, g in lower[f]:
-                if not smaller >> k & 1:
-                    probe = key ^ (f ^ g) << (m - 1 - p) * width
-                    entry = entries[bisect_left(entries, probe << tail)]
-                    if entry >> tail == probe:
-                        covers.append((entry & index_of, 1 << (strides[p] + k)))
-                        kept |= below[g]
+            for k, h in lower[f]:
+                if not filters[g] >> k & 1:
+                    probe = key ^ (f ^ h) << shift
+                    a = bisect_left(family, probe, 0, b)
+                    if family[a] == probe:
+                        covers.append((a, 1 << (strides[p] + k)))
+                        kept |= below[h]
                     else:
-                        gap |= below[g]
+                        gap |= below[h]
             room.append(below[f] & ~kept)
             if gap:
-                stack.append((p, key >> (m - p) * width, gap & room[p]))
-            smaller = masks[p]
+                stack.append((p, prefix, gap & room[p]))
+            g, prefix = f, head
         found = []  # (prefix key of m - 1 components, the filters its last may be) holding box members
         while stack:
             p, prefix, inside = stack.pop()
@@ -632,17 +622,18 @@ def _certify_covers(n: int, family: Sequence[Tuple[int, ...]]) -> Iterator[tuple
             box = []
             for prefix, inside in found:
                 for f in _bits(nexts[-1][prefix] & inside):
-                    box.append(entries[bisect_left(entries, (prefix << width | f) << tail)] & index_of)
+                    box.append(bisect_left(family, prefix << width | f, 0, b))
             box.sort()
-            packed = {a: sum(map(lshift, family[a], strides)) for a in box + [b]}
+            chains = {a: _chain_masks(m, n, family[a]) for a in box + [b]}
+            packed = {a: sum(map(lshift, masks, strides)) for a, masks in chains.items()}
             for a in box:
                 if any(x != a and not packed[a] & ~packed[x] for x in box):
                     continue
                 extra = packed[b] & ~packed[a]
                 covers.append((a, extra))
                 violations[a] = (
-                    f"cover {_chain_json(n, family[a])} -> {_chain_json(n, masks)} "
-                    f"changes {sum(map(ne, family[a], masks))} components by {extra.bit_count()} elements"
+                    f"cover {_chain_json(m, n, family[a])} -> {_chain_json(m, n, key)} "
+                    f"changes {sum(map(ne, chains[a], chains[b]))} components by {extra.bit_count()} elements"
                 )
         yield b, covers, violations
 
@@ -657,26 +648,27 @@ def nn_poset(
 ) -> FlooredPoset:
     """Inclusion poset on enumerate_nn(p) with floor labels on the covers.
 
-    The covers come from _certify_covers, on the chains in this order; a
-    violation of Lemma 5.4 raises InvariantViolation.  Under the certified
-    lemma every cover adds one pair to one component, so the poset is
-    graded by the total pair count over the components.
+    _certify_covers reads the generator's keys, and each chain moves to
+    its _sorted_chains place.  A violation of Lemma 5.4 raises
+    InvariantViolation.  Under the certified lemma every cover adds one
+    pair to one component, so the poset is graded by the total pair count.
     """
-    chains = enumerate_nn(p, variant=variant, max_objects=max_objects)
-    family = list(map(FilterChain.masks, chains))
+    keys = _raw_chains(p, variant, max_objects)
+    printed = _sorted_chains(p, keys)
+    where = dict(zip(printed, range(len(printed))))
     u = _universe(p.n)
-    labelled, floors, violations = [], [], []
-    for b, covers, found in _certify_covers(p.n, family):
+    labelled, floors, violations = [], [frozenset()] * len(keys), []
+    for b, covers, found in _certify_covers(p.m, p.n, keys):
         floor = 0
         for a, extra in covers:
-            labelled.append(((a, b), u.pairs_of(extra & u.full_mask)))
+            labelled.append(((where[keys[a]], where[keys[b]]), u.pairs_of(extra & u.full_mask)))
             floor |= extra
-        floors.append(u.pairs_of(floor & u.full_mask))
+        floors[where[keys[b]]] = u.pairs_of(floor & u.full_mask)
         violations.extend(found.values())
     _refuse(violations)
     cover_floor = tuple(sorted(labelled))
-    ranks = [sum(mask.bit_count() for mask in masks) for masks in family]
-    poset = FinitePoset(chains, [pair for pair, _ in cover_floor], ranks)
+    ranks = [sum(map(int.bit_count, _chain_masks(p.m, p.n, key))) for key in printed]
+    poset = FinitePoset(_filter_chains(p, printed), [pair for pair, _ in cover_floor], ranks)
     return FlooredPoset(poset, cover_floor, tuple(floors))
 
 

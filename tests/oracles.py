@@ -486,7 +486,7 @@ def certify_by_down_sets(n, family):
     from functools import reduce
     from operator import or_
 
-    from nclab.nonnest import _bits, _chain_json, _universe
+    from nclab.nonnest import _bits, _universe
 
     u = _universe(n)
     packed = [sum(mask << (p * u.stride) for p, mask in enumerate(masks)) for masks in family]
@@ -519,9 +519,9 @@ def certify_by_down_sets(n, family):
             extra = pb & ~packed[a]
             covers.append((a, extra))
             changed = sum(1 for x, y in zip(family[a], family[b]) if x != y)
+            below, above = (chain_json([u.pairs_of(V) for V in family[c]]) for c in (a, b))
             violations[a] = (
-                f"cover {_chain_json(n, family[a])} -> {_chain_json(n, family[b])} "
-                f"changes {changed} components by {extra.bit_count()} elements"
+                f"cover {below} -> {above} changes {changed} components by {extra.bit_count()} elements"
             )
         yield b, covers, violations
 

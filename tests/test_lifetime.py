@@ -10,7 +10,8 @@ next to nothing traced behind, and a census holds only those tables, never
 the family.  A refinement poset drops each run's split keys once a pass
 in level order is done with them.  The filter-chain tables keep only the
 one in use, the filter list is built without a transient much larger
-than itself, and the Lemma 5.4 certificate holds no bitset over the chains.
+than itself, a chain family is one int per chain, and the Lemma 5.4
+certificate holds no bitset over the chains.
 """
 
 import gc
@@ -128,18 +129,28 @@ def test_refinement_poset_releases_read_splits():
 
 def test_certificate_peaks_below_the_down_set_oracle():
     # Measured under tracemalloc at (2,6,1), 1,428 chains, on CPython 3.11:
-    # the prefix-bitset certificate peaks at 0.12 MB and the |F|-bit
-    # down-set certificate it replaced (tests/oracles.py) at 0.36 MB.
+    # the prefix-bitset certificate peaks at 0.05 MB on the generator's key
+    # list, 0.12 MB when it built a sorted key list of its own from mask
+    # tuples, and the |F|-bit down-set certificate it replaced
+    # (tests/oracles.py) at 0.36 MB.
     family = nonnest._generate_chains(2, 6, 1, "paper", 10**6)
     nonnest._filter_order.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
-        assert sum(1 for _ in nonnest._certify_covers(6, family)) == len(family)
+        assert sum(1 for _ in nonnest._certify_covers(2, 6, family)) == len(family)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 250_000, f"the certificate peaked at {peak} bytes"
+
+
+def test_chain_family_is_one_int_per_chain():
+    # The generator's keys are the family every reader takes: no tuple of
+    # component masks per chain.
+    family = nonnest._raw_chains(Params(2, 6, 1), "paper", 10**6)
+    assert type(family) is list and len(family) == 1428
+    assert all(type(key) is int for key in family)
 
 
 def test_height_tables_keep_only_the_table_in_use():

@@ -1,6 +1,7 @@
 import json
 import re
 from itertools import product
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,16 @@ def tf(n, t, pairs):
 
 def chain(n, t, *filter_sets):
     return FilterChain(tuple(tf(n, t, pairs) for pairs in filter_sets))
+
+
+def keys_of(n, chains):
+    """The sorted keys of chains given as one pair set per component, V_m first."""
+    u, masks = _universe(n), _tfilter_masks(n, 1)
+    width = len(masks).bit_length()
+    return sorted(
+        sum(masks.index(u.mask_of(V)) << p * width for p, V in enumerate(reversed(chain)))
+        for chain in chains
+    )
 
 
 def sum_pairs(n, first, second):
@@ -249,10 +260,13 @@ class TestGenerator:
     )
 
     def test_matches_closure_oracle_in_order(self):
+        # The keys ascend (the order lemma) and decode to the oracle's chains.
         for variant in VARIANTS:
             for m, n in self.SIZES:
                 for t in range(1, n + 1):
-                    got = nonnest._generate_chains(m, n, t, variant, DEFAULT_MAX_OBJECTS)
+                    keys = nonnest._generate_chains(m, n, t, variant, DEFAULT_MAX_OBJECTS)
+                    assert all(map(lt, keys, keys[1:])), (variant, m, n, t)
+                    got = tuple(nonnest._chain_masks(m, n, key) for key in keys)
                     assert got == oracles.chains_by_closure(m, n, t, variant), (variant, m, n, t)
                     # Every component is the filter table's own int, not a copy.
                     shared = {id(f) for f in _tfilter_masks(n, t)}
@@ -294,13 +308,15 @@ class TestGenerator:
 
 
 class TestOrderIdeal:
-    # The paper t-chains as the t0-chains with t <= _last_t(n, V_1), which
+    # The paper t-chains as the t0-chains whose V_1 is a t-filter, which
     # lets one family serve every t of a group (nonnest._passes).
     def test_last_t_is_the_largest_t_the_filter_fits(self):
         for n in range(1, 9):
-            for mask in _tfilter_masks(n, 1):
+            last, ones = nonnest._last_ts(n)
+            assert len(last) == len(_tfilter_masks(n, 1)) and ones == (1 << len(last).bit_length()) - 1
+            for mask, tau in zip(_tfilter_masks(n, 1), last):
                 fits = [t for t in range(1, n + 1) if not mask & ~nonnest._restricted_mask(n, t)]
-                assert nonnest._last_t(n, mask) == max(fits), (n, mask)
+                assert tau == max(fits), (n, mask)
 
     def test_t_chains_are_the_t0_chains_that_fit_in_order(self):
         for m in range(1, 13):
@@ -309,26 +325,31 @@ class TestOrderIdeal:
                     t: nonnest._generate_chains(m, n, t, "paper", DEFAULT_MAX_OBJECTS)
                     for t in range(1, n + 1)
                 }
+                top, ones = nonnest._last_ts(n)
                 for t0, family in families.items():
-                    last = [nonnest._last_t(n, chain[-1]) for chain in family]
+                    last = [top[key & ones] for key in family]
                     assert min(last, default=t0) >= t0, (m, n, t0)
                     for t in range(t0, n + 1):
-                        kept = tuple([chain for chain, tau in zip(family, last) if tau >= t])
+                        kept = [key for key, tau in zip(family, last) if tau >= t]
                         assert kept == families[t], (m, n, t0, t)
 
     def test_lemma_fails_for_the_adapted_variant(self):
         # The adapted ambient set changes with t, so its t = 2 chains are no
         # sub-family of its t = 1 chains: one pass per t.
         family = nonnest._generate_chains(2, 4, 1, "adapted", DEFAULT_MAX_OBJECTS)
-        kept = [chain for chain in family if nonnest._last_t(4, chain[-1]) >= 2]
+        last, ones = nonnest._last_ts(4)
+        kept = [key for key in family if last[key & ones] >= 2]
         got = nonnest._generate_chains(2, 4, 2, "adapted", DEFAULT_MAX_OBJECTS)
         assert (len(got), len(kept)) == (31, 25)
         assert set(kept) < set(got)
 
     def test_t_tuples_share_the_one_tuple_ints(self):
+        # The prefix lemma: a t-filter's position is its 1-filter position.
         for n in range(1, 11):
-            ones = {id(mask) for mask in _tfilter_masks(n, 1)}
+            masks = _tfilter_masks(n, 1)
+            ones = {id(mask) for mask in masks}
             for t in range(2, n + 1):
+                assert _tfilter_masks(n, t) == masks[: len(_tfilter_masks(n, t))], (n, t)
                 assert all(id(mask) in ones for mask in _tfilter_masks(n, t)), (n, t)
 
     def test_grouped_tallies_equal_one_t_tallies(self):
@@ -460,8 +481,9 @@ class TestCertificate:
                         p = Params(m, n, t)
                         u = _universe(n)
                         raw = nonnest._generate_chains(m, n, t, variant, DEFAULT_MAX_OBJECTS)
+                        chains = [map(u.pairs_of, nonnest._chain_masks(m, n, key)) for key in raw]
                         elements, down, covers, cover_floor, floors, violations = (
-                            oracles.floored_poset([tuple(map(u.pairs_of, c)) for c in raw])
+                            oracles.floored_poset(chains)
                         )
                         decorated = nn_poset(p, variant=variant)
                         poset = decorated.poset
@@ -484,21 +506,34 @@ class TestCertificate:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_down_set_oracle(self, variant):
         # The prefix-bitset certificate against the |F|-bit down-set one it
-        # replaced, stream for stream, on generator order and on the
-        # `enumerate` order that nn_poset passes.
+        # replaced, stream for stream on the generator's keys; and nn_poset's
+        # covers and floors against the oracle's, moved into `enumerate`
+        # order (the chains sorted by their components' sorted pairs).
         for m, n in self.ORACLE_CASES:
+            u = _universe(n)
             for t in range(1, n + 1):
                 p = Params(m, n, t)
-                raw = nonnest._generate_chains(m, n, t, variant, DEFAULT_MAX_OBJECTS)
-                for family in (raw, nonnest._sorted_chains(p, variant, DEFAULT_MAX_OBJECTS)):
-                    expected = list(oracles.certify_by_down_sets(n, family))
-                    assert list(nonnest._certify_covers(n, family)) == expected, (variant, p)
+                keys = nonnest._generate_chains(m, n, t, variant, DEFAULT_MAX_OBJECTS)
+                family = [nonnest._chain_masks(m, n, key) for key in keys]
+                expected = list(oracles.certify_by_down_sets(n, family))
+                assert list(nonnest._certify_covers(m, n, keys)) == expected, (variant, p)
+                printed = sorted(range(len(family)), key=lambda c: [sorted(u.pairs_of(V)) for V in family[c]])
+                where = {c: i for i, c in enumerate(printed)}
+                labelled, floors = [], [None] * len(family)
+                for b, covers, _ in expected:
+                    floor = 0
+                    for a, extra in covers:
+                        labelled.append(((where[a], where[b]), u.pairs_of(extra & u.full_mask)))
+                        floor |= extra
+                    floors[where[b]] = u.pairs_of(floor & u.full_mask)
+                decorated = nn_poset(p, variant=variant)
+                assert decorated.cover_floor == tuple(sorted(labelled)), (variant, p)
+                assert decorated.floors == tuple(floors), (variant, p)
 
     def test_filter_order_below_sets(self):
         for n in range(1, 7):
             masks = _tfilter_masks(n, 1)
-            pos, lower, below = nonnest._filter_order(n)
-            assert [pos[mask] for mask in masks] == list(range(len(masks)))
+            lower, below = nonnest._filter_order(n)
             for f, mask in enumerate(masks):
                 assert below[f] == sum(1 << g for g, other in enumerate(masks) if not other & ~mask), (n, f)
                 minimal = _universe(n).minimal(mask)
@@ -506,13 +541,23 @@ class TestCertificate:
                     (k, mask ^ 1 << k) for k in range(mask.bit_length()) if minimal >> k & 1
                 ]
 
-    # {(1, 2)} is not up-closed in T_3; ({(1, 3)}, {}) has V_2 outside V_1.
-    @pytest.mark.parametrize("chain", [({(1, 2)},), ({(1, 3)}, set())], ids=["not-a-filter", "not-nested"])
-    def test_refuses_a_member_that_is_not_a_nested_chain_of_filters(self, chain):
-        u = _universe(3)
-        family = [tuple(0 for _ in chain), tuple(u.mask_of(V) for V in chain)]
-        with pytest.raises(InvariantViolation, match="is not a nested chain of filters"):
-            list(nonnest._certify_covers(3, family))
+    # T_3 has five filters, so a key field takes three bits; position 0 is
+    # the empty filter and 1 is {(1, 3)}.  The second key of "not-a-filter"
+    # has V_1 at position 6, that of "not-a-filter-above" a third field,
+    # and that of "not-nested" is ({(1, 3)}, {}), with V_2 outside V_1.
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ([1, 0], "the chain keys are not strictly ascending"),
+            ([0, 6], "chain key 6 is not a nested chain of filters"),
+            ([0, 1 << 6], "chain key 64 is not a nested chain of filters"),
+            ([0, 1 << 3], "chain key 8 is not a nested chain of filters"),
+        ],
+        ids=["not-ascending", "not-a-filter", "not-a-filter-above", "not-nested"],
+    )
+    def test_refuses_a_member_that_is_not_a_nested_chain_of_filters(self, keys, message):
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            list(nonnest._certify_covers(2, 3, keys))
 
     # (m, n, chains (V_m, ..., V_1), the one violating cover's message).
     # In the third, b = the second chain has no removal in the family, so
@@ -544,16 +589,15 @@ class TestCertificate:
 
     @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=BROKEN_IDS)
     def test_certificate_and_oracle_report_broken_covers(self, m, n, chains, message):
-        u = _universe(n)
-        raw = tuple(tuple(u.mask_of(V) for V in chain) for chain in chains)
-        stream = list(nonnest._certify_covers(n, raw))
-        assert stream == list(oracles.certify_by_down_sets(n, raw))
+        raw = keys_of(n, chains)
+        stream = list(nonnest._certify_covers(m, n, raw))
+        family = [nonnest._chain_masks(m, n, key) for key in raw]
+        assert stream == list(oracles.certify_by_down_sets(n, family))
         assert [message for _, _, found in stream for message in found.values()] == [message]
 
     @pytest.mark.parametrize("m, n, chains, message", BROKEN, ids=BROKEN_IDS)
     def test_reports_broken_covers(self, monkeypatch, capsys, m, n, chains, message):
-        u = _universe(n)
-        raw = tuple(tuple(u.mask_of(V) for V in chain) for chain in chains)
+        raw = keys_of(n, chains)
         monkeypatch.setattr(nonnest, "_generate_chains", lambda *args: raw)
         p = Params(m, n, 1)
         oracle = oracles.floored_poset(chains)
@@ -573,8 +617,7 @@ class TestCertificate:
         self, monkeypatch, capsys, m, n, chains, message
     ):
         # One family serves every t of the group; the refusal is still t0's, word for word.
-        u = _universe(n)
-        raw = tuple(tuple(u.mask_of(V) for V in chain) for chain in chains)
+        raw = keys_of(n, chains)
         monkeypatch.setattr(nonnest, "_generate_chains", lambda *args: raw)
         refusal = f"invariant failure: cover structure violations: {message}\n"
         for t_range in ("t=1", "t=1..n"):
