@@ -313,7 +313,8 @@ class TestOrderIdeal:
     def test_last_t_is_the_largest_t_the_filter_fits(self):
         for n in range(1, 9):
             last, ones = nonnest._last_ts(n)
-            assert len(last) == len(_tfilter_masks(n, 1)) and ones == (1 << len(last).bit_length()) - 1
+            assert len(last) == len(_tfilter_masks(n, 1))
+            assert ones == (1 << len(last).bit_length()) - 1
             for mask, tau in zip(_tfilter_masks(n, 1), last):
                 fits = [t for t in range(1, n + 1) if not mask & ~nonnest._restricted_mask(n, t)]
                 assert tau == max(fits), (n, mask)
@@ -517,8 +518,8 @@ class TestCertificate:
                 family = [nonnest._chain_masks(m, n, key) for key in keys]
                 expected = list(oracles.certify_by_down_sets(n, family))
                 assert list(nonnest._certify_covers(m, n, keys)) == expected, (variant, p)
-                printed = sorted(range(len(family)), key=lambda c: [sorted(u.pairs_of(V)) for V in family[c]])
-                where = {c: i for i, c in enumerate(printed)}
+                pairs = [[sorted(u.pairs_of(V)) for V in masks] for masks in family]
+                where = {c: i for i, c in enumerate(sorted(range(len(family)), key=pairs.__getitem__))}
                 labelled, floors = [], [None] * len(family)
                 for b, covers, _ in expected:
                     floor = 0
