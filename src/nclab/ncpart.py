@@ -13,19 +13,19 @@ tests/oracles.py; the generator needs none of them (_nc_blocks proves why).
 All values here are immutable and all functions pure, so everything is safe
 under concurrent callers.  Only the first-block position sets behind the
 generator (keyed by size and m) are memoised.  Classical shapes are
-streamed: each enumeration keeps its gap tables in a dict of its own and
-frees them with its result, which the caller owns.  `census` tallies the
-same stream without keeping the family, so it holds only the gap tables.
-Generator outputs pass one exact shape check instead of the validating
-constructor.
+streamed: each enumeration keeps, in a dict of its own, only the gap tables
+that more than one first block reads, and frees them with its result.
+`census` tallies the stream without keeping the family, so it holds only
+those tables and one mask per distinct block.  Outputs pass one exact check against
+per-block verdicts instead of the validating constructor.
 """
 
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from operator import ge
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from . import closedform
 from .errors import DomainError, InvariantViolation, ParameterError, ResourceLimitError
 from .params import Params, Value
 
@@ -180,50 +180,91 @@ def _first_block_position_sets(size: int, m: int) -> Tuple[Tuple[int, ...], ...]
     return tuple(out)
 
 
-def _classical_shapes(m: int, size: int, start: int, tables: dict) -> Iterator[tuple]:
-    # Yields each m-divisible classically non-crossing partition of the
-    # points start..start+size-1 once, as its blocks sorted by minimum, via
-    # first-block decomposition: the gaps between consecutive members of the
-    # minimum's block (and the tail) are partitioned independently.  The gap
-    # tables are composed many times, so each is built once into `tables`,
-    # keyed by (size, start); the caller owns that dict and frees it.
-    if size == 0:
+def _run_plan(m: int, size: int, apart: int, plans: dict) -> tuple:
+    # (shapes, readers) of the run (size, apart) at offset 0, memoised in
+    # `plans`: readers[(g, o, a)] counts its first blocks with a gap (g, o, a).
+    # A first block is a path 0 = p_0 < p_1 < ... < size of steps 1 mod m,
+    # the last leaving the block, with p_1 >= apart unless p_1 = size
+    # (_classical_shapes); left[z] and right[z] count the paths from 0 to z
+    # and from z to size, and weight[z] the gap shapes along those to z.
+    # Every z > 0 reaches size, so only a step from a y off every path
+    # (left[y] = 0) reads nothing.
+    if (size, apart) not in plans:
+        inner, first = max(apart - 1, 1), min(apart, size)
+        steps = [(y, z) for z in range(1, size + 1) for y in range(z - 1, -1, -m) if y or z >= first]
+        left, weight, right = [1] + [0] * size, [1] + [0] * size, [0] * size + [1]
+        for y, z in steps:
+            left[z] += left[y]
+            weight[z] += weight[y] * _run_plan(m, z - y - 1, 1 if y else inner, plans)[0]
+        for y, z in reversed(steps):
+            right[y] += right[z]
+        readers = {(z - y - 1, y + 1, 1 if y else inner): left[y] * right[z] for y, z in steps if left[y]}
+        plans[size, apart] = weight[size], readers
+    return plans[size, apart]
+
+
+def _gap_plan(m: int, top: tuple) -> tuple:
+    # Each gap's readers (first blocks, over every run reached from `top`),
+    # the number of outputs and the number of shapes built into gap tables,
+    # which hold every gap but those read once, as a first gap (streamed).
+    plans, readers, rests, todo = {}, Counter(), set(), [top]
+    outputs = _run_plan(m, top[0], top[2], plans)[0]
+    while todo:
+        size, start, apart = todo.pop()
+        for (g, o, a), k in plans[size, apart][1].items():
+            gap = (g, start + o, a)
+            if gap not in readers:
+                todo.append(gap)
+            readers[gap] += k
+            if o > 1:
+                rests.add(gap)
+    held = sum(plans[g, a][0] for g, s, a in readers if readers[g, s, a] > 1 or (g, s, a) in rests)
+    return readers, outputs, held
+
+
+def _gap_table(m: int, key: tuple, readers: Counter, tables: dict) -> tuple:
+    # The shapes of a gap, kept in `tables` if another first block reads them.
+    shapes = tables.get(key)
+    if shapes is None:
+        shapes = tuple(_classical_shapes(m, key, readers, tables))
+        if readers[key] > 1:
+            tables[key] = shapes
+    return shapes
+
+
+def _classical_shapes(m: int, key: tuple, readers: Counter, tables: dict) -> Iterator[tuple]:
+    # Yields once each m-divisible classically non-crossing partition of the
+    # run key = (size, start, apart), the points start..start+size-1 with the
+    # first `apart` in distinct blocks, as its blocks sorted by minimum: the
+    # gaps between consecutive members of the minimum's block (and the tail)
+    # are partitioned independently, the first inheriting apart - 1 (see
+    # _nc_blocks).  A first gap with one reader (_gap_plan) is streamed; any
+    # other gap is built into a table, kept in `tables` if read again.
+    size, start, apart = key
+    if not size:
         yield ()
         return
+    inner, end = max(apart - 1, 1), start + size
     for offsets in _first_block_position_sets(size, m):
+        if len(offsets) > 1 and offsets[1] < apart:
+            continue
         members = tuple(start + q for q in offsets)
-        gaps = []
-        for low, high in zip(members, members[1:] + (start + size,)):
-            key = (high - low - 1, low + 1)
-            if key not in tables:
-                tables[key] = tuple(_classical_shapes(m, *key, tables))
-            gaps.append(tables[key])
+        gaps = [(high - low - 1, low + 1, 1) for low, high in zip(members, members[1:] + (end,))]
+        if inner > 1:
+            gaps[0] = gaps[0][:2] + (inner,)
+        head, rest = gaps[0], [_gap_table(m, gap, readers, tables) for gap in gaps[1:]]
         # Member i precedes gap i, so the blocks stay sorted by minimum.
-        for combo in product(*gaps):
-            yield sum(combo, (members,))
-
-
-def _check_shape(blocks: tuple, size: int) -> None:
-    # Exact O(size) proof that a generator output is canonical over
-    # {1..size}: blocks non-empty and ascending, minima ascending, and each
-    # of 1..size present exactly once.
-    seen = [False] * (size + 1)
-    low = total = 0
-    for block in blocks:
-        if not block or block[0] <= low:
-            raise InvariantViolation(f"shape {blocks}: empty block or minima out of order")
-        low = block[0]
-        prev = low - 1
-        for x in block:
-            if x <= prev or x > size or seen[x]:
-                raise InvariantViolation(
-                    f"shape {blocks}: block {block} is not ascending or repeats or exceeds {size}"
-                )
-            seen[x] = True
-            prev = x
-        total += len(block)
-    if total != size:
-        raise InvariantViolation(f"shape {blocks} does not cover 1..{size}")
+        if readers[head] > 1:
+            for combo in product(_gap_table(m, head, readers, tables), *rest):
+                yield sum(combo, (members,))
+        elif rest:
+            for shape in _classical_shapes(m, head, readers, tables):
+                first = (members,) + shape
+                for combo in product(*rest):
+                    yield sum(combo, first)
+        else:
+            for shape in _classical_shapes(m, head, readers, tables):
+                yield (members,) + shape
 
 
 def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
@@ -256,24 +297,48 @@ def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
     literal forbidden-quadruple scan, tests/oracles.py::is_noncrossing_t,
     never rejects one; the tests run it over every output as a check.
 
-    Every output passes _check_shape, whose failure raises
-    InvariantViolation.  Raises ResourceLimitError when the closed counting
-    formula predicts more output (or more intermediate classical partitions)
-    than `max_objects`.
+    Lemma (pruning).  For 1 <= apart <= size, a run's first `apart` points
+    lie in distinct blocks iff its first block B holds none of them but its
+    minimum and gap 0's first apart - 1 lie in distinct blocks of gap 0's
+    shape: B would share another with the first; else all lie in gap 0,
+    whose blocks are the run's blocks that meet it.  By induction from the
+    run (mn, 1, t), the stream yields just the candidates that pass, in
+    their old order, as it only drops first blocks and gap shapes.
+
+    Raises InvariantViolation when an output fails the t-partition filter
+    or the exact check against per-block verdicts, and ResourceLimitError
+    when the outputs plus the gap-table shapes (_gap_plan) exceed
+    `max_objects`.
     """
-    m, n, t = p.m, p.n, p.t
-    predicted = max(closedform.total_count(p), closedform.total_count(Params(m, n, 1)))
-    check_cap(predicted, max_objects, f"predicted {predicted} partitions for {p}")
-    size = m * n
-    for blocks in _classical_shapes(m, size, 1, {}):
+    m, size, t = p.m, p.ground_size, p.t
+    top = (size, 1, t)
+    readers, outputs, held = _gap_plan(m, top)
+    what = f"predicted {outputs} partitions and {held} table shapes for {p}"
+    check_cap(outputs + held, max_objects, what)
+    masks, full = {}, (2 << size) - 2
+    for blocks in _classical_shapes(m, top, readers, {}):
         if t > 1:
-            if len(blocks) < t or blocks[t - 1][0] != t:  # not a t-partition
-                continue
+            if len(blocks) < t or blocks[t - 1][0] != t:
+                raise InvariantViolation(f"shape {blocks} puts two of 1..{t} in one block")
             # Block i holds point i+1, which tilde_transform sends to t-i.
             blocks = tuple(
                 (t - i,) + blocks[i][1:] for i in reversed(range(t))
             ) + blocks[t:]
-        _check_shape(blocks, size)
+        # Each distinct block is checked once (non-empty, ascending, inside
+        # 1..mn) and its mask cached; the output is exact iff its minima
+        # ascend and its masks are disjoint and cover 1..mn.
+        low = seen = 0
+        for block in blocks:
+            mask = masks.get(block)
+            if mask is None:
+                if not block or block[0] < 1 or block[-1] > size or any(map(ge, block, block[1:])):
+                    raise InvariantViolation(f"block {block} of {blocks} is empty, unsorted or past {size}")
+                mask = masks[block] = sum(1 << x for x in block)
+            if block[0] <= low or seen & mask:
+                raise InvariantViolation(f"shape {blocks}: minima unsorted or a point twice")
+            low, seen = block[0], seen | mask
+        if seen != full:
+            raise InvariantViolation(f"shape {blocks} does not cover 1..{size}")
         yield blocks
 
 
@@ -290,8 +355,8 @@ def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[Set
     check each against the literal scan tests/oracles.py::is_noncrossing_t
     and the validating constructor at every mn <= 10.
 
-    Raises ResourceLimitError when the closed counting formula predicts more
-    output (or more intermediate classical partitions) than `max_objects`.
+    Raises ResourceLimitError when the partitions plus the gap-table shapes
+    that _nc_blocks will build exceed `max_objects`.
     """
     trusted, size = SetPartition._trusted, p.ground_size
     return tuple(trusted(blocks, size) for blocks in _nc_family(p, max_objects))
@@ -303,8 +368,9 @@ def census(p: Params, by: str, max_objects: int = DEFAULT_MAX_OBJECTS) -> Counte
     by="rank" counts the partitions of each rank n - #blocks, by="profile"
     those of each BlockProfile.counts tuple, and by="total" counts them all
     under the key "total".  The tallies read the stream behind enumerate_nc,
-    so only its gap tables are held.  Raises what enumerate_nc raises, and
-    DomainError for a block size not divisible by m.
+    so only its gap tables read again and its block masks are held.  Raises
+    what enumerate_nc raises, and DomainError for a block size not divisible
+    by m.
     """
     shapes = _nc_blocks(p, max_objects)
     if by == "rank":

@@ -302,7 +302,7 @@ def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) ->
     """Refinement poset on the family of enumerate_nc(p), as canonical block tuples.
 
     The elements are the outputs of ncpart._nc_blocks, each checked by
-    _check_shape, ordered by rank n - len(blocks), then blocks: the order of
+    its shape check, ordered by rank n - len(blocks), then blocks: the order of
     enumerate_nc, stably sorted by rank.  No SetPartition is made.  The
     order is read off the blocks by the interval product lemma (Kreweras,
     Discrete Math. 1 (1972); Armstrong, arXiv:math/0611106, for m-divisible

@@ -3,7 +3,7 @@
 Nothing here imports the package under test at module level: partitions are
 plain tuples of tuples, every predicate is coded directly from the defining
 patterns and the closed triangles are summed in `Fraction`, so these
-routines can serve as oracles for the library.  Five exceptions import it
+routines can serve as oracles for the library.  Seven exceptions import it
 when called.  `identities_literal` runs the library's literal polynomial
 path (`substitute`, `RationalExpr`) over the library's identity table, the
 path that the integer check in `verify_transformation_identities` replaced.
@@ -16,6 +16,12 @@ masks and tests every closure condition on whole grid masks.
 `certify_by_down_sets` is the Lemma 5.4 certificate that
 `nonnest._certify_covers` replaced: it reads the library's pair layout and
 packs each chain's exact down-set into one bit per chain of the family.
+`nc_blocks_by_filter` is the partition stream that `ncpart._nc_blocks`
+replaced: it reads the library's first-block position sets, builds every
+classical shape from gap tables that it all keeps and drops those that put
+two of 1..t in one block.  `_check_shape` is the point-by-point output check
+that the per-block verdicts of `_nc_blocks` replaced; it raises the
+library's InvariantViolation.
 `verify_ideal_embedding` reads the library's refinement poset and
 relabelling map.  `m_triangle_rankwise` takes a poset object and uses only
 its ranks and down-masks.
@@ -24,7 +30,7 @@ its ranks and down-masks.
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from math import comb
 
 
@@ -110,6 +116,70 @@ def brute_nc(m, n, t):
             continue
         found.append(blocks)
     return sorted(found)
+
+
+def _classical_shapes(m, size, start, tables):
+    # The classical shape generator that ncpart._classical_shapes replaced:
+    # every m-divisible classically non-crossing partition of the points
+    # start..start+size-1, as its blocks sorted by minimum, composed from gap
+    # tables that are all kept in `tables`, keyed by (size, start).
+    from nclab.ncpart import _first_block_position_sets
+
+    if size == 0:
+        yield ()
+        return
+    for offsets in _first_block_position_sets(size, m):
+        members = tuple(start + q for q in offsets)
+        gaps = []
+        for low, high in zip(members, members[1:] + (start + size,)):
+            key = (high - low - 1, low + 1)
+            if key not in tables:
+                tables[key] = tuple(_classical_shapes(m, *key, tables))
+            gaps.append(tables[key])
+        for combo in product(*gaps):
+            yield sum(combo, (members,))
+
+
+def nc_blocks_by_filter(m, n, t):
+    """The outputs of the compose-then-filter generator that ncpart._nc_blocks replaced, in its order.
+
+    Every classical shape is built; those whose first t minima are not 1..t
+    are dropped, the rest relabelled by tilde_transform and checked by
+    _check_shape.
+    """
+    size = m * n
+    for blocks in _classical_shapes(m, size, 1, {}):
+        if t > 1:
+            if len(blocks) < t or blocks[t - 1][0] != t:
+                continue
+            blocks = tuple((t - i,) + blocks[i][1:] for i in reversed(range(t))) + blocks[t:]
+        _check_shape(blocks, size)
+        yield blocks
+
+
+def _check_shape(blocks: tuple, size: int) -> None:
+    # Exact O(size) proof that a generator output is canonical over
+    # {1..size}: blocks non-empty and ascending, minima ascending, and each
+    # of 1..size present exactly once.
+    from nclab.errors import InvariantViolation
+
+    seen = [False] * (size + 1)
+    low = total = 0
+    for block in blocks:
+        if not block or block[0] <= low:
+            raise InvariantViolation(f"shape {blocks}: empty block or minima out of order")
+        low = block[0]
+        prev = low - 1
+        for x in block:
+            if x <= prev or x > size or seen[x]:
+                raise InvariantViolation(
+                    f"shape {blocks}: block {block} is not ascending or repeats or exceeds {size}"
+                )
+            seen[x] = True
+            prev = x
+        total += len(block)
+    if total != size:
+        raise InvariantViolation(f"shape {blocks} does not cover 1..{size}")
 
 
 def refines(fine, coarse):

@@ -6,8 +6,8 @@ holds only a weak reference to one element of a result (or to the result
 itself, where its elements are plain tuples, which take none), drops the
 result and collects: the referent must then be gone.  Nor may the
 enumeration keep its working tables: after a warm-up, repeated calls leave
-next to nothing traced behind, and a census holds only those tables, never
-the family.  A refinement poset drops each run's split keys once a pass
+next to nothing traced behind, and a census holds only the tables that
+are read again, never the family.  A refinement poset drops each run's split keys once a pass
 in level order is done with them.  The filter-chain tables keep only the
 one in use, the filter list is built without a transient much larger
 than itself, a chain family is one int per chain, and the Lemma 5.4
@@ -68,20 +68,35 @@ def test_enumeration_keeps_no_tables():
     assert retained < 500_000, f"{retained} bytes stayed after the calls"
 
 
-def test_census_holds_only_the_gap_tables():
-    # Measured under tracemalloc at (1,11,1) on CPython 3.11: the census
-    # peaks at 3.4 MB, its shapes kept in a list at 8.9 MB and enumerate_nc
-    # at 14.1 MB.  The 6 MB bound leaves the census 2.6 MB of margin and
-    # sits 2.9 MB below any census that materialises the family.
+def census_peak(triple):
     assert census(P, "rank")
     gc.collect()
     tracemalloc.start()
     try:
-        assert census(Params(1, 11, 1), "rank")
+        assert census(Params(*triple), "rank")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6_000_000, f"the census peaked at {peak} bytes"
+    return peak
+
+
+def test_census_holds_only_the_gap_tables():
+    # Measured under tracemalloc at (1,11,1) on CPython 3.10 and 3.11: the
+    # census peaks at 1.61 MB, 3.36 MB when every gap table was stored, and
+    # its shapes kept in a list at 7.08 MB.  The 2.2 MB bound leaves the
+    # census 0.59 MB of margin and sits 1.16 MB below the census that
+    # stored them all.
+    peak = census_peak((1, 11, 1))
+    assert peak < 2_200_000, f"the census peaked at {peak} bytes"
+
+
+def test_census_builds_only_t_partitions():
+    # Measured as above at (2,8,3): the census peaks at 0.72 MB, and at
+    # 2.55 MB when it also built the classical shapes that put two of 1..t
+    # in one block and stored every gap table; the shapes kept in a list
+    # take 2.84 MB.  The 1.2 MB bound leaves 0.48 MB of margin.
+    peak = census_peak((2, 8, 3))
+    assert peak < 1_200_000, f"the census peaked at {peak} bytes"
 
 
 def test_refinement_poset_keeps_no_order_table():

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -325,22 +326,124 @@ class TestCensus:
             census(Params(1, 6, 1), "total", max_objects=10)
 
 
-# One broken shape per clause of the generator's exact shape check, on the
-# ground set {1, 2, 3}.
+class TestStream:
+    def test_filter_oracle_matches_brute_force(self):
+        # The compose-then-filter stream, sorted, is the brute-force family.
+        for triple in triples(8):
+            assert sorted(oracles.nc_blocks_by_filter(*triple)) == oracles.brute_nc(*triple), triple
+
+    def test_same_sequence_as_the_filter_oracle(self):
+        # Pruning at the source, streaming and the per-block check leave the
+        # stream as it was, element for element, and every output also passes
+        # the point-by-point check that the per-block verdicts replaced.
+        for triple in triples(10):
+            p = Params(*triple)
+            stream = list(ncpart._nc_blocks(p, 10**7))
+            assert stream == list(oracles.nc_blocks_by_filter(*triple)), triple
+            for blocks in stream:
+                oracles._check_shape(blocks, p.ground_size)
+
+    @pytest.mark.parametrize("triple", [(1, 9, 1), (1, 8, 4), (2, 5, 1), (2, 5, 3), (3, 3, 2), (4, 2, 2)])
+    def test_plan_counts_runs_and_tables_exactly(self, monkeypatch, triple):
+        # With _gap_plan's readers the generator expands each run it reaches
+        # once and keeps exactly the tables read more than once; the cap
+        # counts exactly the outputs plus the shapes built into gap tables:
+        # the stream runs at that cap and not at one less.
+        p = Params(*triple)
+        readers = ncpart._gap_plan(p.m, (p.ground_size, 1, p.t))[0]
+        expanded, built, kept = Counter(), {}, {}
+        shapes_of, table_of = ncpart._classical_shapes, ncpart._gap_table
+
+        def shapes(m, key, *rest):
+            expanded[key] += 1
+            return shapes_of(m, key, *rest)
+
+        def table(m, key, readers, tables):
+            shapes = table_of(m, key, readers, tables)
+            built[key] = len(shapes)
+            kept.update(tables)
+            return shapes
+
+        monkeypatch.setattr(ncpart, "_classical_shapes", shapes)
+        monkeypatch.setattr(ncpart, "_gap_table", table)
+        outputs = len(list(ncpart._nc_blocks(p, 10**7)))
+        assert set(expanded.values()) == {1}, triple
+        assert set(kept) == {key for key, k in readers.items() if k > 1}, triple
+        held = sum(built.values())
+        assert len(list(ncpart._nc_blocks(p, outputs + held))) == outputs
+        with pytest.raises(ResourceLimitError, match=f"predicted {outputs} partitions and {held} table "):
+            list(ncpart._nc_blocks(p, outputs + held - 1))
+
+    def test_cap_counts_what_is_built(self, capsys):
+        # At (2,7,3) the old guard predicted the 7,752 classical shapes of
+        # t = 1; the stream builds 1,428 partitions and 788 table shapes.
+        argv = ["count", "--m", "2", "--n", "7", "--t", "3", "--by", "total", "--max-objects"]
+        for cap in (2216, 7751):
+            assert cli.main(argv + [str(cap)]) == 0
+            assert '"brute":"1428"' in capsys.readouterr().out
+        assert cli.main(argv + ["2215"]) == 2
+        assert capsys.readouterr().err == (
+            "error: predicted 1428 partitions and 788 table shapes for Params(m=2, n=7, t=3),"
+            " more than the cap 2215\n"
+        )
+
+    @pytest.mark.parametrize("t, shape", [(3, ((1, 3), (2,))), (2, ((1, 2), (3,)))])
+    def test_t_partition_filter_is_a_check(self, monkeypatch, t, shape):
+        # The stream keeps 1..t apart at the source; a shape that does not
+        # is an InvariantViolation, not a skipped candidate.
+        monkeypatch.setattr(ncpart, "_classical_shapes", lambda *args: iter([shape]))
+        with pytest.raises(InvariantViolation, match=f"puts two of 1..{t} in one block"):
+            enumerate_nc(Params(1, 3, t))
+
+
+# Broken streams, each ending in a shape that breaks one clause of the
+# generator's exact output check, on the ground set {1, 2, 3}; the last
+# three break it only through blocks whose verdicts the cache already holds.
 BROKEN_SHAPES = {
-    "repeated element": ((1, 2), (2,)),
-    "missing element": ((1, 2),),
-    "element above mn": ((1, 2, 4),),
-    "descending block": ((1, 3, 2),),
-    "blocks out of minimum order": ((2, 3), (1,)),
-    "empty block": ((1, 2, 3), ()),
+    "repeated element": [((1, 2), (2,))],
+    "missing element": [((1, 2),)],
+    "element above mn": [((1, 2, 4),)],
+    "descending block": [((1, 3, 2),)],
+    "blocks out of minimum order": [((2, 3), (1,))],
+    "empty block": [((1, 2, 3), ())],
+    "cached blocks out of minimum order": [((1, 2), (3,)), ((3,), (1, 2))],
+    "cached blocks missing an element": [((1, 2), (3,)), ((1, 2),)],
+    "cached blocks overlapping": [((1, 2), (3,)), ((1,), (2, 3)), ((1, 2), (2, 3))],
 }
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_SHAPES))
 def test_shape_check_rejects(monkeypatch, name):
-    monkeypatch.setattr(ncpart, "_classical_shapes", lambda *args: iter([BROKEN_SHAPES[name]]))
+    # The internal call is positional, so the stand-in takes *args.
+    monkeypatch.setattr(ncpart, "_classical_shapes", lambda *args: iter(BROKEN_SHAPES[name]))
     with pytest.raises(InvariantViolation):
         enumerate_nc(Params(1, 3, 1))
     with pytest.raises(InvariantViolation):
         census(Params(1, 3, 1), "total")
+    # The point-by-point oracle agrees: it passes every shape before the
+    # last and rejects the last.
+    *good, bad = BROKEN_SHAPES[name]
+    for blocks in good:
+        oracles._check_shape(blocks, 3)
+    with pytest.raises(InvariantViolation):
+        oracles._check_shape(bad, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=4).map(tuple), max_size=4))
+def test_shape_check_agrees_with_the_oracle(blocks):
+    # Arbitrary block tuples over a slightly wider range than {1..4}: the
+    # per-block verdicts and the point-by-point oracle accept the same ones.
+    shape = tuple(blocks)
+    try:
+        oracles._check_shape(shape, 4)
+    except InvariantViolation:
+        expected = False
+    else:
+        expected = True
+    with mock.patch.object(ncpart, "_classical_shapes", lambda *args: iter([shape])):
+        try:
+            got = list(ncpart._nc_blocks(Params(1, 4, 1), 10**6)) == [shape]
+        except InvariantViolation:
+            got = False
+    assert got == expected, shape
