@@ -16,8 +16,8 @@ generator (keyed by size and m) are memoised.  Classical shapes are
 streamed: each enumeration keeps, in a dict of its own, only the gap tables
 that more than one first block reads, and frees them with its result.
 `census` tallies the stream without keeping the family, so it holds only
-those tables and one mask per distinct block.  Outputs pass one exact check against
-per-block verdicts instead of the validating constructor.
+those tables and one mask per distinct block.  Outputs pass one exact check
+against per-block verdicts instead of the validating constructor.
 """
 
 from collections import Counter
