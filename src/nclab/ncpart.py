@@ -11,18 +11,15 @@ For t = 1 only the second pattern can occur, so the test degenerates to the
 classical non-crossing condition.  The literal predicates live in
 tests/oracles.py; the generator needs none of them (_nc_blocks proves why).
 All values here are immutable and all functions pure, so everything is safe
-under concurrent callers.  Only the first-block position sets behind the
-generator (keyed by size and m) are memoised.  Classical shapes are
-streamed: each enumeration keeps, in a dict of its own, only the gap tables
-that more than one first block reads, and frees them with its result.
-`census` tallies the stream without keeping the family, so it holds only
-those tables and one mask per distinct block.  Outputs pass one exact check
-against per-block verdicts instead of the validating constructor.
+under concurrent callers; only the first-block position sets (keyed by size
+and m) are memoised.  Each enumeration streams its shapes, keeping only the
+gap tables read more than once, in a dict freed with its result.
 """
 
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from math import comb
 from operator import ge
 from typing import Dict, Iterable, Iterator, List, Tuple
 
@@ -244,27 +241,20 @@ def _classical_shapes(m: int, key: tuple, readers: Counter, tables: dict) -> Ite
     if not size:
         yield ()
         return
-    inner, end = max(apart - 1, 1), start + size
+    end = start + size
     for offsets in _first_block_position_sets(size, m):
         if len(offsets) > 1 and offsets[1] < apart:
             continue
         members = tuple(start + q for q in offsets)
-        gaps = [(high - low - 1, low + 1, 1) for low, high in zip(members, members[1:] + (end,))]
-        if inner > 1:
-            gaps[0] = gaps[0][:2] + (inner,)
-        head, rest = gaps[0], [_gap_table(m, gap, readers, tables) for gap in gaps[1:]]
+        stops = members[1:] + (end,)
+        head = (stops[0] - start - 1, start + 1, max(apart - 1, 1))
+        rest = [_gap_table(m, (high - low - 1, low + 1, 1), readers, tables) for low, high in zip(stops, stops[1:])]
+        heads = _gap_table(m, head, readers, tables) if readers[head] > 1 else _classical_shapes(m, head, readers, tables)
         # Member i precedes gap i, so the blocks stay sorted by minimum.
-        if readers[head] > 1:
-            for combo in product(_gap_table(m, head, readers, tables), *rest):
-                yield sum(combo, (members,))
-        elif rest:
-            for shape in _classical_shapes(m, head, readers, tables):
-                first = (members,) + shape
-                for combo in product(*rest):
-                    yield sum(combo, first)
-        else:
-            for shape in _classical_shapes(m, head, readers, tables):
-                yield (members,) + shape
+        for shape in heads:
+            first = (members,) + shape
+            for combo in product(*rest):
+                yield sum(combo, first)
 
 
 def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
@@ -297,24 +287,30 @@ def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
     literal forbidden-quadruple scan, tests/oracles.py::is_noncrossing_t,
     never rejects one; the tests run it over every output as a check.
 
-    Lemma (pruning).  For 1 <= apart <= size, a run's first `apart` points
-    lie in distinct blocks iff its first block B holds none of them but its
-    minimum and gap 0's first apart - 1 lie in distinct blocks of gap 0's
-    shape: B would share another with the first; else all lie in gap 0,
-    whose blocks are the run's blocks that meet it.  By induction from the
-    run (mn, 1, t), the stream yields just the candidates that pass, in
-    their old order, as it only drops first blocks and gap shapes.
+    Lemma (pruning).  A run's first `apart` points lie in distinct blocks
+    iff its first block, which holds the first, holds no other of them, and
+    the others (then all in gap 0, whose blocks are the run's blocks that
+    meet it) lie in distinct blocks of gap 0's shape.  By induction from
+    the run (mn, 1, t), the stream yields exactly the candidates that pass,
+    in their old order.
 
     Raises InvariantViolation when an output fails the t-partition filter
-    or the exact check against per-block verdicts, and ResourceLimitError
-    when the outputs plus the gap-table shapes (_gap_plan) exceed
+    or the per-block check, and ResourceLimitError when the plan's closed
+    step bound, or that plus the outputs and gap-table shapes, exceeds
     `max_objects`.
     """
-    m, size, t = p.m, p.ground_size, p.t
+    m, n, t, size = p.m, p.n, p.t, p.ground_size
+    # _gap_plan's runs (S, a) have m | S <= mn and a <= t, and one of size
+    # km visits m*k(k+1)/2 pairs (y, z), ceil(z/m) at each z: all its plans
+    # visit at most t*m*C(n+2, 3).  It then reads one plan per gap key,
+    # (km, s, 1) with 2 <= s <= mn + 1 - km or (km, t + 1 - a, a) with
+    # 1 < a < t: at most m^2*C(n+2, 4) + (t-1)*m*C(n+2, 3) more readers.
+    steps = m * (2 * t - 1) * comb(n + 2, 3) + m * m * comb(n + 2, 4)
+    check_cap(steps, max_objects, f"planning {p} takes up to {steps} steps")
     top = (size, 1, t)
     readers, outputs, held = _gap_plan(m, top)
-    what = f"predicted {outputs} partitions and {held} table shapes for {p}"
-    check_cap(outputs + held, max_objects, what)
+    what = f"predicted {outputs} partitions, {held} table shapes and {steps} plan steps for {p}"
+    check_cap(outputs + held + steps, max_objects, what)
     masks, full = {}, (2 << size) - 2
     for blocks in _classical_shapes(m, top, readers, {}):
         if t > 1:
@@ -355,8 +351,8 @@ def enumerate_nc(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> Tuple[Set
     check each against the literal scan tests/oracles.py::is_noncrossing_t
     and the validating constructor at every mn <= 10.
 
-    Raises ResourceLimitError when the partitions plus the gap-table shapes
-    that _nc_blocks will build exceed `max_objects`.
+    Raises ResourceLimitError when the prediction of _nc_blocks exceeds
+    `max_objects`.
     """
     trusted, size = SetPartition._trusted, p.ground_size
     return tuple(trusted(blocks, size) for blocks in _nc_family(p, max_objects))
@@ -368,9 +364,9 @@ def census(p: Params, by: str, max_objects: int = DEFAULT_MAX_OBJECTS) -> Counte
     by="rank" counts the partitions of each rank n - #blocks, by="profile"
     those of each BlockProfile.counts tuple, and by="total" counts them all
     under the key "total".  The tallies read the stream behind enumerate_nc,
-    so only its gap tables read again and its block masks are held.  Raises
-    what enumerate_nc raises, and DomainError for a block size not divisible
-    by m.
+    so only the gap tables read again and a mask per block are held.
+    Raises what enumerate_nc raises, and DomainError for a block size not
+    divisible by m.
     """
     shapes = _nc_blocks(p, max_objects)
     if by == "rank":

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from math import comb
 from unittest import mock
 
 import pytest
@@ -14,6 +15,11 @@ from nclab.params import Params
 
 FIGURE_PARTITION = SetPartition([{1, 6, 7, 8}, {2, 9, 12, 13}, {3, 14}, {4, 5}, {10, 11}])
 FIGURE_CROSSING = SetPartition([{1, 6, 7, 8}, {2, 9, 12, 13}, {3, 4, 5, 14}, {10, 11}])
+
+
+def plan_steps(m, n, t):
+    """The closed bound on the reader pass that the guard of ncpart._nc_blocks checks."""
+    return m * (2 * t - 1) * comb(n + 2, 3) + m * m * comb(n + 2, 4)
 
 
 def triples(max_size):
@@ -343,12 +349,28 @@ class TestStream:
             for blocks in stream:
                 oracles._check_shape(blocks, p.ground_size)
 
+    def test_plan_steps_bound_the_reader_pass(self):
+        # The closed step bound of _nc_blocks holds every pair (y, z) that
+        # _run_plan visits and every reader that _gap_plan spreads, and the
+        # guard checks it before it makes any plan.
+        for m, n, t in triples(20):
+            size, plans = m * n, {}
+            ncpart._run_plan(m, size, t, plans)
+            visits = sum(-(-z // m) for s, _ in plans for z in range(1, s + 1))
+            readers = ncpart._gap_plan(m, (size, 1, t))[0]
+            visits += sum(len(plans[g, a][1]) for g, _, a in readers)
+            assert visits <= plan_steps(m, n, t), (m, n, t)
+        with mock.patch.object(ncpart, "_gap_plan", side_effect=AssertionError("planned")):
+            with pytest.raises(ResourceLimitError, match="planning .* takes up to 1344 steps"):
+                list(ncpart._nc_blocks(Params(2, 7, 3), 1343))
+
     @pytest.mark.parametrize("triple", [(1, 9, 1), (1, 8, 4), (2, 5, 1), (2, 5, 3), (3, 3, 2), (4, 2, 2)])
     def test_plan_counts_runs_and_tables_exactly(self, monkeypatch, triple):
         # With _gap_plan's readers the generator expands each run it reaches
         # once and keeps exactly the tables read more than once; the cap
-        # counts exactly the outputs plus the shapes built into gap tables:
-        # the stream runs at that cap and not at one less.
+        # counts exactly the outputs plus the shapes built into gap tables,
+        # on top of the plan's step bound: the stream runs at that cap and
+        # not at one less.
         p = Params(*triple)
         readers = ncpart._gap_plan(p.m, (p.ground_size, 1, p.t))[0]
         expanded, built, kept = Counter(), {}, {}
@@ -369,22 +391,37 @@ class TestStream:
         outputs = len(list(ncpart._nc_blocks(p, 10**7)))
         assert set(expanded.values()) == {1}, triple
         assert set(kept) == {key for key, k in readers.items() if k > 1}, triple
-        held = sum(built.values())
-        assert len(list(ncpart._nc_blocks(p, outputs + held))) == outputs
-        with pytest.raises(ResourceLimitError, match=f"predicted {outputs} partitions and {held} table "):
-            list(ncpart._nc_blocks(p, outputs + held - 1))
+        held, steps = sum(built.values()), plan_steps(*triple)
+        assert len(list(ncpart._nc_blocks(p, outputs + held + steps))) == outputs
+        with pytest.raises(ResourceLimitError, match=f"predicted {outputs} partitions, {held} table "):
+            list(ncpart._nc_blocks(p, outputs + held + steps - 1))
 
     def test_cap_counts_what_is_built(self, capsys):
         # At (2,7,3) the old guard predicted the 7,752 classical shapes of
-        # t = 1; the stream builds 1,428 partitions and 788 table shapes.
+        # t = 1; the stream builds 1,428 partitions and 788 table shapes
+        # after a plan of at most 1,344 steps.
         argv = ["count", "--m", "2", "--n", "7", "--t", "3", "--by", "total", "--max-objects"]
-        for cap in (2216, 7751):
+        for cap in (3560, 7751):
             assert cli.main(argv + [str(cap)]) == 0
             assert '"brute":"1428"' in capsys.readouterr().out
-        assert cli.main(argv + ["2215"]) == 2
+        assert cli.main(argv + ["3559"]) == 2
         assert capsys.readouterr().err == (
-            "error: predicted 1428 partitions and 788 table shapes for Params(m=2, n=7, t=3),"
-            " more than the cap 2215\n"
+            "error: predicted 1428 partitions, 788 table shapes and 1344 plan steps"
+            " for Params(m=2, n=7, t=3), more than the cap 3559\n"
+        )
+
+    @pytest.mark.parametrize("triple", [(1, 300, 1), (1, 1000, 1000)])
+    def test_large_triples_are_refused_before_any_plan(self, capsys, triple):
+        # (1,1000,1000) has one partition, but its plan would visit about
+        # 1.7e8 pairs over 1,000 nested runs; the closed bound refuses both
+        # triples under the default cap without making a plan.
+        m, n, t = triple
+        argv = ["count", "--m", str(m), "--n", str(n), "--t", str(t), "--by", "total"]
+        with mock.patch.object(ncpart, "_gap_plan", side_effect=AssertionError("planned")):
+            assert cli.main(argv) == 2
+        steps = plan_steps(*triple)
+        assert capsys.readouterr().err == (
+            f"error: planning {Params(*triple)} takes up to {steps} steps, more than the cap 10000000\n"
         )
 
     @pytest.mark.parametrize("t, shape", [(3, ((1, 3), (2,))), (2, ((1, 2), (3,)))])
