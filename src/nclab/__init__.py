@@ -7,40 +7,35 @@ and lattice-path models, and cross-checks everything pairwise.  All public
 objects are immutable values, and all operations are pure functions.
 """
 
-from .errors import (
-    DomainError,
-    InvariantViolation,
-    ParameterError,
-    ResourceLimitError,
-)
-from .ncpart import (
-    BlockProfile,
-    SetPartition,
-    block_profile,
-    enumerate_nc,
-    rank_of,
-    tilde_transform,
-)
-from .params import Params
-from .polyalg import BivariatePolynomial, RationalExpr
-from .posetcore import FinitePoset, build_refinement_poset
+from importlib import import_module
+
+# Public name -> home module, imported at the name's first read, so that
+# importing the package executes none of its modules.
+_HOMES = {
+    "BivariatePolynomial": "polyalg",
+    "BlockProfile": "ncpart",
+    "DomainError": "errors",
+    "FinitePoset": "posetcore",
+    "InvariantViolation": "errors",
+    "ParameterError": "errors",
+    "Params": "params",
+    "RationalExpr": "polyalg",
+    "ResourceLimitError": "errors",
+    "SetPartition": "ncpart",
+    "block_profile": "ncpart",
+    "build_refinement_poset": "posetcore",
+    "enumerate_nc": "ncpart",
+    "rank_of": "ncpart",
+    "tilde_transform": "ncpart",
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivariatePolynomial",
-    "BlockProfile",
-    "DomainError",
-    "FinitePoset",
-    "InvariantViolation",
-    "ParameterError",
-    "Params",
-    "RationalExpr",
-    "ResourceLimitError",
-    "SetPartition",
-    "block_profile",
-    "build_refinement_poset",
-    "enumerate_nc",
-    "rank_of",
-    "tilde_transform",
-]
+__all__ = sorted(_HOMES)

@@ -10,6 +10,7 @@ on usage, parameter, or resource errors.
 """
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -18,16 +19,38 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import closedform, dyckmodel, ncpart, nonnest, polyalg, posetcore
 from .errors import (
+    DEFAULT_MAX_OBJECTS,
     DomainError,
     InvariantViolation,
     ParameterError,
     ResourceLimitError,
+    check_cap,
 )
-from .params import Params
+from .params import VARIANTS, Params
 
-DEFAULT_MAX_OBJECTS = ncpart.DEFAULT_MAX_OBJECTS
+
+def _lazy(name: str):
+    """nclab.<name>, registered in sys.modules and on the package, executed at its first attribute read.
+
+    So a command executes only the modules it reads, while every module is
+    still found by name once this module is imported.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    # A sys.modules hit does not set the attribute for `import nclab.<name>`.
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+closedform, dyckmodel, ncpart, nonnest, polyalg, posetcore = map(
+    _lazy, ("closedform", "dyckmodel", "ncpart", "nonnest", "polyalg", "posetcore")
+)
 ENV_MAX_OBJECTS = "NC_LAB_MAX_OBJECTS"
 
 
@@ -112,7 +135,7 @@ def _params_from_args(args) -> Params:
 def _check_path_cap(p: Params, cap: int) -> None:
     """Guard a job over the paths of length 2n, counted by total_count at m = 1."""
     predicted = closedform.total_count(Params(1, p.n, p.t))
-    ncpart.check_cap(predicted, cap, f"predicted {predicted} paths for n={p.n}, t={p.t}")
+    check_cap(predicted, cap, f"predicted {predicted} paths for n={p.n}, t={p.t}")
 
 
 def cmd_enumerate(args, cap: int) -> int:
@@ -216,7 +239,7 @@ def cmd_chains(args, cap: int) -> int:
 
 def _triangles(
     which: str, m: int, n: int, ts: Sequence[int], variant: str, cap: int
-) -> Iterator[Tuple[int, polyalg.BivariatePolynomial]]:
+) -> Iterator[Tuple[int, "polyalg.BivariatePolynomial"]]:
     """(t, triangle) per t of ts, ascending; htilde reads one `nonnest.h_tildes` pass per group."""
     if which == "htilde":
         return nonnest.h_tildes(m, n, ts, variant, cap)
@@ -285,7 +308,7 @@ def _bijection_row(m: int, n: int, ts: Sequence[int], variant: str, cap: int) ->
     # bijection_verdicts maps every 1-filter of this n once, for all t; they
     # outnumber the t-filters, so that table is the size to guard.
     table = closedform.total_count(Params(1, n, 1))
-    ncpart.check_cap(table, cap, f"predicted {table} theta images (every 1-filter) for n={n}")
+    check_cap(table, cap, f"predicted {table} theta images (every 1-filter) for n={n}")
     return [
         {"m": 1, "n": n, "t": t, "objects": len(nonnest._tfilter_masks(n, t)), "pass": ok}
         for t, ok in dyckmodel.bijection_verdicts(n, ts)
@@ -448,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="emit objects as JSON lines")
     add_mnt(sp)
     sp.add_argument("--kind", choices=("nc", "nn", "dyck"), default="nc")
-    sp.add_argument("--variant", choices=nonnest.VARIANTS, default="paper")
+    sp.add_argument("--variant", choices=VARIANTS, default="paper")
     add_cap(sp)
     sp.set_defaults(func=cmd_enumerate)
 
@@ -471,14 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("triangle", help="emit a triangle polynomial as JSON")
     add_mnt(sp)
     sp.add_argument("--which", choices=("m", "f", "h", "htilde"), required=True)
-    sp.add_argument("--variant", choices=nonnest.VARIANTS, default="paper")
+    sp.add_argument("--variant", choices=VARIANTS, default="paper")
     add_cap(sp)
     sp.set_defaults(func=cmd_triangle)
 
     sp = sub.add_parser("verify", help="run a pass/fail verification suite")
     sp.add_argument("--suite", choices=_SUITES, required=True)
     sp.add_argument("--range", default=None, help="for example m=1..3,n=1..6,t=1..n")
-    sp.add_argument("--variant", choices=nonnest.VARIANTS, default="paper")
+    sp.add_argument("--variant", choices=VARIANTS, default="paper")
     add_cap(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -488,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--by", choices=("rank", "profile", "total"), default="total")
     sp.add_argument("--which", choices=("m", "f", "h", "htilde"), default="h")
     sp.add_argument("--suite", choices=_SUITES, default="identities")
-    sp.add_argument("--variant", choices=nonnest.VARIANTS, default="paper")
+    sp.add_argument("--variant", choices=VARIANTS, default="paper")
     sp.add_argument(
         "--jobs", type=int, default=1, help="worker processes, at most one per (m, n) group"
     )

@@ -14,9 +14,8 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from . import closedform
 from .errors import DomainError, InvariantViolation, ParameterError
 from .nonnest import TFilter, _filter_from_mask, _tfilter_masks, _universe
-from .params import Params, Value
+from .params import Params, Value, _bits
 from .polyalg import BivariatePolynomial
-from .posetcore import _bits
 
 
 def _walk(steps: str) -> Tuple[Tuple[int, ...], int]:

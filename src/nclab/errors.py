@@ -1,4 +1,4 @@
-"""Error types shared across the library.
+"""Error types shared across the library, and the one size guard.
 
 Library code raises these instead of bare ValueError/RuntimeError so that
 callers (in particular the CLI) can map failures onto exit codes uniformly.
@@ -19,3 +19,13 @@ class ResourceLimitError(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """An internal exactness or structure invariant failed."""
+
+
+#: Default guard against runaway enumerations; the CLI can override it.
+DEFAULT_MAX_OBJECTS = 10**7
+
+
+def check_cap(size: int, max_objects: int, what: str) -> None:
+    """The one size guard: ResourceLimitError, naming `what`, when `size` exceeds the cap."""
+    if size > max_objects:
+        raise ResourceLimitError(f"{what}, more than the cap {max_objects}")

@@ -23,17 +23,8 @@ from math import comb
 from operator import ge
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .errors import DomainError, InvariantViolation, ParameterError, ResourceLimitError
+from .errors import DEFAULT_MAX_OBJECTS, DomainError, InvariantViolation, ParameterError, check_cap
 from .params import Params, Value
-
-#: Default guard against runaway enumerations; the CLI can override it.
-DEFAULT_MAX_OBJECTS = 10**7
-
-
-def check_cap(size: int, max_objects: int, what: str) -> None:
-    """The one size guard: ResourceLimitError, naming `what`, when `size` exceeds the cap."""
-    if size > max_objects:
-        raise ResourceLimitError(f"{what}, more than the cap {max_objects}")
 
 
 class SetPartition(Value):
@@ -162,18 +153,22 @@ def _first_block_position_sets(size: int, m: int) -> Tuple[Tuple[int, ...], ...]
     # Position sets (starting at 0) usable as the block of the minimum in an
     # m-divisible non-crossing partition of `size` points: the block size and
     # every gap between chosen positions (and the tail) must be divisible by m.
-    out = []
-
-    def extend(acc):
-        if len(acc) % m == 0 and (size - acc[-1] - 1) % m == 0:
+    # A depth-first walk with an explicit stack, so a block of any size is
+    # safe: acc is the path, nexts[i] the next position tried after acc[i],
+    # and each path is listed before the paths that extend it, in
+    # tests/oracles.py::first_block_position_sets_recursive's order.
+    out, acc, nexts = [(0,)] if m == 1 else [], [0], [1]
+    while acc:
+        pos = nexts[-1]
+        if pos >= size:
+            acc.pop()
+            nexts.pop()
+            continue
+        nexts[-1] = pos + m
+        acc.append(pos)
+        nexts.append(pos + 1)
+        if len(acc) % m == 0 and (size - pos - 1) % m == 0:
             out.append(tuple(acc))
-        for pos in range(acc[-1] + 1, size):
-            if (pos - acc[-1] - 1) % m == 0:
-                acc.append(pos)
-                extend(acc)
-                acc.pop()
-
-    extend([0])
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ monotone vectors, where every closure condition becomes a height comparison.
 """
 
 import json
+import sys
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import islice
@@ -18,15 +19,11 @@ from operator import ge, gt, lshift, ne
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from . import closedform
-from .errors import DomainError, InvariantViolation, ParameterError
-from .ncpart import DEFAULT_MAX_OBJECTS, check_cap
-from .params import Params, Value
+from .errors import DEFAULT_MAX_OBJECTS, DomainError, InvariantViolation, ParameterError, ResourceLimitError, check_cap
+from .params import VARIANTS, Params, Value, _bits
 from .polyalg import BivariatePolynomial, h_triangle_closed
-from .posetcore import FinitePoset, _bits
 
 Pair = Tuple[int, int]
-
-VARIANTS = ("paper", "adapted")
 
 
 def triangular_pairs(n: int) -> Tuple[Pair, ...]:
@@ -373,18 +370,33 @@ def _generate_chains(m: int, n: int, t: int, variant: str, max_objects: int) -> 
     return chains
 
 
+def _nest(depth: int) -> int:
+    return depth and _nest(depth - 1)
+
+
 def _raw_chains(p: Params, variant: str, max_objects: int) -> List[int]:
     """The generator's chain keys, ascending, behind the variant check and the size guards.
 
     Every entry point that enumerates chains comes through here.  The closed
     count refuses early; it is the conjectured count, which the adapted
     variant exceeds, so the generator also stops once it holds more chains
-    than the cap.
+    than the cap.  A generator too deep for the recursion limit is refused
+    before it starts.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
     predicted = closedform.total_count(p)
     check_cap(predicted, max_objects, f"predicted about {predicted} chains for {p}")
+    # The generator nests take, level and a fill per column above t for each
+    # of V_m, ..., V_2, then take(1), whose cap refusal nests 5 calls more.
+    # A probe as deep, frame for frame, refuses a run the stack cannot hold.
+    depth = (p.m - 1) * (p.n - p.t + 2) + 7
+    try:
+        _nest(depth)
+    except RecursionError:
+        raise ResourceLimitError(
+            f"generating the chains of {p} nests {depth} calls, past the recursion limit {sys.getrecursionlimit()}"
+        ) from None
     return _generate_chains(p.m, p.n, p.t, variant, max_objects)
 
 
@@ -516,7 +528,7 @@ class FlooredPoset(Value):
 
     _fields = ("poset", "cover_floor", "floors")
 
-    def __init__(self, poset: FinitePoset, cover_floor: tuple, floors: Tuple[FrozenSet[Pair], ...]):
+    def __init__(self, poset: "FinitePoset", cover_floor: tuple, floors: Tuple[FrozenSet[Pair], ...]):
         vars(self).update(poset=poset, cover_floor=cover_floor, floors=floors)
 
 
@@ -653,6 +665,8 @@ def nn_poset(
     InvariantViolation.  Under the certified lemma every cover adds one
     pair to one component, so the poset is graded by the total pair count.
     """
+    from .posetcore import FinitePoset  # here: no other chain reader builds a poset
+
     keys = _raw_chains(p, variant, max_objects)
     printed = _sorted_chains(p, keys)
     where = dict(zip(printed, range(len(printed))))

@@ -3,13 +3,24 @@
 m is the block-divisibility parameter, n the size parameter (the ground set
 is {1, ..., m*n}), and t the number of initially separated elements.
 
-`Value` is the base of the package's immutable value classes.
+`Value` is the base of the package's immutable value classes; `_bits` is
+the one bit iterator and `VARIANTS` the chain variants.
 """
 
 from functools import total_ordering
 from operator import attrgetter
+from typing import Iterator
 
 from .errors import ParameterError
+
+VARIANTS = ("paper", "adapted")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Value:

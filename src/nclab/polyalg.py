@@ -16,10 +16,8 @@ import json
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .closedform import _ratio, binomial
-from .errors import InvariantViolation, ParameterError
-from .ncpart import DEFAULT_MAX_OBJECTS
+from .errors import DEFAULT_MAX_OBJECTS, InvariantViolation, ParameterError
 from .params import Params, Value
-from .posetcore import build_refinement_poset
 
 
 def _wrap(data: dict) -> "BivariatePolynomial":
@@ -313,6 +311,8 @@ def m_triangles_brute(
     those of every t, so the t0 width serves every t.  Anything left after
     slots 0..s raises InvariantViolation, when that t's turn comes.
     """
+    from .posetcore import build_refinement_poset  # here: the closed triangles need no poset
+
     first = Params(m, n, min(ts))
     poset = build_refinement_poset(first, max_objects=max_objects)
     levels = [[] for _ in range(first.max_rank + 1)]

@@ -11,18 +11,11 @@ time for the one chain DP; no poset is module-level.
 
 from bisect import bisect_left, insort
 from itertools import chain, count, groupby
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvariantViolation, ParameterError
-from .ncpart import DEFAULT_MAX_OBJECTS, _first_block_position_sets, _nc_family
-from .params import Params
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .errors import DEFAULT_MAX_OBJECTS, InvariantViolation, ParameterError
+from .ncpart import _first_block_position_sets, _nc_family
+from .params import Params, _bits
 
 
 def count_rank_multichains(

@@ -17,9 +17,10 @@ masks and tests every closure condition on whole grid masks.
 `nonnest._certify_covers` replaced: it reads the library's pair layout and
 packs each chain's exact down-set into one bit per chain of the family.
 `nc_blocks_by_filter` is the partition stream that `ncpart._nc_blocks`
-replaced: it reads the library's first-block position sets, builds every
-classical shape from gap tables that it all keeps and drops those that put
-two of 1..t in one block.  `_check_shape` is the point-by-point output check
+replaced: it builds every classical shape from gap tables that it all keeps
+and drops those that put two of 1..t in one block.  Its first blocks come
+from `first_block_position_sets_recursive`, the recursive walk that the
+explicit-stack `ncpart._first_block_position_sets` replaced.  `_check_shape` is the point-by-point output check
 that the per-block verdicts of `_nc_blocks` replaced; it raises the
 library's InvariantViolation.
 `verify_ideal_embedding` reads the library's refinement poset and
@@ -118,17 +119,37 @@ def brute_nc(m, n, t):
     return sorted(found)
 
 
+def first_block_position_sets_recursive(size, m):
+    """The recursive walk that ncpart._first_block_position_sets replaced, in its order.
+
+    Position sets (starting at 0) of the block of the minimum in an
+    m-divisible non-crossing partition of `size` points; it recurses once per
+    block member, so a block of about a thousand points overflows the stack.
+    """
+    out = []
+
+    def extend(acc):
+        if len(acc) % m == 0 and (size - acc[-1] - 1) % m == 0:
+            out.append(tuple(acc))
+        for pos in range(acc[-1] + 1, size):
+            if (pos - acc[-1] - 1) % m == 0:
+                acc.append(pos)
+                extend(acc)
+                acc.pop()
+
+    extend([0])
+    return tuple(out)
+
+
 def _classical_shapes(m, size, start, tables):
     # The classical shape generator that ncpart._classical_shapes replaced:
     # every m-divisible classically non-crossing partition of the points
     # start..start+size-1, as its blocks sorted by minimum, composed from gap
     # tables that are all kept in `tables`, keyed by (size, start).
-    from nclab.ncpart import _first_block_position_sets
-
     if size == 0:
         yield ()
         return
-    for offsets in _first_block_position_sets(size, m):
+    for offsets in first_block_position_sets_recursive(size, m):
         members = tuple(start + q for q in offsets)
         gaps = []
         for low, high in zip(members, members[1:] + (start + size,)):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nclab import cli, dyckmodel, ncpart, nonnest, polyalg
+from nclab import cli, dyckmodel, ncpart, nonnest, polyalg, posetcore
 from nclab.cli import main
 from nclab.errors import InvariantViolation
 from nclab.params import Params
@@ -81,6 +81,13 @@ class TestCount:
         data = json.loads(out)
         by_profile = {tuple(row["profile"]): row["formula"] for row in data["rows"]}
         assert by_profile == {(3, 0, 0): "3", (1, 1, 0): "2", (0, 0, 1): "0"}
+
+    def test_one_block_of_a_thousand_points(self, capsys):
+        # The first-block walk keeps no frame per block member, so the one
+        # partition of (1000, 1, 1), a single block, is counted.
+        code, out, _ = run_cli(capsys, "count", "--m", "1000", "--n", "1", "--t", "1")
+        assert code == 0
+        assert json.loads(out)["rows"] == [{"key": "total", "formula": "1", "brute": "1", "match": True}]
 
 
 class TestEnumerate:
@@ -208,7 +215,7 @@ class TestVerify:
         assert json.loads(out)["all_pass"]
 
     def test_conj_count_builds_no_poset(self, capsys, monkeypatch):
-        monkeypatch.setattr(nonnest, "FinitePoset", refuse_poset)
+        monkeypatch.setattr(posetcore, "FinitePoset", refuse_poset)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "conj-count", "--range", "m=2,n=3,t=1..n"
         )
@@ -216,7 +223,7 @@ class TestVerify:
         assert all(row["pass"] for row in json.loads(out)["rows"])
 
     def test_lemma54_builds_no_poset(self, capsys, monkeypatch):
-        monkeypatch.setattr(nonnest, "FinitePoset", refuse_poset)
+        monkeypatch.setattr(posetcore, "FinitePoset", refuse_poset)
         monkeypatch.setattr(nonnest, "_filter_from_mask", refuse_poset)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "lemma54", "--range", "m=2,n=3,t=1..n"
@@ -225,7 +232,7 @@ class TestVerify:
         assert [row["covers"] for row in json.loads(out)["rows"]] == [15, 4, 0]
 
     def test_conj_h_builds_no_poset(self, capsys, monkeypatch):
-        monkeypatch.setattr(nonnest, "FinitePoset", refuse_poset)
+        monkeypatch.setattr(posetcore, "FinitePoset", refuse_poset)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "conj-h", "--range", "m=2,n=3,t=1..n"
         )
@@ -452,6 +459,54 @@ class TestErrors:
             "error: adapted chains for Params(m=3, n=5, t=4) reached 21, more than the cap 20\n"
         )
 
+    # The chain generator nests about three calls per component at n = 2:
+    # (300, 2, 1) fits under the default recursion limit, these do not.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "conj-count", "--range", "m=400,n=2,t=1"),
+            ("enumerate", "--kind", "nn", "--m", "1000", "--n", "2", "--t", "1"),
+        ],
+        ids=["conj-count", "enumerate"],
+    )
+    def test_chains_past_the_recursion_limit_are_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: generating the chains of Params(m=") and "past the recursion limit" in err
+
+    def test_depth_guard_is_exact(self, capsys, monkeypatch):
+        # The adapted cap refusal at (40, 3, 2) is the generator's deepest
+        # call.  Started d frames deeper, a run ends in that refusal or in
+        # the depth guard's; at the largest d the guard admits, the cap
+        # refusal still runs without overflowing the stack, and one frame
+        # deeper it would overflow but for the guard.
+        argv = ["enumerate", "--kind", "nn", "--m", "40", "--n", "3", "--t", "2",
+                "--variant", "adapted", "--max-objects", "100"]
+
+        def nested(d):
+            return nested(d - 1) if d else main(argv)
+
+        def run(d):
+            return nested(d), capsys.readouterr()
+
+        frame, below = sys._getframe(), 0
+        while frame is not None:
+            frame, below = frame.f_back, below + 1
+        low, high = 0, sys.getrecursionlimit() - below - 50  # leaves too few for 124 nested calls
+        assert "past the recursion limit" in run(high)[1].err
+        while high - low > 1:
+            mid = (low + high) // 2
+            if "past the recursion limit" in run(mid)[1].err:
+                high = mid
+            else:
+                low = mid
+        code, captured = run(low)
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith("adapted chains for Params(m=40, n=3, t=2) reached 101, more than the cap 100\n")
+        monkeypatch.setattr(nonnest, "_nest", lambda depth: 0)
+        with pytest.raises(RecursionError):
+            run(high)
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NC_LAB_MAX_OBJECTS", "10")
         code, _, err = run_cli(capsys, "count", "--m", "1", "--n", "8", "--t", "1")
@@ -599,3 +654,67 @@ class TestSubprocess:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+
+# Prints, after the given statements, the nclab modules that have executed:
+# a module that cli registered lazily stays an importlib.util._LazyModule
+# until an attribute of it is first read.
+EXECUTED = (
+    "import contextlib, io, json, sys, types\n"
+    "{}\n"
+    "print(json.dumps(sorted(name for name, module in sys.modules.items()\n"
+    "    if name.split('.')[0] == 'nclab' and type(module) is types.ModuleType)))\n"
+)
+
+
+def executed_modules(statements, *argv):
+    result = subprocess.run(
+        [sys.executable, "-c", EXECUTED.format(statements), *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+class TestLazyImports:
+    def test_parser_executes_only_the_leaves(self):
+        statements = "import nclab.cli\nnclab.cli.build_parser()"
+        assert executed_modules(statements) == ["nclab", "nclab.cli", "nclab.errors", "nclab.params"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --suite conj-count --range m=2,n=3,t=1..n",
+            "verify --suite lemma54 --range m=2,n=3,t=1..n",
+            "verify --suite conj-h --range m=2,n=3,t=1..n",
+            "sweep --do verify --suite identities --range m=1..2,n=1..3,t=1..n",
+        ],
+    )
+    def test_suites_execute_no_partition_or_path_module(self, argv):
+        # A run that reads neither partitions, posets nor paths never
+        # executes their modules.
+        statements = (
+            "from nclab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0"
+        )
+        executed = executed_modules(statements, *argv.split())
+        assert "nclab.nonnest" in executed or "nclab.polyalg" in executed
+        assert not {"nclab.posetcore", "nclab.ncpart", "nclab.dyckmodel"} & set(executed)
+
+    def test_public_names(self):
+        import nclab
+
+        assert nclab.__all__ == [
+            "BivariatePolynomial", "BlockProfile", "DomainError", "FinitePoset",
+            "InvariantViolation", "ParameterError", "Params", "RationalExpr",
+            "ResourceLimitError", "SetPartition", "block_profile", "build_refinement_poset",
+            "enumerate_nc", "rank_of", "tilde_transform",
+        ]
+        namespace = {}
+        exec("from nclab import *", namespace)
+        for name in nclab.__all__:
+            value = getattr(nclab, name)
+            assert namespace[name] is value
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        with pytest.raises(AttributeError):
+            nclab.no_such_name

@@ -349,6 +349,13 @@ class TestStream:
             for blocks in stream:
                 oracles._check_shape(blocks, p.ground_size)
 
+    def test_position_sets_match_the_recursive_walk(self):
+        # The explicit-stack walk lists the recursive walk's sets, in its order.
+        for m in range(1, 4):
+            for size in range(15):
+                walk = ncpart._first_block_position_sets(size, m)
+                assert walk == oracles.first_block_position_sets_recursive(size, m), (size, m)
+
     def test_plan_steps_bound_the_reader_pass(self):
         # The closed step bound of _nc_blocks holds every pair (y, z) that
         # _run_plan visits and every reader that _gap_plan spreads, and the
