@@ -375,13 +375,12 @@ def _nest(depth: int) -> int:
 
 
 def _raw_chains(p: Params, variant: str, max_objects: int) -> List[int]:
-    """The generator's chain keys, ascending, behind the variant check and the size guards.
+    """The generator's chain keys, ascending, behind the variant check, the size guards and the depth guard.
 
     Every entry point that enumerates chains comes through here.  The closed
     count refuses early; it is the conjectured count, which the adapted
     variant exceeds, so the generator also stops once it holds more chains
-    than the cap.  A generator too deep for the recursion limit is refused
-    before it starts.
+    than the cap.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -395,7 +394,8 @@ def _raw_chains(p: Params, variant: str, max_objects: int) -> List[int]:
         _nest(depth)
     except RecursionError:
         raise ResourceLimitError(
-            f"generating the chains of {p} nests {depth} calls, past the recursion limit {sys.getrecursionlimit()}"
+            f"generating the chains of {p} nests {depth} calls,"
+            f" and the recursion limit {sys.getrecursionlimit()} leaves fewer"
         ) from None
     return _generate_chains(p.m, p.n, p.t, variant, max_objects)
 

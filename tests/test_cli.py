@@ -472,7 +472,7 @@ class TestErrors:
     def test_chains_past_the_recursion_limit_are_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: generating the chains of Params(m=") and "past the recursion limit" in err
+        assert err.startswith("error: generating the chains of Params(m=") and "leaves fewer" in err
 
     def test_depth_guard_is_exact(self, capsys, monkeypatch):
         # The adapted cap refusal at (40, 3, 2) is the generator's deepest
@@ -493,10 +493,10 @@ class TestErrors:
         while frame is not None:
             frame, below = frame.f_back, below + 1
         low, high = 0, sys.getrecursionlimit() - below - 50  # leaves too few for 124 nested calls
-        assert "past the recursion limit" in run(high)[1].err
+        assert "leaves fewer" in run(high)[1].err
         while high - low > 1:
             mid = (low + high) // 2
-            if "past the recursion limit" in run(mid)[1].err:
+            if "leaves fewer" in run(mid)[1].err:
                 high = mid
             else:
                 low = mid
