@@ -11,7 +11,6 @@ monotone vectors, where every closure condition becomes a height comparison.
 """
 
 import json
-import sys
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import islice
@@ -19,7 +18,7 @@ from operator import ge, gt, lshift, ne
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from . import closedform
-from .errors import DEFAULT_MAX_OBJECTS, DomainError, InvariantViolation, ParameterError, ResourceLimitError, check_cap
+from .errors import DEFAULT_MAX_OBJECTS, DomainError, InvariantViolation, ParameterError, check_cap
 from .params import VARIANTS, Params, Value, _bits
 from .polyalg import BivariatePolynomial, h_triangle_closed
 
@@ -245,12 +244,12 @@ def _generate_chains(m: int, n: int, t: int, variant: str, max_objects: int) -> 
     A[A[l]] <= A[l].
 
     Generation (below_J, short_J and the positions: _height_tables).  V_m
-    runs over every filter; with V_m alone no condition is left, because
-    V_m + V_m <= V_m always holds.  With V_{k+1}, ..., V_m fixed, V_k is
-    built column by column, l = t+1, ..., n, and there meets every
-    condition whose smaller index is k.  Let K be its vector and T the
-    target of each condition, V_{min(k+j, m)} or V_{k+j}, already fixed
-    since its index exceeds k.  For j > k:
+    runs over every filter; alone it meets no condition (V_m + V_m <= V_m).
+    Under each V_m, level k = m-1, ..., 1 extends each prefix (V_m, ...,
+    V_{k+1}) that level k+1 left by every V_k, built column by column,
+    l = t+1, ..., n, where it meets each condition of smaller index k.  Let
+    K be its vector and T the target of each condition, V_{min(k+j, m)} or
+    V_{k+j}, already fixed since its index exceeds k.  For j > k:
     - nesting, V_{k+1} <= V_k: K[l] >= V_{k+1}[l];
     - V_k + V_j <= T: K[J[l]] <= T[l], an upper bound at column J[l];
     - V_j + V_k <= T: J[K[l]] <= T[l], i.e. K[l] <= below_J[T[l]];
@@ -262,8 +261,8 @@ def _generate_chains(m: int, n: int, t: int, variant: str, max_objects: int) -> 
       with K[l] < x < l may have J[x] < min(x - 1, T[l]).  Such x have
       J[x] < T[l], i.e. x <= below_J[T[l] - 1], so K[l] >=
       short_J[min(l - 1, below_J[T[l] - 1])].
-    Each is a bound on one column, set once per (V_{k+1}, ..., V_m).  The
-    upper bounds are closed downward (K[x] <= K[x+1] <= hi[x+1]).  Then
+    Each is a bound on one column, set once per prefix.  The upper bounds
+    are closed downward (K[x] <= K[x+1] <= hi[x+1]).  Then
     every value in [max(lo[l], K[l-1]), hi[l]] extends to some vector,
     and the level has no candidate iff some lo[l] > hi[l].  The squares
     (j = k, target S = V_{min(2k, m)}) bound K[l] by the columns before
@@ -271,13 +270,13 @@ def _generate_chains(m: int, n: int, t: int, variant: str, max_objects: int) -> 
     K[x] <= S[l].  For 2k <= m, the complement square needs K[l] >= every
     ambient x < l with K[x] < min(x - 1, S[l]).  Those x come before the
     first column where K reaches S[l], so the bound is the largest short
-    column there, kept as the prefix D.  So every condition of every
+    column there, kept column by column in D.  So every condition of every
     chain is checked, and no candidate is built and then dropped for the
     bounds.  Only the squares can leave a prefix with no completion.
 
     Order.  Values rise at each column, so each level meets its filters in
-    lexicographic vector order, which is _tfilter_masks order.  The levels
-    nest V_m outermost, so the chains come lexicographic in (V_m, ...,
+    lexicographic vector order, which is _tfilter_masks order.  Each level
+    keeps its prefixes' order, so the chains come lexicographic in (V_m, ...,
     V_1) by filter position, the order of the closure-testing generator
     this one replaced (tests/oracles.py::chains_by_closure), and ascending
     key order by the prefix lemma (_tfilter_masks).
@@ -286,70 +285,24 @@ def _generate_chains(m: int, n: int, t: int, variant: str, max_objects: int) -> 
     full = heights[-1]  # the last filter holds every pair: a_l = l - 1 for l > t
     first = 1 if variant == "paper" else t + 1  # the first ambient column
     width = len(_tfilter_masks(n, 1)).bit_length()
-    chains: List[int] = []
-    chosen = [0] * (m + 1)  # filter position of V_k
-    heads = [0] * (m + 2)  # the key fields of V_k, ..., V_m
+    field = (1 << width) - 1
     columns = range(t + 1, n + 1)
-    lows: List[List[int]] = [[]] * m  # per level: the column bounds
-    highs: List[List[int]] = [[]] * m
-    square: List[Tuple[int, ...]] = [()] * m  # the squares' target, V_{min(2k, m)}
-    vector = [[0] * (n + 1) for _ in range(m)]  # K of level k, columns < l chosen
-    # The largest short column <= x of K; short[0] is the empty filter's row.
-    last_short = [list(short[0]) for _ in range(m)]
+    # Checked once per prefix, the refusal names the first count past the cap.
+    held = f"{variant} chains for {Params(m, n, t)} reached {max_objects + 1}"
+    if m == 1:  # the chains are the filters
+        check_cap(len(heights), max_objects, held)
+        return list(range(len(heights)))
+    chains: List[int] = []
+    K = [0] * (n + 1)  # the vector of V_k, columns < l chosen
+    D = list(short[0])  # the largest short column <= x of K; short[0] is the empty filter's row
 
-    def take(k: int, pos: int) -> None:
-        chosen[k], heads[k] = pos, heads[k + 1] | pos << (k - 1) * width
-        if k > 1:
-            level(k - 1)
-            return
-        chains.append(heads[1])
-        if len(chains) > max_objects:
-            check_cap(len(chains), max_objects, f"{variant} chains for {Params(m, n, t)} reached {len(chains)}")
-
-    def level(k: int) -> None:
-        lo, hi = list(heights[chosen[k + 1]]), list(full)
-        for j in range(k + 1, m + 1):
-            J, inv = heights[chosen[j]], below[chosen[j]]
-            T = heights[chosen[min(k + j, m)]]
-            for l in columns:
-                if T[l] < hi[J[l]]:
-                    hi[J[l]] = T[l]
-                if inv[T[l]] < hi[l]:
-                    hi[l] = inv[T[l]]
-            if k + j > m:
-                continue
-            for x in range(first, n + 1):
-                last = inv[x - 1]
-                if last > x:
-                    bound = x - 1 if T[last] > x - 1 else T[last]
-                    if bound > lo[x]:
-                        lo[x] = bound
-            J_short = short[chosen[j]]
-            for l in columns:
-                if T[l]:
-                    y = inv[T[l] - 1]
-                    bound = J_short[l - 1 if y > l - 1 else y]
-                    if bound > lo[l]:
-                        lo[l] = bound
-        for l in range(n - 1, t, -1):
-            if hi[l + 1] < hi[l]:
-                hi[l] = hi[l + 1]
-        if any(map(gt, lo, hi)):
-            return
-        lows[k], highs[k], square[k] = lo, hi, heights[chosen[min(2 * k, m)]]
-        if t < n:
-            fill(k, t + 1, 0)
-        else:
-            take(k, 0)
-
-    def fill(k: int, l: int, pos: int) -> None:
-        K, D, S = vector[k], last_short[k], square[k][l]
-        prev = K[l - 1]
-        low, high = lows[k][l], bisect_right(K, S, 0, l) - 1
+    def fill(l: int, pos: int) -> None:
+        S, prev = square[l], K[l - 1]
+        low, high = lo[l], bisect_right(K, S, 0, l) - 1
         if prev > low:
             low = prev
-        if highs[k][l] < high:
-            high = highs[k][l]
+        if hi[l] < high:
+            high = hi[l]
         if S and 2 * k <= m:
             bound = D[bisect_left(K, S, 0, l) - 1]
             if bound > low:
@@ -358,24 +311,60 @@ def _generate_chains(m: int, n: int, t: int, variant: str, max_objects: int) -> 
         base = pos - ranks[prev]
         if l == n:
             for a in range(low, high + 1):
-                take(k, base + ranks[a])
+                keys.append(head | base + ranks[a] << shift)
             return
         for a in range(low, high + 1):
             K[l] = a
             D[l] = l if a < l - 1 else D[l - 1]
-            fill(k, l + 1, base + ranks[a])
+            fill(l + 1, base + ranks[a])
 
-    for pos in range(len(heights)):
-        take(m, pos)
+    for top in range(len(heights)):
+        keys = [top << (m - 1) * width]  # level k's prefixes, the keys of (V_m, ..., V_{k+1})
+        for k in range(m - 1, 0, -1):
+            prefixes, keys, shift = keys, chains if k == 1 else [], (k - 1) * width
+            for head in prefixes:
+                lo, hi = list(heights[head >> k * width & field]), list(full)
+                for j in range(k + 1, m + 1):
+                    f = head >> (j - 1) * width & field
+                    J, inv = heights[f], below[f]
+                    T = heights[head >> (min(k + j, m) - 1) * width & field]
+                    for l in columns:
+                        if T[l] < hi[J[l]]:
+                            hi[J[l]] = T[l]
+                        if inv[T[l]] < hi[l]:
+                            hi[l] = inv[T[l]]
+                    if k + j > m:
+                        continue
+                    for x in range(first, n + 1):
+                        last = inv[x - 1]
+                        if last > x:
+                            bound = x - 1 if T[last] > x - 1 else T[last]
+                            if bound > lo[x]:
+                                lo[x] = bound
+                    J_short = short[f]
+                    for l in columns:
+                        if T[l]:
+                            y = inv[T[l] - 1]
+                            bound = J_short[l - 1 if y > l - 1 else y]
+                            if bound > lo[l]:
+                                lo[l] = bound
+                for l in range(n - 1, t, -1):
+                    if hi[l + 1] < hi[l]:
+                        hi[l] = hi[l + 1]
+                if any(map(gt, lo, hi)):
+                    continue
+                square = heights[head >> (min(2 * k, m) - 1) * width & field]  # V_{min(2k, m)}
+                if t < n:
+                    fill(t + 1, 0)
+                else:
+                    keys.append(head)
+                if len(chains) > max_objects:
+                    check_cap(len(chains), max_objects, held)
     return chains
 
 
-def _nest(depth: int) -> int:
-    return depth and _nest(depth - 1)
-
-
 def _raw_chains(p: Params, variant: str, max_objects: int) -> List[int]:
-    """The generator's chain keys, ascending, behind the variant check, the size guards and the depth guard.
+    """The generator's chain keys, ascending, behind the variant check and the size guards.
 
     Every entry point that enumerates chains comes through here.  The closed
     count refuses early; it is the conjectured count, which the adapted
@@ -386,17 +375,6 @@ def _raw_chains(p: Params, variant: str, max_objects: int) -> List[int]:
         raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
     predicted = closedform.total_count(p)
     check_cap(predicted, max_objects, f"predicted about {predicted} chains for {p}")
-    # The generator nests take, level and a fill per column above t for each
-    # of V_m, ..., V_2, then take(1), whose cap refusal nests 5 calls more.
-    # A probe as deep, frame for frame, refuses a run the stack cannot hold.
-    depth = (p.m - 1) * (p.n - p.t + 2) + 7
-    try:
-        _nest(depth)
-    except RecursionError:
-        raise ResourceLimitError(
-            f"generating the chains of {p} nests {depth} calls,"
-            f" and the recursion limit {sys.getrecursionlimit()} leaves fewer"
-        ) from None
     return _generate_chains(p.m, p.n, p.t, variant, max_objects)
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from nclab import cli, dyckmodel, ncpart, nonnest, polyalg, posetcore
+from nclab import cli, closedform, dyckmodel, ncpart, nonnest, polyalg, posetcore
 from nclab.cli import main
 from nclab.errors import InvariantViolation
 from nclab.params import Params
@@ -459,53 +459,31 @@ class TestErrors:
             "error: adapted chains for Params(m=3, n=5, t=4) reached 21, more than the cap 20\n"
         )
 
-    # The chain generator nests about three calls per component at n = 2:
-    # (300, 2, 1) fits under the default recursion limit, these do not.
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("verify", "--suite", "conj-count", "--range", "m=400,n=2,t=1"),
-            ("enumerate", "--kind", "nn", "--m", "1000", "--n", "2", "--t", "1"),
-        ],
-        ids=["conj-count", "enumerate"],
-    )
-    def test_chains_past_the_recursion_limit_are_refused(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: generating the chains of Params(m=") and "leaves fewer" in err
-
-    def test_depth_guard_is_exact(self, capsys, monkeypatch):
-        # The adapted cap refusal at (40, 3, 2) is the generator's deepest
-        # call.  Started d frames deeper, a run ends in that refusal or in
-        # the depth guard's; at the largest d the guard admits, the cap
-        # refusal still runs without overflowing the stack, and one frame
-        # deeper it would overflow but for the guard.
-        argv = ["enumerate", "--kind", "nn", "--m", "40", "--n", "3", "--t", "2",
-                "--variant", "adapted", "--max-objects", "100"]
-
-        def nested(d):
-            return nested(d - 1) if d else main(argv)
-
-        def run(d):
-            return nested(d), capsys.readouterr()
-
-        frame, below = sys._getframe(), 0
+    def test_chain_jobs_run_40_frames_above_the_caller(self, capsys):
+        # The chain generator recurses once per column above t, whatever m
+        # is, so these run under a recursion limit only 40 frames above the
+        # caller's depth, and the adapted cap refusal still ends its run.
+        frame, depth = sys._getframe(), 0
         while frame is not None:
-            frame, below = frame.f_back, below + 1
-        low, high = 0, sys.getrecursionlimit() - below - 50  # leaves too few for 124 nested calls
-        assert "leaves fewer" in run(high)[1].err
-        while high - low > 1:
-            mid = (low + high) // 2
-            if "leaves fewer" in run(mid)[1].err:
-                high = mid
-            else:
-                low = mid
-        code, captured = run(low)
-        assert (code, captured.out) == (2, "")
-        assert captured.err.endswith("adapted chains for Params(m=40, n=3, t=2) reached 101, more than the cap 100\n")
-        monkeypatch.setattr(nonnest, "_nest", lambda depth: 0)
-        with pytest.raises(RecursionError):
-            run(high)
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            count = run_cli(capsys, "verify", "--suite", "conj-count", "--range", "m=60,n=2,t=1")
+            listed = run_cli(capsys, "enumerate", "--kind", "nn", "--m", "60", "--n", "3", "--t", "1")
+            lemma = run_cli(capsys, "verify", "--suite", "lemma54", "--range", "m=20,n=3,t=1..n")
+            refused = run_cli(capsys, "enumerate", "--kind", "nn", "--m", "40", "--n", "3", "--t", "2",
+                              "--variant", "adapted", "--max-objects", "100")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [job[0] for job in (count, listed, lemma, refused)] == [0, 0, 0, 2]
+        [row] = json.loads(count[1])["rows"]
+        assert row["enumerated"] == row["formula"] == "61"
+        assert len(listed[1].splitlines()) == closedform.total_count(Params(60, 3, 1))
+        assert json.loads(lemma[1])["all_pass"]
+        _, out, err = refused
+        assert out == ""
+        assert err.endswith("adapted chains for Params(m=40, n=3, t=2) reached 101, more than the cap 100\n")
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NC_LAB_MAX_OBJECTS", "10")

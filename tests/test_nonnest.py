@@ -471,6 +471,10 @@ class TestHTilde:
             held = r"^adapted chains for Params\(m=3, n=5, t=4\) reached 21, more than the cap 20$"
             with pytest.raises(ResourceLimitError, match=held):
                 entry(Params(3, 5, 4), variant="adapted", max_objects=20)
+        # The generator's own running cap holds at m = 1 too, where its chains are the filters.
+        held = r"^paper chains for Params\(m=1, n=6, t=1\) reached 11, more than the cap 10$"
+        with pytest.raises(ResourceLimitError, match=held):
+            nonnest._generate_chains(1, 6, 1, "paper", 10)
 
 
 class TestCertificate:
