@@ -459,31 +459,38 @@ class TestErrors:
             "error: adapted chains for Params(m=3, n=5, t=4) reached 21, more than the cap 20\n"
         )
 
-    def test_chain_jobs_run_40_frames_above_the_caller(self, capsys):
-        # The chain generator recurses once per column above t, whatever m
-        # is, so these run under a recursion limit only 40 frames above the
-        # caller's depth, and the adapted cap refusal still ends its run.
+    # The chain generator recurses once per column above t, whatever m is,
+    # so each job runs under a recursion limit only 40 frames above the
+    # caller's depth, and the adapted cap refusal still ends its run.
+    @pytest.mark.parametrize(
+        "argv, expected, check",
+        [
+            (("verify", "--suite", "conj-count", "--range", "m=60,n=2,t=1"), 0,
+             lambda out, err: [(row["enumerated"], row["formula"]) for row in json.loads(out)["rows"]]
+             == [("61", "61")]),
+            (("enumerate", "--kind", "nn", "--m", "60", "--n", "3", "--t", "1"), 0,
+             lambda out, err: len(out.splitlines()) == closedform.total_count(Params(60, 3, 1))),
+            (("verify", "--suite", "lemma54", "--range", "m=20,n=3,t=1..n"), 0,
+             lambda out, err: json.loads(out)["all_pass"]),
+            (("enumerate", "--kind", "nn", "--m", "40", "--n", "3", "--t", "2",
+              "--variant", "adapted", "--max-objects", "100"), 2,
+             lambda out, err: out == "" and err.endswith(
+                 "adapted chains for Params(m=40, n=3, t=2) reached 101, more than the cap 100\n")),
+        ],
+        ids=["conj-count", "enumerate", "lemma54", "adapted-cap"],
+    )
+    def test_chain_jobs_run_40_frames_above_the_caller(self, capsys, argv, expected, check):
         frame, depth = sys._getframe(), 0
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 40)
         try:
-            count = run_cli(capsys, "verify", "--suite", "conj-count", "--range", "m=60,n=2,t=1")
-            listed = run_cli(capsys, "enumerate", "--kind", "nn", "--m", "60", "--n", "3", "--t", "1")
-            lemma = run_cli(capsys, "verify", "--suite", "lemma54", "--range", "m=20,n=3,t=1..n")
-            refused = run_cli(capsys, "enumerate", "--kind", "nn", "--m", "40", "--n", "3", "--t", "2",
-                              "--variant", "adapted", "--max-objects", "100")
+            code, out, err = run_cli(capsys, *argv)
         finally:
             sys.setrecursionlimit(limit)
-        assert [job[0] for job in (count, listed, lemma, refused)] == [0, 0, 0, 2]
-        [row] = json.loads(count[1])["rows"]
-        assert row["enumerated"] == row["formula"] == "61"
-        assert len(listed[1].splitlines()) == closedform.total_count(Params(60, 3, 1))
-        assert json.loads(lemma[1])["all_pass"]
-        _, out, err = refused
-        assert out == ""
-        assert err.endswith("adapted chains for Params(m=40, n=3, t=2) reached 101, more than the cap 100\n")
+        assert code == expected
+        assert check(out, err)
 
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("NC_LAB_MAX_OBJECTS", "10")
