@@ -308,16 +308,13 @@ def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
     check_cap(outputs + held + steps, max_objects, what)
     masks, full = {}, (2 << size) - 2
     for blocks in _classical_shapes(m, top, readers, {}):
-        if t > 1:
-            if len(blocks) < t or blocks[t - 1][0] != t:
-                raise InvariantViolation(f"shape {blocks} puts two of 1..{t} in one block")
-            # Block i holds point i+1, which tilde_transform sends to t-i.
-            blocks = tuple(
-                (t - i,) + blocks[i][1:] for i in reversed(range(t))
-            ) + blocks[t:]
-        # Each distinct block is checked once (non-empty, ascending, inside
-        # 1..mn) and its mask cached; the output is exact iff its minima
-        # ascend and its masks are disjoint and cover 1..mn.
+        # The shape c is checked before it is relabelled, so the cache holds
+        # only c's blocks, which the gap tables share: each distinct block
+        # once (non-empty, ascending, inside 1..mn), with its mask; c is
+        # exact iff its minima ascend and its masks are disjoint and cover
+        # 1..mn.  Past the t-partition filter, 1..t are the minima of c's
+        # first t blocks, and relabelling permutes just these points, so the
+        # output is exact too (and canonical, as shown above).
         low = seen = 0
         for block in blocks:
             mask = masks.get(block)
@@ -330,6 +327,11 @@ def _nc_blocks(p: Params, max_objects: int) -> Iterator[tuple]:
             low, seen = block[0], seen | mask
         if seen != full:
             raise InvariantViolation(f"shape {blocks} does not cover 1..{size}")
+        if t > 1:
+            if len(blocks) < t or blocks[t - 1][0] != t:
+                raise InvariantViolation(f"shape {blocks} puts two of 1..{t} in one block")
+            # Block i holds point i+1, which tilde_transform sends to t-i.
+            blocks = tuple((t - i,) + blocks[i][1:] for i in reversed(range(t))) + blocks[t:]
         yield blocks
 
 

@@ -277,10 +277,14 @@ def m_triangles_brute(
     one pass solves all ranks: each b gets one int V[b], the sum over r of
     v_r[b] 2^(w r), computed level by level as
     V[b] = 2^(w rk b) - sum over a < b of V[a] (each a < b lies on a lower
-    level), the a read off poset.down(b), which also lists b while V[b]
-    still reads 0.  The recurrence is linear, so V[b] equals that sum
-    exactly as an integer, whatever w is, and each comparable pair costs one
-    big-int add.
+    level).  V is one dict keyed by element key (poset.keys), and the a are
+    read off poset.down(b) as keys; down(b) also lists b, whose entry reads
+    0 until V[b] is set.  The elements come in index order, which is level
+    order, so a key with no entry is outside the family or of an element not
+    yet solved: that would break the lemma of build_refinement_poset and
+    raises InvariantViolation naming b's blocks.  The recurrence is linear,
+    so V[b] equals that sum exactly as an integer, whatever w is, and each
+    comparable pair costs one big-int add.
     The sum of V over level s is the sum over r <= s of c(r, s) 2^(w r)
     (v_r[b] = 0 for r > rk b).
 
@@ -315,17 +319,20 @@ def m_triangles_brute(
 
     first = Params(m, n, min(ts))
     poset = build_refinement_poset(first, max_objects=max_objects)
-    levels = [[] for _ in range(first.max_rank + 1)]
-    for b, s in enumerate(poset.ranks):
-        levels[s].append(b)
-    w = _slot_width(map(len, levels))
+    sizes = [0] * (first.max_rank + 1)
+    for s in poset.ranks:
+        sizes[s] += 1
+    w = _slot_width(sizes)
     half, mask = 1 << (w - 1), (1 << w) - 1
-    packed = [0] * len(poset)
-    totals = [[0] * len(levels) for _ in range(n + 1)]  # by _leading_minima, then level
-    for s, level in enumerate(levels):
-        for b in level:
-            packed[b] = value = (1 << (w * s)) - sum(map(packed.__getitem__, poset.down(b)))
-            totals[_leading_minima(poset.elements[b])][s] += value
+    solved: Dict[int, int] = {}  # V, by element key
+    totals = [[0] * len(sizes) for _ in range(n + 1)]  # by _leading_minima, then level
+    for b, (key, s, blocks) in enumerate(zip(poset.keys, poset.ranks, poset.elements)):
+        solved[key] = 0
+        try:
+            solved[key] = value = (1 << (w * s)) - sum(map(solved.__getitem__, poset.down(b)))
+        except KeyError:
+            raise InvariantViolation(f"a split of {blocks} is not in the family below it") from None
+        totals[_leading_minima(blocks)][s] += value
     for t in ts:
         coeffs: Dict[Tuple[int, int], int] = {}
         for s in range(n - t + 1):

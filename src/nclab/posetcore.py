@@ -1,46 +1,54 @@
 """Finite graded posets: a generic engine and the refinement poset.
 
-FinitePoset closes one down-mask per element along its covers; the
-refinement poset holds canonical block tuples and reads down(b) off b's
-blocks, storing no order table.  The split keys it reads them with are
-dropped once a pass in index order is done with them: a run's keys go after
-its last element read, and only once every larger run that has it as a gap
-has been split (build_refinement_poset).  Both list down(b) one rank at a
-time for the one chain DP; no poset is module-level.
+FinitePoset closes one down-mask per element along its covers and lists
+down(b) as element indices.  The refinement poset holds canonical block
+tuples and one int key per element, and lists down(b) as the keys of its
+elements, sums of split keys read off b's blocks: it stores no order table
+and no key-to-index table.  The split keys are dropped once a pass in index
+order is done with them: a run's keys go after its last element read, and
+only once every larger run that has it as a gap has been split
+(build_refinement_poset).  Both list down(b) one rank at a time for the one
+chain DP, which addresses elements by these ids; no poset is module-level.
 """
 
 from bisect import bisect_left, insort
 from itertools import chain, count, groupby
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .errors import DEFAULT_MAX_OBJECTS, InvariantViolation, ParameterError
 from .ncpart import _first_block_position_sets, _nc_family
 from .params import Params, _bits
 
 
-def count_rank_multichains(
-    ranks: Sequence[int], down: Callable[[int, int], Iterable[int]], targets: Sequence[int]
-) -> int:
+def count_rank_multichains(poset, ids: Sequence[int], targets: Sequence[int]) -> int:
     """Weakly increasing tuples (x_1 <= ... <= x_l) with rank(x_i) = targets[i].
 
-    Element i has rank ranks[i] and down(b, r) lists every a <= b of rank r.
-    ways[b] counts the tuples so far that end at b, so each step reads only
-    the down-set's elements on the previous target rank.
+    Element b of the poset has id ids[b] and rank poset.ranks[b], and
+    poset.down(b, r) lists the ids of every a <= b of rank r.  ways maps the
+    id of each element on the previous target rank to the tuples so far that
+    end there, so each step reads only the down-set's elements on that rank
+    and holds ways on two ranks at most.  An id that ways lacks is no
+    element of that rank and raises InvariantViolation naming b.
     """
-    targets = tuple(targets)
+    targets, ranks = tuple(targets), poset.ranks
     if any(b < a for a, b in zip(targets, targets[1:])):
         raise ParameterError(f"targets must be weakly increasing, got {targets}")
     if not targets:
         return 1
     if not 0 <= targets[0] <= targets[-1] <= max(ranks):
         raise ParameterError(f"targets must lie in [0, {max(ranks)}]")
-    ways = [int(rk == targets[0]) for rk in ranks]
+    ways = {i: 1 for i, rk in zip(ids, ranks) if rk == targets[0]}
     for prev, r in zip(targets, targets[1:]):
-        ways = [
-            sum(map(ways.__getitem__, down(b, prev))) if rk == r else 0
-            for b, rk in enumerate(ranks)
-        ]
-    return sum(ways)
+        read, ways = ways.__getitem__, {}
+        for b, rk in enumerate(ranks):
+            if rk == r:
+                try:
+                    ways[ids[b]] = sum(map(read, poset.down(b, prev)))
+                except KeyError:
+                    raise InvariantViolation(
+                        f"down({poset.elements[b]}, {prev}) holds an id not in the family at rank {prev}"
+                    ) from None
+    return sum(ways.values())
 
 
 class FinitePoset:
@@ -117,7 +125,7 @@ class FinitePoset:
                 raise InvariantViolation(f"maximal element {i} has rank {rk}")
 
     def count_rank_multichains(self, targets: Sequence[int]) -> int:
-        return count_rank_multichains(self.ranks, self.down, targets)
+        return count_rank_multichains(self, range(len(self)), targets)
 
 
 def _with_count(parts: Sequence[Tuple[List[int], List[int]]], unit: int, want: int) -> List[int]:
@@ -176,10 +184,10 @@ class _WholeKeys(dict):
 
 
 class RefinementPoset:
-    """Block tuples, their ranks and down(b, r); see build_refinement_poset."""
+    """Block tuples, their ranks and keys, and down(b, r); see build_refinement_poset."""
 
     __slots__ = (
-        "elements", "ranks", "_n", "_m", "_bit", "_block", "_index", "_layouts",
+        "elements", "ranks", "keys", "_n", "_m", "_bit", "_block", "_layouts",
         "_last", "_pending", "_splits_of", "_live", "__weakref__",
     )
 
@@ -191,15 +199,14 @@ class RefinementPoset:
         self._layouts: Dict[int, tuple] = {}
         whole = _WholeKeys(self._bit, self._block)  # each block occurrence is hashed once, here
         last_by_key: Dict[int, int] = {}  # the last element holding each distinct block
-        self._index: Dict[int, int] = {}
-        start = 0
+        keys: List[int] = []
         for size, level in groupby(self.elements, len):  # elements of `size` blocks each
-            keys = list(map(whole.__getitem__, chain.from_iterable(level)))
-            spots = dict(zip(keys, count()))  # last spot in the level's blocks
-            last_by_key.update((key, start + spot // size) for key, spot in spots.items())
+            blocks = list(map(whole.__getitem__, chain.from_iterable(level)))
+            spots = dict(zip(blocks, count()))  # last spot in the level's blocks
+            last_by_key.update((key, len(keys) + spot // size) for key, spot in spots.items())
             # An element's key is the sum of its `size` consecutive block keys.
-            self._index.update(zip(map(sum, zip(*[iter(keys)] * size)), count(start)))
-            start += len(keys) // size
+            keys += map(sum, zip(*[iter(blocks)] * size))
+        self.keys = tuple(keys)
         last = {block: last_by_key[key] for block, key in whole.items()}
         pending: Dict[tuple, int] = {}  # the runs that have each run as a gap and are not yet split
         for run in last:
@@ -265,30 +272,30 @@ class RefinementPoset:
         insort(self._live, (-self._last.get(run, -1), run))
 
     def down(self, b: int, r: Optional[int] = None) -> List[int]:
-        """The indices a <= b, b included; with r, only those of rank r, in that same order.
+        """The keys of the a <= b, b's own included; with r, only those of rank r, in that same order.
 
         One split per block of b, in every combination; with r, only the
         combinations with n - r blocks in all (_with_count).  First drops
-        the retired runs whose last reader comes before b.
+        the retired runs whose last reader comes before b.  Only the
+        lemma puts each sum in the family: a reader that finds a key it has
+        no entry for raises InvariantViolation.
         """
         known, live = self._splits_of, self._live
         while live and -live[-1][0] < b:
             del known[live.pop()[1]]
         parts = [known.get(block) or self._splits(block) for block in self.elements[b]]
         if r is not None:
-            keys = _with_count(parts, self._block, self._n - r)
-        else:
-            keys = [sum(splits[0] for splits, _ in parts if len(splits) == 1)]
-            for splits, _ in parts:
-                if len(splits) > 1:  # with nothing to add, a run's own list serves
-                    keys = splits if keys == [0] else [k + g for g in splits for k in keys]
-        try:
-            return list(map(self._index.__getitem__, keys))
-        except KeyError:
-            raise InvariantViolation(f"a split of {self.elements[b]} is not in the family") from None
+            return _with_count(parts, self._block, self._n - r)
+        if len(parts) == 1:  # b is one block: a copy of its run's own list
+            return parts[0][0][:]
+        keys = [sum(splits[0] for splits, _ in parts if len(splits) == 1)]
+        for splits, _ in parts:
+            if len(splits) > 1:  # with nothing to add, a run's own list serves
+                keys = splits if keys == [0] else [k + g for g in splits for k in keys]
+        return keys
 
     def count_rank_multichains(self, targets: Sequence[int]) -> int:
-        return count_rank_multichains(self.ranks, self.down, targets)
+        return count_rank_multichains(self, self.keys, targets)
 
 
 def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) -> RefinementPoset:
@@ -320,17 +327,21 @@ def build_refinement_poset(p: Params, max_objects: int = DEFAULT_MAX_OBJECTS) ->
     Keys.  K = sum over x of min(block of x) << (x * width), with
     width = (mn).bit_length(), holds each block minimum in its own field, so
     it fixes the partition; the number of blocks, at most n, sits in a top
-    field of its own, above x = mn.  K sums over blocks, so down(b) adds one
-    partial key per block of b, in every combination, and looks each sum up
-    in the key index: one add and one lookup per comparable pair.  A
-    block's splits are kept sorted by key, hence by their number of blocks;
-    a has n - rank(a) blocks, the sum over b's blocks of their splits'
-    numbers, so down(b, r) combines only the runs of splits whose numbers
-    add up to n - r; each block's count offsets (where each number starts
-    in its sorted keys) let it visit only the numbers that can still reach
-    n - r.  A miss would break the lemma and raises InvariantViolation.  The
-    tests compare down(b) with the cover-first poset (mn <= 10) and with all
-    pairs (mn <= 8), and down(b, r) with down(b) filtered by rank.
+    field of its own, above x = mn.  K is the one identity of an element:
+    `keys` holds each element's K in index order, and down(b) lists the K of
+    each a <= b.  K sums over blocks, so down(b) adds one partial key per
+    block of b, in every combination: one add per comparable pair, and no
+    key-to-index table.  A block's splits are kept sorted by key, hence by
+    their number of blocks; a has n - rank(a) blocks, the sum over b's
+    blocks of their splits' numbers, so down(b, r) combines only the runs
+    of splits whose numbers add up to n - r; each block's count offsets
+    (where each number starts in its sorted keys) let it visit only the
+    numbers that can still reach n - r.  Its readers hold their values in
+    dicts keyed by K (the M-triangle, the chain DP), so a sum outside the
+    family, which would break the lemma, or of an element not yet read,
+    finds no entry and raises InvariantViolation.  The tests compare
+    down(b) with the cover-first poset (mn <= 10) and with all pairs
+    (mn <= 8), and down(b, r) with down(b) filtered by rank.
 
     Release.  A run (a block, or a gap left by a first block) is split once
     and its keys and offsets are kept together until no read of a pass in

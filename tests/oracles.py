@@ -350,18 +350,34 @@ def cover_first_poset(p):
     return FinitePoset(parts, covers_by_merge(blocks), [p.n - len(b) for b in blocks])
 
 
+def index_down(poset):
+    """poset.down as element indices: down(b, r=None) -> the indices a <= b, in down's order.
+
+    A FinitePoset lists indices already.  A refinement poset lists element
+    keys, which go through the inverse of poset.keys, built here once per
+    call of index_down; a key it lacks raises KeyError.
+    """
+    keys = getattr(poset, "keys", None)
+    if keys is None:
+        return poset.down
+    index = {key: i for i, key in enumerate(keys)}
+    return lambda b, r=None: [index[key] for key in poset.down(b, r)]
+
+
 def down_masks(poset):
     """Down-set bitmask of every element of a poset read off poset.down(b)."""
-    return [sum(1 << a for a in poset.down(b)) for b in range(len(poset))]
+    down = index_down(poset)
+    return [sum(1 << a for a in down(b)) for b in range(len(poset))]
 
 
 def zeta_by_down(poset, l):
     """Multichains x_1 <= ... <= x_{l-1} in a poset, by a DP over poset.down; 1 for l = 1."""
     if l == 1:
         return 1
+    down = index_down(poset)
     ways = [1] * len(poset)
     for _ in range(l - 2):
-        ways = [sum(ways[a] for a in poset.down(b)) for b in range(len(poset))]
+        ways = [sum(ways[a] for a in down(b)) for b in range(len(poset))]
     return sum(ways)
 
 

@@ -144,9 +144,9 @@ def test_criterion_4_profiled_chains():
     for p in triples(8):
         poset = build_refinement_poset(p)
         profiles_of = [block_profile(SetPartition(blocks), p).counts for blocks in poset.elements]
-        buckets = {}
+        buckets, down = {}, oracles.index_down(poset)
         for b in range(len(poset)):
-            for a in poset.down(b):
+            for a in down(b):
                 key = (profiles_of[a], poset.ranks[a], poset.ranks[b])
                 buckets[key] = buckets.get(key, 0) + 1
         for s in compositions(p.max_rank, 3):

@@ -194,9 +194,9 @@ class TestChainCountWithProfile:
         for p in SMALL:
             poset = build_refinement_poset(p)
             profiles_of = [block_profile(SetPartition(blocks), p).counts for blocks in poset.elements]
-            buckets = {}
+            buckets, down = {}, oracles.index_down(poset)
             for b_idx in range(len(poset)):
-                for a in poset.down(b_idx):
+                for a in down(b_idx):
                     key = (profiles_of[a], poset.ranks[a], poset.ranks[b_idx])
                     buckets[key] = buckets.get(key, 0) + 1
             for s in compositions(p.max_rank, 3):

@@ -101,10 +101,10 @@ def test_census_builds_only_t_partitions():
 
 def test_refinement_poset_keeps_no_order_table():
     # Measured under tracemalloc at (1,10,1), 16,796 elements, on CPython
-    # 3.11: the poset retains 3.5 MB (its block tuples, ranks and key
-    # index), 7.5 MB when its elements were SetPartition objects, and
-    # 33.8 MB when it also stored one down-mask per element.  The 6 MB bound
-    # sits below both.
+    # 3.11: the poset retains 2.8 MB (its block tuples, ranks and keys),
+    # 3.7 MB with a key-to-index dict in their place, 7.5 MB when its
+    # elements were SetPartition objects, and 33.8 MB when it also stored
+    # one down-mask per element.  The 6 MB bound sits below the last two.
     assert build_refinement_poset(P)
     gc.collect()
     tracemalloc.start()
@@ -120,7 +120,7 @@ def test_refinement_poset_keeps_no_order_table():
 
 def test_refinement_poset_releases_read_splits():
     # Measured under tracemalloc at (1,10,1) on CPython 3.11: after down(b)
-    # for every b in level order the poset retains 5.0 MB, the split keys of
+    # for every b in level order the poset retains 4.1 MB, the split keys of
     # the top element's block and its gaps among them, against 13.9 MB (10.5
     # MB of split keys) when every run's keys stayed for the poset's life.
     assert build_refinement_poset(P)

@@ -491,3 +491,94 @@ def test_shape_check_agrees_with_the_oracle(blocks):
         except InvariantViolation:
             got = False
     assert got == expected, shape
+
+
+def relabelled(shape, t):
+    """The output _nc_blocks makes of a classical shape: block i < t sends its minimum to t - i."""
+    return tuple((t - i,) + shape[i][1:] for i in reversed(range(t))) + shape[t:]
+
+
+# Broken streams at t > 1, each ending in a classical shape that breaks one
+# clause of the check made before relabelling, with (t, ground size); the
+# last two break it only through blocks whose verdicts the cache already
+# holds.
+BROKEN_RELABELLED = {
+    "point at most t after a first minimum": (2, 3, [((1, 2), (2,), (3,))]),
+    "descending first block": (2, 4, [((1, 4, 3), (2,))]),
+    "first block past mn": (2, 3, [((1, 4), (2,), (3,))]),
+    "missing element": (2, 3, [((1,), (2,))]),
+    "later blocks out of minimum order": (2, 4, [((1,), (2,), (4,), (3,))]),
+    "stray first minimum": (3, 3, [((2,), (1,), (3,))]),
+    "cached blocks overlapping once relabelled": (2, 3, [((1, 3), (2,)), ((1,), (2, 3)), ((1, 3), (2, 3))]),
+    "cached first block below t + 1 later": (2, 3, [((1,), (2, 3)), ((1,), (2, 3), (1,))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_RELABELLED))
+def test_relabelled_shape_check_rejects(monkeypatch, name):
+    t, size, stream = BROKEN_RELABELLED[name]
+    monkeypatch.setattr(ncpart, "_classical_shapes", lambda *args: iter(stream))
+    p = Params(1, size, t)
+    with pytest.raises(InvariantViolation):
+        enumerate_nc(p)
+    with pytest.raises(InvariantViolation):
+        census(p, "total")
+    # The point-by-point oracle agrees: it passes every shape before the
+    # last, and the relabelled output of each, and rejects the last or its
+    # output.  Only the shape shows a stray minimum below t + 1, which the
+    # relabelling drops.
+    *good, bad = stream
+    for blocks in good:
+        oracles._check_shape(blocks, size)
+        oracles._check_shape(relabelled(blocks, t), size)
+    with pytest.raises(InvariantViolation):
+        oracles._check_shape(bad, size)
+        oracles._check_shape(relabelled(bad, t), size)
+
+
+# The classical shapes of the order-t family on {1..4}, by t: block i < t
+# starts at i + 1 (the relabelling is an involution on them).
+FIRST_BLOCK_SHAPES = {t: [relabelled(out, t) for out in oracles.nc_blocks_by_filter(1, 4, t)] for t in (2, 3)}
+
+
+@st.composite
+def edited_shapes(draw):
+    """(t, shape): a shape of FIRST_BLOCK_SHAPES[t] with up to three points of
+    0..5 inserted, dropped or replaced, anywhere but at the starts 1..t."""
+    t = draw(st.sampled_from([2, 3]))
+    shape = [list(block) for block in draw(st.sampled_from(FIRST_BLOCK_SHAPES[t]))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(shape)))
+        if i == len(shape):
+            shape.append([])
+        block = shape[i]
+        at = draw(st.integers(1 if i < t else 0, len(block)))
+        edit = draw(st.sampled_from(["insert", "drop", "replace"])) if at < len(block) else "insert"
+        if edit == "drop":
+            del block[at]
+        else:
+            block[at : at + (edit == "replace")] = [draw(st.integers(0, 5))]
+    return t, tuple(map(tuple, shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_shapes())
+def test_relabelled_shape_check_agrees_with_the_oracle(case):
+    # Classical shapes whose block i < t starts at i + 1, edited over a
+    # slightly wider range than {1..4}: the check before relabelling
+    # accepts exactly those whose relabelled output passes the
+    # point-by-point oracle.
+    t, shape = case
+    output = relabelled(shape, t)
+    try:
+        oracles._check_shape(output, 4)
+    except InvariantViolation:
+        expected = False
+    else:
+        expected = True
+    with mock.patch.object(ncpart, "_classical_shapes", lambda *args: iter([shape])):
+        try:
+            got = list(ncpart._nc_blocks(Params(1, 4, t), 10**6)) == [output]
+        except InvariantViolation:
+            got = False
+    assert got == expected, case

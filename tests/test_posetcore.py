@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import pytest
 
@@ -8,7 +9,8 @@ from nclab.closedform import zeta_formula
 from nclab.errors import InvariantViolation, ParameterError
 from nclab.ncpart import SetPartition, enumerate_nc, tilde_transform
 from nclab.params import Params
-from nclab.posetcore import FinitePoset, build_refinement_poset
+from nclab.polyalg import m_triangles_brute
+from nclab.posetcore import FinitePoset, RefinementPoset, build_refinement_poset
 
 NC3 = Params(1, 3, 1)
 
@@ -42,13 +44,16 @@ def triples(limit):
     ]
 
 
-def assert_down_by_rank_is_filtered(poset, p):
+def assert_down_by_rank_is_filtered(poset, p, oracle=None):
+    down = oracles.index_down(poset)
     for b in range(len(poset)):
         filtered = [[] for _ in range(p.max_rank + 1)]  # down(b) filtered, rank by rank
-        for a in poset.down(b):
+        for a in down(b):
             filtered[poset.ranks[a]].append(a)
         for r in range(p.max_rank + 1):
-            assert poset.down(b, r) == filtered[r], (p, b, r)
+            assert down(b, r) == filtered[r], (p, b, r)
+            if oracle is not None:  # the same elements as the oracle's, each once
+                assert sorted(filtered[r]) == oracle.down(b, r), (p, b, r)
 
 
 def maximal_chains_by_covers(poset):
@@ -148,10 +153,13 @@ class TestCoverFirst:
 
     def test_down_by_rank_is_down_filtered_by_rank(self):
         # down(b, r) lists exactly the rank-r entries of down(b), in order,
-        # on both posets, for every b and r, every mn <= 10.
+        # on both posets, for every b and r, every mn <= 10.  The refinement
+        # poset lists element keys: taken through the inverse of poset.keys,
+        # its down(b, r) is the cover-first poset's index down-set.
         for p in triples(10):
-            for poset in (build_refinement_poset(p), oracles.cover_first_poset(p)):
-                assert_down_by_rank_is_filtered(poset, p)
+            oracle = oracles.cover_first_poset(p)
+            assert_down_by_rank_is_filtered(build_refinement_poset(p), p, oracle)
+            assert_down_by_rank_is_filtered(oracle, p)
 
     def test_narrowed_count_window_is_caught(self, monkeypatch):
         # A _with_count whose count window stops one short of its top must
@@ -175,27 +183,44 @@ class TestCoverFirst:
 
     def test_split_outside_the_family_raises(self, monkeypatch):
         # Position sets of m = 1 split an m = 2 block into odd blocks, which
-        # are not in the family: the key lookup must refuse them, on the
-        # whole down-set and on the rank-0 one, which holds the odd splits.
-        # At (2,3,1) the first rank-1 element is read again after the top's
-        # read released its first block's splits, and the rebuilt splits are
-        # refused too.
+        # are not in the family, so no reader of down(b) has an entry for
+        # their keys: the M-triangle refuses them on the whole down-set of
+        # the first element, and the chain DP on the rank-0 one, which holds
+        # the odd splits.  At (2,3,1) the first rank-1 element is read again
+        # after the top's read released its first block's splits, and the
+        # rebuilt splits are refused too.
         real = posetcore._first_block_position_sets
         monkeypatch.setattr(posetcore, "_first_block_position_sets", lambda size, m: real(size, 1))
-        poset = build_refinement_poset(Params(2, 2, 1))
-        with pytest.raises(InvariantViolation, match="not in the family"):
-            poset.down(len(poset) - 1)
-        with pytest.raises(InvariantViolation, match="not in the family"):
-            poset.down(len(poset) - 1, 0)
+        with pytest.raises(InvariantViolation, match=r"a split of \(\(1, 2\), \(3, 4\)\) is not in the family"):
+            list(m_triangles_brute(2, 2, (1,)))
+        with pytest.raises(InvariantViolation, match=r"\(\(1, 2, 3, 4\),\), 0\) holds an id not in the family"):
+            build_refinement_poset(Params(2, 2, 1)).count_rank_multichains((0, 1))
         poset = build_refinement_poset(Params(2, 3, 1))
-        below, top = poset.ranks.index(1), len(poset) - 1
-        for b in (below, top, below):
-            with pytest.raises(InvariantViolation, match="not in the family"):
-                poset.down(b)
-            with pytest.raises(InvariantViolation, match="not in the family"):
-                poset.down(b, 0)
-            if b == top:
+        below = poset.ranks.index(1)
+        for targets in ((0, 1), (0, 2), (0, 1)):
+            with pytest.raises(InvariantViolation, match="not in the family at rank 0"):
+                poset.count_rank_multichains(targets)
+            if targets == (0, 2):
                 assert poset.elements[below][0] not in poset._splits_of
+
+    def test_key_of_an_unread_element_raises(self, monkeypatch):
+        # A down-set that lists the next element of b's own rank, planted
+        # here, finds no entry in either reader: the M-triangle has not
+        # solved it yet (it would read 0 there), and the chain DP holds only
+        # the elements of the previous target rank.
+        real = RefinementPoset.down
+
+        def planted(self, b, r=None):
+            keys = real(self, b, r)
+            return keys + [self.keys[b + 1]] if self.ranks[b] == self.ranks[b + 1] == 1 else keys
+
+        monkeypatch.setattr(RefinementPoset, "down", planted)
+        poset = build_refinement_poset(Params(1, 4, 1))
+        first = re.escape(str(poset.elements[poset.ranks.index(1)]))
+        with pytest.raises(InvariantViolation, match=f"a split of {first} is not in the family below it"):
+            list(m_triangles_brute(1, 4, (1,)))
+        with pytest.raises(InvariantViolation, match=f"down\\({first}, 0\\) holds an id not in the family"):
+            poset.count_rank_multichains((0, 1))
 
     def test_builds_from_block_tuples_alone(self, monkeypatch):
         # The build makes no rank_of call, creates no SetPartition and does
@@ -214,18 +239,17 @@ class TestCoverFirst:
             assert all(type(blocks) is tuple for blocks in poset.elements), p
             assert poset.count_rank_multichains(range(p.max_rank + 1)) > 0, p
 
-    def test_key_index_and_last_readers(self):
+    def test_keys_and_last_readers(self):
         # Both come off one pass over the levels: the key of an element is
-        # the sum of its blocks' partial keys, and _last[block] is the last
-        # element holding the block.
+        # the sum of its blocks' partial keys, one distinct key per element,
+        # and _last[block] is the last element holding the block.
         for p in (Params(1, 6, 1), Params(2, 4, 1), Params(3, 3, 2)):
             poset = build_refinement_poset(p)
-            index, last = {}, {}
+            keys, last = [], {}
             for i, blocks in enumerate(poset.elements):
-                keys = [poset._block + block[0] * sum(poset._bit[x] for x in block) for block in blocks]
-                index[sum(keys)] = i
+                keys.append(sum(poset._block + block[0] * sum(poset._bit[x] for x in block) for block in blocks))
                 last.update(dict.fromkeys(blocks, i))
-            assert poset._index == index, p
+            assert poset.keys == tuple(keys) and len(set(keys)) == len(keys), p
             assert poset._last == last, p
 
     def test_covers_close_transitively(self):
